@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-iss bench-fork examples clean
+.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-iss bench-fork examples clean
 
 all: verify
 
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark driver is its own Go module (bench/go.mod), so the
+# root `go test ./...` never compiles it; it reads cte.Report and the obs
+# metric names, so vet and test it here.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrent layers (worker-pool exploration, the fuzzer, the
 # shared query cache, the solver it drives, the COW memory it clones,
@@ -82,10 +88,10 @@ stateful-smoke: build
 	/tmp/cte-smoke -prog tcpip-session -pkts 3 -detectors all -fuzz -fuzz-time 180s -dry-escalations 2000 -seed 1; test $$? -eq 1
 
 # The repo's verification recipe (see README.md and
-# .claude/skills/verify/SKILL.md): build, vet, full tests, race pass,
-# then the end-to-end fuzzing, tracing, campaign, BMC and stateful
-# smokes.
-verify: build vet test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke
+# .claude/skills/verify/SKILL.md): build, vet, full tests, the benchmark
+# module's tests, race pass, then the end-to-end fuzzing, tracing,
+# campaign, BMC and stateful smokes.
+verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

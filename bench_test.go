@@ -105,7 +105,7 @@ func runOnCTE(tb testing.TB, p guest.Program, nested bool) (time.Duration, uint6
 
 // explore runs full concolic exploration, optionally through the nested
 // (S2E-proxy) interpreter. workers selects the exploration pool size
-// (1 = the paper's sequential engine).
+// (1 = one worker, the paper's deterministic path order).
 func explore(tb testing.TB, p guest.Program, maxPaths int, nested bool, workers int) (*cte.Report, time.Duration) {
 	core, _, err := guest.NewCore(smt.NewBuilder(), p)
 	if err != nil {

@@ -67,7 +67,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a structured JSONL event trace (path/query/cache/fuzz events) to this file")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr at this interval (0 = off)")
 	listenAddr := flag.String("listen", "", "serve live /metrics JSON and /debug/pprof on this address while the run lasts")
-	workers := flag.Int("j", runtime.NumCPU(), "parallel exploration workers (1 = sequential, deterministic path order)")
+	workers := flag.Int("j", runtime.NumCPU(), "exploration workers (1 = one worker, deterministic path order)")
 	maxConflicts := flag.Int("max-conflicts", 0, "per-query solver conflict budget; exhausted queries count as unknown (0 = unlimited)")
 	useCache := flag.Bool("cache", true, "enable the SMT query cache (model reuse, unsat subsumption, independence slicing)")
 	cacheDir := flag.String("cache-dir", "", "persist the query cache under this directory so repeated runs warm-start")
@@ -81,8 +81,6 @@ func main() {
 	dryEscalations := flag.Int("dry-escalations", 0, "fuzz only: stop after this many consecutive escalations without new coverage (0 = engine default; deep stateful guests need hundreds)")
 	forkMode := flag.Bool("fork", true, "resume divergence checkpoints instead of re-executing path prefixes from the snapshot (disable for the restart-only ablation baseline)")
 	forkMinPrefix := flag.Uint64("fork-min-prefix", 2000, "skip checkpoint capture on path prefixes shorter than this many instructions (restarting a short prefix is cheaper than checkpointing it; 0 = checkpoint every divergence)")
-	bbCache := flag.Bool("bbcache", true, "enable the predecoded basic-block cache (direct-threaded dispatch; disable to use the legacy fetch/decode/execute loop)")
-	fuse := flag.Bool("fuse", true, "enable superinstruction fusion inside cached blocks (lui+addi, auipc+addi, compare+branch)")
 	serveAddr := flag.String("serve", "", "campaign coordinator: serve the HTTP control plane on this address instead of exploring locally")
 	spoolDir := flag.String("spool", "", "with -serve: persist campaign state under this directory and resume it on restart")
 	connectAddr := flag.String("connect", "", "campaign worker: execute leases from the coordinator at this address")
@@ -157,11 +155,6 @@ func main() {
 		os.Exit(2)
 	}
 	die(err)
-
-	// Block-cache ablation switches: clones inherit these via struct
-	// copy, so setting them on the snapshot covers every path/fuzz exec.
-	core.NoBlockCache = !*bbCache
-	core.NoFusion = !*fuse
 
 	strat, ok := map[string]cte.Strategy{
 		"bfs": cte.BFS, "dfs": cte.DFS, "random": cte.Random, "coverage": cte.Coverage,

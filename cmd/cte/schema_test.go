@@ -31,8 +31,8 @@ func TestJSONReportSchemaStable(t *testing.T) {
 
 	want := []string{
 		"cache", "covered_pcs", "detectors", "exhausted", "findings",
-		"mode", "obs", "paths", "program", "protocol", "pruned",
-		"queries", "sat_tcs", "solver_time_sec", "stopped",
+		"mode", "obs", "paths", "per_worker", "program", "protocol",
+		"pruned", "queries", "sat_tcs", "solver_time_sec", "stopped",
 		"total_instr", "unknown_tcs", "unsat_tcs", "wall_time_sec",
 		"workers",
 	}

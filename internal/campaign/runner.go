@@ -115,7 +115,7 @@ func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 		roots[i] = cte.ImportInput(r.b, wi)
 	}
 	cfg := cte.Config{
-		Workers: 1, // sequential: path i is leased input i
+		Workers: 1, // one worker: path i is leased input i
 		Budget: cte.Budget{
 			MaxPaths:             len(roots),
 			MaxInstrPerRun:       r.spec.MaxInstr,

@@ -5,22 +5,21 @@
 // strategy. Generational bounds (à la SAGE) prevent re-exploration of
 // already-covered path prefixes.
 //
-// Exploration can run on a pool of parallel workers (Config.Workers):
-// every path is independent by construction — the snapshot is frozen
-// once, each worker clones it and runs on its own core with its own
-// solver — so only the input queue, the dedup set, the coverage map and
-// the report are shared, guarded by one mutex. With more than one worker
-// the path *order* (and therefore OnPath invocation order and Finding
-// indices) depends on scheduling, but the explored path set, the dedup
-// decisions and the set of findings do not; Workers == 1 preserves the
-// fully deterministic sequential engine. See DESIGN.md ("Parallel
-// exploration") for the clone-safety contract.
+// Exploration runs on a pool of Config.Workers workers; one worker is
+// the same loop with a pool of one. Every path is independent by
+// construction — the snapshot is frozen once, each worker clones it and
+// runs on its own core with its own solver — so only the input queue,
+// the dedup set, the coverage map and the report are shared, guarded by
+// one mutex. A worker merges each path before it claims the next, so
+// with one worker the path order (and therefore OnPath invocation order
+// and Finding indices) is fully deterministic; with more it depends on
+// scheduling, but the explored path set, the dedup decisions and the set
+// of findings do not. See DESIGN.md ("Parallel exploration") for the
+// clone-safety contract.
 package cte
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"time"
@@ -100,7 +99,7 @@ const AutoWorkers = -1
 
 func autoWorkers() int { return runtime.NumCPU() }
 
-// WorkerStats is the per-worker breakdown of a parallel run.
+// WorkerStats is the per-worker breakdown of a concolic run.
 type WorkerStats struct {
 	Paths      int
 	Queries    int
@@ -143,7 +142,7 @@ type Report struct {
 	// Explore.TrackCoverage or the Coverage strategy is active).
 	Covered map[uint32]struct{}
 	// Workers is the resolved pool size; PerWorker holds the per-worker
-	// breakdown for parallel runs (nil for sequential runs).
+	// breakdown of concolic runs (one row per worker).
 	Workers   int
 	PerWorker []WorkerStats
 	// Detectors lists the bug-detector kinds that were attached for the
@@ -179,21 +178,18 @@ func (r *Report) String() string {
 // ModeConcolic half of a Session).
 type engine struct {
 	Builder  *smt.Builder
-	Solver   *smt.Solver // used by sequential runs; parallel workers own solvers
 	Snapshot *iss.Core
 	Cfg      Config
 
-	// OnPath observes every executed core (Session.OnPath). Parallel
-	// runs invoke it under the run lock, so the callback never races
-	// with itself, but invocation order is scheduling-dependent.
+	// OnPath observes every executed core (Session.OnPath). The pool
+	// invokes it under the run lock, so the callback never races with
+	// itself, but with several workers the order is scheduling-dependent.
 	OnPath func(path int, core *iss.Core)
 
 	// Observability handles (Config.Obs); nil-safe when unwired.
 	obsPaths, obsSat, obsUnsat, obsUnknown *obs.Counter
 	obsPruned, obsFindings                 *obs.Counter
 	obsForks, obsForkRestarts              *obs.Counter
-	issInstr, issExecs                     *obs.Counter
-	bbHits, bbMisses, bbInval              *obs.Counter
 	frontierG, coverG                      *obs.Gauge
 	pathHist, forkSuffixHist               *obs.Histogram
 	tracer                                 *obs.Tracer
@@ -202,11 +198,8 @@ type engine struct {
 // newEngine creates the concolic engine around a prepared VP snapshot.
 // The snapshot is never mutated; every path runs on a clone (§3.1.1).
 func newEngine(snapshot *iss.Core, cfg Config) *engine {
-	solver := smt.NewSolver(snapshot.B)
-	solver.MaxConflictsPerQuery = cfg.Budget.MaxConflictsPerQuery
 	e := &engine{
 		Builder:  snapshot.B,
-		Solver:   solver,
 		Snapshot: snapshot,
 		Cfg:      cfg,
 	}
@@ -220,44 +213,12 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 		e.obsForks = m.Counter("cte.forks")
 		e.obsForkRestarts = m.Counter("cte.fork_restarts")
 		e.forkSuffixHist = m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS)
-		e.issInstr = m.Counter("iss.instr")
-		e.issExecs = m.Counter("iss.execs")
-		e.bbHits = m.Counter("iss.bb.hits")
-		e.bbMisses = m.Counter("iss.bb.misses")
-		e.bbInval = m.Counter("iss.bb.inval")
 		e.frontierG = m.Gauge("cte.frontier")
 		e.coverG = m.Gauge("cte.cover_pcs")
 		e.pathHist = m.Histogram("cte.path_us", obs.LatencyBoundsUS)
 		e.tracer = cfg.Obs.Trace()
-		solver.SetObs(cfg.Obs)
-		if cfg.Cache.Queries != nil {
-			cfg.Cache.Queries.SetObs(cfg.Obs)
-		}
 	}
 	return e
-}
-
-// run explores until the queue is exhausted or a budget is hit,
-// honoring cancellation: the sequential loop checks ctx between paths
-// and the parallel pool checks it at claim time, so the run winds down
-// within one path execution of ctx ending and still returns a complete
-// Report of the work done.
-func (e *engine) run(ctx context.Context) *Report {
-	// Freeze the snapshot's copy-on-write pages once, up front: Clone
-	// then never mutates shared state, making concurrent clones safe
-	// (and the sequential path identical).
-	e.Snapshot.Freeze()
-	var rep *Report
-	if w := e.Cfg.effectiveWorkers(); w > 1 {
-		rep = e.runParallel(ctx, w)
-	} else {
-		rep = e.runSequential(ctx)
-	}
-	if e.Cfg.Cache.Queries != nil {
-		st := e.Cfg.Cache.Queries.Stats()
-		rep.Cache = &st
-	}
-	return rep
 }
 
 // pathResult is everything one executed path contributes back to the
@@ -267,9 +228,7 @@ type pathResult struct {
 	core         *iss.Core
 	instrs       uint64
 	children     []Input // sat models, not yet deduped; Score filled by the merger
-	sat          int
-	unsat        int
-	unknown      int
+	tcs          tcTally
 	forked       bool // this path resumed a checkpoint (suffix-only execution)
 	forkRestarts int  // children that fell back to restart (no safe checkpoint)
 }
@@ -289,11 +248,6 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 	}
 	core.CaptureForks = e.Cfg.Fork.Enabled
 	core.ForkMinPrefix = e.Cfg.Fork.MinPrefix
-	core.ObsInstr = e.issInstr
-	core.ObsExecs = e.issExecs
-	core.ObsBBHits = e.bbHits
-	core.ObsBBMisses = e.bbMisses
-	core.ObsBBInval = e.bbInval
 	if e.Cfg.Explore.Strategy == Coverage || e.Cfg.Explore.TrackCoverage {
 		core.TrackCoverage = true
 	}
@@ -335,44 +289,92 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 		}
 	}
 	for _, tc := range core.Trace {
-		conds := make([]*smt.Expr, 0, tc.EPCLen+1)
-		conds = append(conds, core.EPC[:tc.EPCLen]...)
-		conds = append(conds, tc.Cond)
-		var sat, unknown bool
-		var model smt.Assignment
-		if e.Cfg.Cache.Queries != nil {
-			// The incumbent input satisfied the whole prefix; passing it
-			// as the hint enables independence slicing in the cache.
-			sat, model, unknown = e.Cfg.Cache.Queries.Check(solver, conds, in.Assignment)
-		} else {
-			sat, model, unknown = solver.Check(conds...)
+		model, ok := res.tcs.solve(e.Cfg.Cache.Queries, solver, core.EPC, tc, in.Assignment)
+		if !ok {
+			continue
 		}
-		switch {
-		case unknown:
-			res.unknown++
-		case !sat:
-			res.unsat++
-		default:
-			res.sat++
-			ch := Input{
-				Assignment: model,
-				Bound:      tc.SiteIdx + 1,
-				Gen:        in.Gen + 1,
-			}
-			if e.Cfg.Fork.Enabled {
-				// Resume from the divergence checkpoint; a nil fork means
-				// capture was skipped at an unsafe site and the child
-				// restarts from the snapshot instead.
-				if fc := core.Fork(tc.SiteIdx, model, tc.SiteIdx+1); fc != nil {
-					ch.Fork = fc
-				} else {
-					res.forkRestarts++
-				}
-			}
-			res.children = append(res.children, ch)
+		ch := Input{
+			Assignment: model,
+			Bound:      tc.SiteIdx + 1,
+			Gen:        in.Gen + 1,
 		}
+		if e.Cfg.Fork.Enabled {
+			// Resume from the divergence checkpoint; a nil fork means
+			// capture was skipped at an unsafe site and the child
+			// restarts from the snapshot instead.
+			if fc := core.Fork(tc.SiteIdx, model, tc.SiteIdx+1); fc != nil {
+				ch.Fork = fc
+			} else {
+				res.forkRestarts++
+			}
+		}
+		res.children = append(res.children, ch)
 	}
 	return res
+}
+
+// newSolver creates a solver on b with the run's per-query conflict
+// budget, wired into the run's observability bundle. Every worker and
+// every flip-solve goroutine owns one.
+func newSolver(b *smt.Builder, cfg Config) *smt.Solver {
+	s := smt.NewSolver(b)
+	s.MaxConflictsPerQuery = cfg.Budget.MaxConflictsPerQuery
+	s.SetObs(cfg.Obs)
+	return s
+}
+
+// tcTally counts trace-condition verdicts.
+type tcTally struct{ sat, unsat, unknown int }
+
+// solve decides one trace condition: the path prefix EPC[:tc.EPCLen]
+// conjoined with tc.Cond. The query goes through the query cache qc when
+// one is configured, else straight to solver; hint is the incumbent
+// input, which satisfied the whole prefix and so enables the cache's
+// independence slicing. The verdict — sat, unsat, or unknown when the
+// per-query conflict budget ran out — is counted in t; the model is
+// returned for sat only.
+func (t *tcTally) solve(qc *qcache.Cache, solver *smt.Solver, epc []*smt.Expr, tc iss.TraceCond, hint smt.Assignment) (smt.Assignment, bool) {
+	conds := make([]*smt.Expr, 0, tc.EPCLen+1)
+	conds = append(conds, epc[:tc.EPCLen]...)
+	conds = append(conds, tc.Cond)
+	var sat, unknown bool
+	var model smt.Assignment
+	if qc != nil {
+		sat, model, unknown = qc.Check(solver, conds, hint)
+	} else {
+		sat, model, unknown = solver.Check(conds...)
+	}
+	switch {
+	case unknown:
+		t.unknown++
+	case !sat:
+		t.unsat++
+	default:
+		t.sat++
+		return model, true
+	}
+	return nil, false
+}
+
+// addTCs folds a tally into the report's trace-condition counters.
+func (r *Report) addTCs(t tcTally) {
+	r.SatTCs += t.sat
+	r.UnsatTCs += t.unsat
+	r.UnknownTCs += t.unknown
+}
+
+// addSolverStats adds every solver's query count and solve time to the
+// report totals and, when the report has per-worker rows, to the row of
+// the worker that owned it.
+func addSolverStats(rep *Report, solvers []*smt.Solver) {
+	for i, s := range solvers {
+		rep.Queries += s.Stats.Queries
+		rep.SolverTime += s.Stats.SolverTime
+		if rep.PerWorker != nil {
+			rep.PerWorker[i].Queries = s.Stats.Queries
+			rep.PerWorker[i].SolverTime = s.Stats.SolverTime
+		}
+	}
 }
 
 // findingOf classifies a halted core: a Finding for a hard error, prune
@@ -402,104 +404,6 @@ func findingOf(core *iss.Core, path int) (f *Finding, prune bool) {
 // childKey is the (bound, assignment) dedup key of a pending input.
 func childKey(b *smt.Builder, in Input) string {
 	return fmt.Sprintf("%d|%s", in.Bound, DescribeInput(b, in.Assignment))
-}
-
-// runSequential is the deterministic single-worker engine.
-func (e *engine) runSequential(ctx context.Context) *Report {
-	start := time.Now()
-	rep := &Report{Workers: 1}
-	rng := rand.New(rand.NewSource(e.Cfg.Seed + 1))
-
-	front := newFrontier(e.Cfg.Explore.Strategy, rng)
-	globalCover := make(map[uint32]struct{})
-	seen := map[string]bool{} // dedup of (bound, assignment) pairs
-	e.seedFrontier(front, seen)
-
-	for front.len() > 0 {
-		if ctx.Err() != nil {
-			rep.Stopped = "canceled"
-			break
-		}
-		if e.Cfg.Budget.MaxPaths > 0 && rep.Paths >= e.Cfg.Budget.MaxPaths {
-			rep.Stopped = "path-budget"
-			break
-		}
-		if e.Cfg.Budget.Timeout > 0 && time.Since(start) > e.Cfg.Budget.Timeout {
-			rep.Stopped = "timeout"
-			break
-		}
-		in, ok := front.pop()
-		if !ok {
-			break
-		}
-		res := e.executePath(in, e.Solver, rep.Paths)
-		core := res.core
-		rep.Paths++
-		e.obsPaths.Inc()
-		rep.TotalInstr += res.instrs
-		if res.forked {
-			rep.Forked++
-			e.obsForks.Inc()
-		}
-		rep.ForkRestarts += res.forkRestarts
-		e.obsForkRestarts.Add(int64(res.forkRestarts))
-		if e.OnPath != nil {
-			e.OnPath(rep.Paths-1, core)
-		}
-
-		// Coverage accounting: score is the number of newly discovered
-		// PCs on this path; children inherit it.
-		var score float64
-		if core.TrackCoverage {
-			for pc := range core.Coverage {
-				if _, ok := globalCover[pc]; !ok {
-					globalCover[pc] = struct{}{}
-					score++
-				}
-			}
-			e.coverG.Set(int64(len(globalCover)))
-		}
-
-		stopOnErr := false
-		if f, prune := findingOf(core, rep.Paths-1); prune {
-			rep.Pruned++
-			e.obsPruned.Inc()
-		} else if f != nil {
-			rep.Findings = append(rep.Findings, *f)
-			e.recordFinding(f)
-			stopOnErr = e.Cfg.StopOnError
-		}
-
-		rep.SatTCs += res.sat
-		rep.UnsatTCs += res.unsat
-		rep.UnknownTCs += res.unknown
-		e.obsSat.Add(int64(res.sat))
-		e.obsUnsat.Add(int64(res.unsat))
-		e.obsUnknown.Add(int64(res.unknown))
-		for _, ch := range res.children {
-			key := childKey(e.Builder, ch)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			ch.Score = score
-			front.push(ch)
-		}
-		e.frontierG.Set(int64(front.len()))
-		if stopOnErr {
-			rep.Stopped = "stop-on-error"
-			break
-		}
-	}
-	rep.Exhausted = rep.Stopped == "" && front.len() == 0
-	if rep.Stopped == "" && rep.Exhausted {
-		rep.Stopped = "exhausted"
-	}
-	rep.Covered = globalCover
-	rep.WallTime = time.Since(start)
-	e.fillSolverStats(rep)
-	e.exportFrontier(front, rep)
-	return rep
 }
 
 // seedFrontier fills a fresh frontier from Explore.Roots (dedup-seeded
@@ -543,11 +447,6 @@ func (e *engine) recordFinding(f *Finding) {
 		e.tracer.Emit(obs.Event{Ev: obs.EvFinding, Path: f.Path,
 			PC: f.Err.PC, Err: f.Err.Error()})
 	}
-}
-
-func (e *engine) fillSolverStats(rep *Report) {
-	rep.Queries = e.Solver.Stats.Queries
-	rep.SolverTime = e.Solver.Stats.SolverTime
 }
 
 // DescribeInput renders an input assignment with variable names, sorted,

@@ -66,8 +66,16 @@ func TestWireInputRoundTrip(t *testing.T) {
 // inputs execute and their children land unexplored in Report.Frontier.
 // Driving the exported frontier to exhaustion in a *fresh* process
 // (builder + snapshot) reaches the same semantic path set as one
-// uninterrupted exploration.
+// uninterrupted exploration, at every lease worker count.
 func TestRootsBatchExecution(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testRootsBatchExecution(t, workers)
+		})
+	}
+}
+
+func testRootsBatchExecution(t *testing.T, workers int) {
 	// Uninterrupted baseline.
 	var want []string
 	base := NewSession(snapshot(t, counterSrc), Config{Budget: Budget{MaxPaths: 100}})
@@ -98,7 +106,7 @@ func TestRootsBatchExecution(t *testing.T) {
 		for i, wi := range batch {
 			roots[i] = ImportInput(snap.B, wi)
 		}
-		eng := NewSession(snap, Config{Budget: Budget{MaxPaths: len(roots)},
+		eng := NewSession(snap, Config{Workers: workers, Budget: Budget{MaxPaths: len(roots)},
 			Explore: ExploreConfig{Roots: roots, ExportFrontier: true}})
 		eng.OnPath = func(_ int, c *iss.Core) { got = append(got, semanticRecord(c)) }
 		rep := eng.Run(context.Background())
@@ -122,6 +130,47 @@ func TestRootsBatchExecution(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("path records diverge:\n batched:  %s\n baseline: %s", got[i], want[i])
+		}
+	}
+}
+
+// bitstormRoots returns the 28 pending inputs left after six BFS paths of
+// bitstorm, exported and re-imported into a fresh snapshot's builder the
+// way a campaign lease carries them.
+func bitstormRoots(t *testing.T) (*iss.Core, []Input) {
+	t.Helper()
+	src := snapshot(t, bitstormSrc)
+	rep := NewSession(src, Config{Budget: Budget{MaxPaths: 6},
+		Explore: ExploreConfig{ExportFrontier: true}}).Run(context.Background())
+	if len(rep.Frontier) != 28 {
+		t.Fatalf("frontier after 6 paths: %d inputs want 28", len(rep.Frontier))
+	}
+	snap := snapshot(t, bitstormSrc)
+	roots := make([]Input, len(rep.Frontier))
+	for i, in := range rep.Frontier {
+		roots[i] = ImportInput(snap.B, ExportInput(src.B, in))
+	}
+	return snap, roots
+}
+
+// TestFrontierKeepsInFlightChildren: when the path budget stops a
+// multi-worker lease, the paths still in flight merge their children
+// into the exported frontier, so executed paths plus frontier inputs
+// match the one-worker lease on every run.
+func TestFrontierKeepsInFlightChildren(t *testing.T) {
+	lease := func(workers int) int {
+		snap, roots := bitstormRoots(t)
+		rep := NewSession(snap, Config{Workers: workers, Budget: Budget{MaxPaths: len(roots)},
+			Explore: ExploreConfig{Roots: roots, ExportFrontier: true}}).Run(context.Background())
+		if rep.Paths != len(roots) {
+			t.Fatalf("workers=%d: lease executed %d paths want %d", workers, rep.Paths, len(roots))
+		}
+		return rep.Paths + len(rep.Frontier)
+	}
+	want := lease(1)
+	for i := 0; i < 50; i++ {
+		if got := lease(2); got != want {
+			t.Fatalf("run %d: workers=2 paths+frontier %d, workers=1 %d", i, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package cte
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -30,20 +29,13 @@ type hybrid struct {
 
 	// Observability handles (Config.Obs); nil-safe when unwired.
 	obsEsc, obsFlips, obsSolves, obsReplayed *obs.Counter
-	issInstr                                 *obs.Counter
-	bbHits, bbMisses, bbInval                *obs.Counter
 	tracer                                   *obs.Tracer
 }
 
 // runHybrid executes a hybrid fuzzing campaign over the snapshot and
 // reports in the unified Report shape (Fuzz section filled).
 func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
-	if cfg.Workers < 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
+	cfg.Workers = cfg.effectiveWorkers()
 	if cfg.Fuzz.Batch <= 0 {
 		cfg.Fuzz.Batch = 500
 	}
@@ -75,14 +67,7 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 		h.obsFlips = m.Counter("hybrid.flips_attempted")
 		h.obsSolves = m.Counter("hybrid.solves")
 		h.obsReplayed = m.Counter("hybrid.replayed_instr")
-		h.issInstr = m.Counter("iss.instr")
-		h.bbHits = m.Counter("iss.bb.hits")
-		h.bbMisses = m.Counter("iss.bb.misses")
-		h.bbInval = m.Counter("iss.bb.inval")
 		h.tracer = cfg.Obs.Trace()
-		if cfg.Cache.Queries != nil {
-			cfg.Cache.Queries.SetObs(cfg.Obs)
-		}
 	}
 	h.fz = fuzz.New(working, fuzz.Options{
 		Seed:           cfg.Seed,
@@ -94,10 +79,7 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 		Obs:            cfg.Obs,
 	})
 	for i := 0; i < cfg.Workers; i++ {
-		s := smt.NewSolver(snapshot.B)
-		s.MaxConflictsPerQuery = cfg.Budget.MaxConflictsPerQuery
-		s.SetObs(cfg.Obs)
-		h.solvers = append(h.solvers, s)
+		h.solvers = append(h.solvers, newSolver(snapshot.B, cfg))
 	}
 
 	dry := 0
@@ -172,10 +154,7 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 	for _, e := range h.fz.Corpus() {
 		h.fs.Corpus = append(h.fs.Corpus, e.Data)
 	}
-	for _, s := range h.solvers {
-		h.rep.Queries += s.Stats.Queries
-		h.rep.SolverTime += s.Stats.SolverTime
-	}
+	addSolverStats(h.rep, h.solvers)
 	h.rep.WallTime = time.Since(start)
 	if cfg.Cache.Queries != nil {
 		st := cfg.Cache.Queries.Stats()
@@ -202,10 +181,7 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	c.Bound = bound
 	// Replays charge iss.instr (total simulated work) but not iss.execs,
 	// which counts fuzz executions only.
-	c.ObsInstr = h.issInstr
-	c.ObsBBHits = h.bbHits
-	c.ObsBBMisses = h.bbMisses
-	c.ObsBBInval = h.bbInval
+	c.ObsExecs = nil
 	startInstr := c.InstrCount
 	c.Run(h.cfg.Budget.MaxInstrPerRun)
 	h.fs.ReplayedInstrs += c.InstrCount - startInstr
@@ -258,11 +234,6 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 		}
 		chosen[group] = cand{trace: ti, key: key} // later occurrences win
 	}
-	type job struct {
-		conds   []*smt.Expr
-		siteIdx int
-		flipTo  uint32
-	}
 	var picks []cand
 	for _, cd := range chosen {
 		picks = append(picks, cd)
@@ -279,17 +250,13 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 		}
 		return picks[i].trace < picks[j].trace
 	})
-	var jobs []job
+	var jobs []iss.TraceCond
 	for _, pk := range picks {
 		if len(jobs) >= h.cfg.Fuzz.MaxFlipsPerEscalation {
 			break
 		}
-		tc := c.Trace[pk.trace]
 		h.attempted[pk.key] = true
-		conds := make([]*smt.Expr, 0, tc.EPCLen+1)
-		conds = append(conds, c.EPC[:tc.EPCLen]...)
-		conds = append(conds, tc.Cond)
-		jobs = append(jobs, job{conds: conds, siteIdx: tc.SiteIdx, flipTo: tc.FlipTo})
+		jobs = append(jobs, c.Trace[pk.trace])
 	}
 	h.fs.FlipsAttempted += len(jobs)
 	h.obsFlips.Add(int64(len(jobs)))
@@ -305,9 +272,10 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
+	tallies := make([]tcTally, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(solver *smt.Solver) {
+		go func(solver *smt.Solver, tcs *tcTally) {
 			defer wg.Done()
 			for {
 				if ctx.Err() != nil {
@@ -321,31 +289,17 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 				i := next
 				next++
 				mu.Unlock()
-				var ok, unk bool
-				var model smt.Assignment
-				if h.cfg.Cache.Queries != nil {
-					// The incumbent replay satisfied the whole prefix:
-					// its assignment is the slicing hint (same contract
-					// as the pure-concolic engine).
-					ok, model, unk = h.cfg.Cache.Queries.Check(solver, jobs[i].conds, c.Input)
-				} else {
-					ok, model, unk = solver.Check(jobs[i].conds...)
-				}
-				mu.Lock()
-				switch {
-				case unk:
-					h.rep.UnknownTCs++
-				case !ok:
-					h.rep.UnsatTCs++
-				default:
-					h.rep.SatTCs++
-					models[i] = model
-				}
-				mu.Unlock()
+				// The incumbent replay satisfied the whole prefix: its
+				// input is the slicing hint, as in the concolic engine.
+				// Each index is written by exactly one worker.
+				models[i], _ = tcs.solve(h.cfg.Cache.Queries, solver, c.EPC, jobs[i], c.Input)
 			}
-		}(h.solvers[w])
+		}(h.solvers[w], &tallies[w])
 	}
 	wg.Wait()
+	for _, t := range tallies {
+		h.rep.addTCs(t)
+	}
 
 	// Inject in path order so the campaign stays deterministic at -j 1.
 	// Each solved input carries the flipped site's generation as its
@@ -355,10 +309,10 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 		if m == nil {
 			continue
 		}
-		h.fz.Inject(solvedInput(data, c.SymOrder, h.builder, m), jobs[i].siteIdx+1)
+		h.fz.Inject(solvedInput(data, c.SymOrder, h.builder, m), jobs[i].SiteIdx+1)
 		injected++
 		if h.tracer != nil {
-			h.tracer.Emit(obs.Event{Ev: obs.EvFlipSolved, PC: jobs[i].flipTo})
+			h.tracer.Emit(obs.Event{Ev: obs.EvFlipSolved, PC: jobs[i].FlipTo})
 		}
 	}
 	h.fs.Solves += injected

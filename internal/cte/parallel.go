@@ -9,48 +9,44 @@ import (
 	"rvcte/internal/smt"
 )
 
-// parallelRun is the shared state of one multi-worker exploration. The
-// mutex guards the frontier, the dedup set, the coverage map and the
-// report; everything path-local (core clone, solver, blasted CNF) is
-// worker-owned and needs no locking. The condition variable wakes idle
-// workers when children are enqueued or the run stops.
-type parallelRun struct {
-	e    *engine
-	ctx  context.Context
-	mu   sync.Mutex
-	cond *sync.Cond
+// pool is the shared state of one exploration. The mutex guards the
+// frontier, the dedup set, the coverage map and the report; everything
+// path-local (core clone, solver, blasted CNF) is worker-owned and needs
+// no locking. The condition variable wakes idle workers after every
+// merge, which may have enqueued children or ended the run.
+type pool struct {
+	e       *engine
+	ctx     context.Context
+	mu      sync.Mutex
+	cond    *sync.Cond
+	solvers []*smt.Solver // solvers[i] belongs to worker i
 
 	front    *frontier
 	seen     map[string]bool
 	cover    map[uint32]struct{}
-	rep      *Report
-	started  int // paths claimed, bounds MaxPaths
-	inflight int // claimed but not yet merged
+	rep      *Report // rep.Stopped != "" blocks further claims
+	started  int     // paths claimed, bounds MaxPaths
+	inflight int     // claimed but not yet merged
 	deadline time.Time
-	stop     bool // no further paths may be claimed
-	abandon  bool // stopped with work left (timeout / StopOnError finding)
 }
 
-// halt marks the run stopped with the given reason (the first reason
-// wins). Called with x.mu held.
-func (x *parallelRun) halt(reason string, abandon bool) {
-	x.stop = true
-	if abandon {
-		x.abandon = true
-	}
-	if x.rep.Stopped == "" {
-		x.rep.Stopped = reason
-	}
-}
-
-// runParallel explores with a pool of workers. Each worker clones the
-// frozen snapshot, executes one path on its own core and solves the
-// trace conditions on its own solver; results are merged under the run
-// lock. Path order depends on scheduling; the explored path set, dedup
-// and findings do not (paths are independent by construction, §3.1.1).
-func (e *engine) runParallel(ctx context.Context, workers int) *Report {
+// run explores until the queue is exhausted, a budget is hit or ctx
+// ends, on the configured number of workers. Each worker claims an
+// input, clones the frozen snapshot, executes the path on its own core,
+// solves the trace conditions on its own solver and merges the result
+// under the run lock before it claims the next input. With one worker
+// that makes the path order fully deterministic; with more, path order
+// depends on scheduling, but the explored path set, dedup and findings
+// do not (paths are independent by construction, §3.1.1). Workers check
+// ctx at claim time, so the run winds down within one path execution of
+// ctx ending and still returns a complete Report of the work done.
+func (e *engine) run(ctx context.Context) *Report {
+	// Freeze the snapshot's copy-on-write pages once, up front: Clone
+	// then never mutates shared state, making concurrent clones safe.
+	e.Snapshot.Freeze()
 	start := time.Now()
-	x := &parallelRun{
+	workers := e.Cfg.effectiveWorkers()
+	x := &pool{
 		e:     e,
 		ctx:   ctx,
 		front: newFrontier(e.Cfg.Explore.Strategy, rand.New(rand.NewSource(e.Cfg.Seed+1))),
@@ -59,154 +55,98 @@ func (e *engine) runParallel(ctx context.Context, workers int) *Report {
 		rep:   &Report{Workers: workers, PerWorker: make([]WorkerStats, workers)},
 	}
 	x.cond = sync.NewCond(&x.mu)
-	e.seedFrontier(x.front, x.seen)
-
-	var timer *time.Timer
 	if e.Cfg.Budget.Timeout > 0 {
 		x.deadline = start.Add(e.Cfg.Budget.Timeout)
-		// The deadline is checked at claim time; the timer additionally
-		// wakes workers blocked waiting for new queue entries.
-		timer = time.AfterFunc(e.Cfg.Budget.Timeout, func() {
-			x.mu.Lock()
-			x.halt("timeout", true)
-			x.mu.Unlock()
-			x.cond.Broadcast()
-		})
 	}
-	// Cancellation watcher: wakes blocked workers when ctx ends. The
-	// run-done channel stops the watcher on normal completion.
-	runDone := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				x.mu.Lock()
-				x.halt("canceled", true)
-				x.mu.Unlock()
-				x.cond.Broadcast()
-			case <-runDone:
-			}
-		}()
+	for i := 0; i < workers; i++ {
+		x.solvers = append(x.solvers, newSolver(e.Builder, e.Cfg))
 	}
+	e.seedFrontier(x.front, x.seen)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for id := 0; id < workers; id++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			x.worker(id)
-		}(w)
+		}()
 	}
 	wg.Wait()
-	close(runDone)
-	if timer != nil {
-		timer.Stop()
-	}
 
-	// Timer/cancellation callbacks may still be mid-halt() after Stop()
-	// returns, so the finalization reads stay under the run lock.
-	x.mu.Lock()
 	rep := x.rep
-	rep.Exhausted = !x.abandon && x.front.len() == 0
-	if rep.Stopped == "" {
-		if rep.Exhausted {
-			rep.Stopped = "exhausted"
-		} else if x.e.Cfg.Budget.MaxPaths > 0 && x.started >= x.e.Cfg.Budget.MaxPaths {
-			rep.Stopped = "path-budget"
-		}
+	rep.Exhausted = rep.Stopped == "" && x.front.len() == 0
+	if rep.Exhausted {
+		rep.Stopped = "exhausted"
 	}
-	e.exportFrontier(x.front, rep)
-	x.mu.Unlock()
 	rep.Covered = x.cover
 	rep.WallTime = time.Since(start)
-	for _, ws := range rep.PerWorker {
-		rep.Queries += ws.Queries
-		rep.SolverTime += ws.SolverTime
+	addSolverStats(rep, x.solvers)
+	e.exportFrontier(x.front, rep)
+	if e.Cfg.Cache.Queries != nil {
+		st := e.Cfg.Cache.Queries.Stats()
+		rep.Cache = &st
 	}
 	return rep
 }
 
-// worker claims inputs until the queue drains or the run stops. Each
-// worker owns a solver (and thus its own SAT instance and blasted CNF);
-// the builder behind it is shared and internally locked.
-func (x *parallelRun) worker(id int) {
-	solver := smt.NewSolver(x.e.Builder)
-	solver.MaxConflictsPerQuery = x.e.Cfg.Budget.MaxConflictsPerQuery
-	solver.SetObs(x.e.Cfg.Obs)
-	paths := 0
+// worker claims inputs until the queue drains or the run stops. A stop
+// only blocks new claims: paths already in flight still merge, children
+// included, so an exported frontier loses nothing.
+func (x *pool) worker(id int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	for {
-		x.mu.Lock()
-		for !x.stop && x.front.len() == 0 && x.inflight > 0 {
+		for x.rep.Stopped == "" && x.front.len() == 0 && x.inflight > 0 {
 			x.cond.Wait()
 		}
-		if x.stop || x.front.len() == 0 {
+		if x.rep.Stopped != "" || x.front.len() == 0 {
 			// Stopped, or the queue drained with no path in flight that
 			// could still produce children: the run is over.
-			x.finish(id, solver, paths)
 			return
 		}
-		// Claim-time ctx check: the watcher goroutine wakes blocked
-		// workers, but a busy pool can drain a small queue before the
-		// watcher is ever scheduled — polling here makes cancellation
-		// take effect within one path execution regardless.
-		if x.ctx.Err() != nil {
-			x.halt("canceled", true)
-			x.finish(id, solver, paths)
+		if reason := x.claimStop(); reason != "" {
+			x.rep.Stopped = reason
 			return
 		}
-		if x.e.Cfg.Budget.MaxPaths > 0 && x.started >= x.e.Cfg.Budget.MaxPaths {
-			x.halt("path-budget", false)
-			x.finish(id, solver, paths)
-			return
-		}
-		if !x.deadline.IsZero() && !time.Now().Before(x.deadline) {
-			x.halt("timeout", true)
-			x.finish(id, solver, paths)
-			return
-		}
-		in, ok := x.front.pop()
-		if !ok {
-			// Raced with another claimer between the wait and here; the
-			// guarded pop turns that into a clean retry instead of a panic.
-			x.mu.Unlock()
-			continue
-		}
+		in, _ := x.front.pop()
 		pathID := x.started
 		x.started++
 		x.inflight++
 		x.mu.Unlock()
 
-		res := x.e.executePath(in, solver, pathID)
-		paths++
+		res := x.e.executePath(in, x.solvers[id], pathID)
 
 		x.mu.Lock()
-		x.merge(res)
+		x.merge(id, res)
 		x.inflight--
-		x.mu.Unlock()
 		x.cond.Broadcast()
 	}
 }
 
-// finish records the worker's solver statistics and wakes any blocked
-// sibling so it can observe the stop. Called with x.mu held; releases it.
-func (x *parallelRun) finish(id int, solver *smt.Solver, paths int) {
-	x.rep.PerWorker[id] = WorkerStats{
-		Paths:      paths,
-		Queries:    solver.Stats.Queries,
-		SolverTime: solver.Stats.SolverTime,
+// claimStop returns why no further path may be claimed, or "" when one
+// may. Cancellation and the deadline are polled here, so they take
+// effect within one path execution. Called with x.mu held.
+func (x *pool) claimStop() string {
+	switch {
+	case x.ctx.Err() != nil:
+		return "canceled"
+	case x.e.Cfg.Budget.MaxPaths > 0 && x.started >= x.e.Cfg.Budget.MaxPaths:
+		return "path-budget"
+	case !x.deadline.IsZero() && !time.Now().Before(x.deadline):
+		return "timeout"
 	}
-	x.mu.Unlock()
-	x.cond.Broadcast()
+	return ""
 }
 
-// merge folds one executed path into the shared report and enqueues its
-// deduplicated children. Called with x.mu held.
-func (x *parallelRun) merge(res pathResult) {
+// merge folds one executed path of worker id into the shared report and
+// enqueues its deduplicated children. Called with x.mu held.
+func (x *pool) merge(id int, res pathResult) {
 	e := x.e
 	rep := x.rep
 	core := res.core
 	path := rep.Paths
 	rep.Paths++
+	rep.PerWorker[id].Paths++
 	e.obsPaths.Inc()
 	rep.TotalInstr += res.instrs
 	if res.forked {
@@ -216,10 +156,11 @@ func (x *parallelRun) merge(res pathResult) {
 	rep.ForkRestarts += res.forkRestarts
 	e.obsForkRestarts.Add(int64(res.forkRestarts))
 	if e.OnPath != nil {
-		// Serialized under the run lock; order is scheduling-dependent.
 		e.OnPath(path, core)
 	}
 
+	// Coverage accounting: score is the number of newly discovered PCs
+	// on this path; children inherit it.
 	var score float64
 	if core.TrackCoverage {
 		for pc := range core.Coverage {
@@ -237,23 +178,18 @@ func (x *parallelRun) merge(res pathResult) {
 	} else if f != nil {
 		rep.Findings = append(rep.Findings, *f)
 		e.recordFinding(f)
-		if e.Cfg.StopOnError {
+		if e.Cfg.StopOnError && rep.Stopped == "" {
 			// In-flight siblings still merge their results, so the
 			// report may carry more than one finding; no new paths are
 			// claimed after this point.
-			x.halt("stop-on-error", true)
+			rep.Stopped = "stop-on-error"
 		}
 	}
 
-	rep.SatTCs += res.sat
-	rep.UnsatTCs += res.unsat
-	rep.UnknownTCs += res.unknown
-	e.obsSat.Add(int64(res.sat))
-	e.obsUnsat.Add(int64(res.unsat))
-	e.obsUnknown.Add(int64(res.unknown))
-	if x.stop {
-		return
-	}
+	rep.addTCs(res.tcs)
+	e.obsSat.Add(int64(res.tcs.sat))
+	e.obsUnsat.Add(int64(res.tcs.unsat))
+	e.obsUnknown.Add(int64(res.tcs.unknown))
 	for _, ch := range res.children {
 		key := childKey(e.Builder, ch)
 		if x.seen[key] {

@@ -23,7 +23,7 @@ func runExits(t *testing.T, src string, cfg Config) (*Report, []uint32) {
 
 // TestParallelMatchesSequential: the explored path set is a property of
 // the program, the dedup and the generational bounds — not of worker
-// scheduling. Workers=4 must find exactly the sequential engine's paths
+// scheduling. Workers=4 must find exactly the one-worker run's paths
 // (modulo order) and the same aggregate statistics.
 func TestParallelMatchesSequential(t *testing.T) {
 	seqRep, seqExits := runExits(t, counterSrc, Config{Workers: 1, Budget: Budget{MaxPaths: 100}})
@@ -94,7 +94,7 @@ func TestParallelMaxPaths(t *testing.T) {
 }
 
 // TestParallelTimeout: an already-expired deadline stops the run before
-// the first claim, like the sequential engine.
+// the first claim, as with one worker.
 func TestParallelTimeout(t *testing.T) {
 	eng := NewSession(snapshot(t, counterSrc), Config{Workers: 4, Budget: Budget{Timeout: time.Nanosecond}})
 	rep := eng.Run(context.Background())
@@ -156,7 +156,7 @@ func TestConcurrentSnapshotClone(t *testing.T) {
 
 func TestWorkerResolution(t *testing.T) {
 	if got := (Config{}).effectiveWorkers(); got != 1 {
-		t.Errorf("zero value: %d want 1 (sequential)", got)
+		t.Errorf("zero value: %d want 1 (one worker)", got)
 	}
 	if got := (Config{Workers: 3}).effectiveWorkers(); got != 3 {
 		t.Errorf("explicit: %d want 3", got)
@@ -196,21 +196,32 @@ name: .asciz "x"
 
 // TestUnknownTCsCounted: budget-exhausted queries are reported as
 // UnknownTCs, not folded into UnsatTCs (which the paper's tables read
-// as proven-unsat).
+// as proven-unsat), by both engines that solve trace conditions.
 func TestUnknownTCsCounted(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rep := NewSession(snapshot(t, mulGateSrc), Config{Workers: workers, Budget: Budget{MaxPaths: 20, MaxConflictsPerQuery: 1}}).Run(context.Background())
-		if rep.UnknownTCs == 0 {
-			t.Errorf("workers=%d: factoring TC should exhaust a 1-conflict budget (report %v)", workers, rep)
-		}
-		if rep.UnsatTCs != 0 {
-			t.Errorf("workers=%d: unknown results must not count as unsat (report %v)", workers, rep)
-		}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"concolic/workers=1", Config{Workers: 1, Budget: Budget{MaxPaths: 20}}},
+		{"concolic/workers=4", Config{Workers: 4, Budget: Budget{MaxPaths: 20}}},
+		{"hybrid", Config{Mode: ModeHybrid, Workers: 1, Seed: 1, Budget: Budget{MaxExecs: 2000}, Fuzz: FuzzConfig{Batch: 100}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			budgeted := tc.cfg
+			budgeted.Budget.MaxConflictsPerQuery = 1
+			rep := NewSession(snapshot(t, mulGateSrc), budgeted).Run(context.Background())
+			if rep.UnknownTCs == 0 {
+				t.Errorf("factoring TC should exhaust a 1-conflict budget (report %v)", rep)
+			}
+			if rep.UnsatTCs != 0 {
+				t.Errorf("unknown results must not count as unsat (report %v)", rep)
+			}
 
-		// Without a budget the same TC is solved and both sides run.
-		full := NewSession(snapshot(t, mulGateSrc), Config{Workers: workers, Budget: Budget{MaxPaths: 20}}).Run(context.Background())
-		if full.UnknownTCs != 0 || full.Paths < 2 {
-			t.Errorf("workers=%d: unbudgeted run should solve the gate (report %v)", workers, full)
-		}
+			// Without a budget the same TC is solved.
+			full := NewSession(snapshot(t, mulGateSrc), tc.cfg).Run(context.Background())
+			if full.UnknownTCs != 0 || full.SatTCs == 0 {
+				t.Errorf("unbudgeted run should solve the gate (report %v)", full)
+			}
+		})
 	}
 }

@@ -139,7 +139,8 @@ type Config struct {
 	Mode Mode
 	// Workers sizes the worker pool: exploration workers in concolic
 	// mode, fuzz executors plus flip-solve workers in hybrid mode. 0 or
-	// 1 is sequential and deterministic; AutoWorkers picks NumCPU.
+	// 1 is one worker, with a deterministic path order; AutoWorkers
+	// picks NumCPU.
 	Workers int
 	Budget  Budget
 	// Obs, when non-nil, wires the whole run — engines, solvers, cache,
@@ -206,13 +207,15 @@ type Session struct {
 }
 
 // NewSession prepares a run of cfg's Mode over the snapshot, attaching
-// the configured detector set and protocol-state coverage wiring to it.
-// Configuration errors (an unknown detector name) surface as the
-// Report.Stopped of the subsequent Run.
+// the configured detector set, protocol-state coverage wiring and the
+// ISS counters of cfg.Obs to it (every core of the run is cloned from
+// the snapshot and inherits them). Configuration errors (an unknown
+// detector name) surface as the Report.Stopped of the subsequent Run.
 func NewSession(snapshot *iss.Core, cfg Config) *Session {
 	if cfg.Cache.Queries != nil {
 		cfg.Cache.Queries.SetObs(cfg.Obs)
 	}
+	snapshot.SetObs(cfg.Obs)
 	s := &Session{snap: snapshot, cfg: cfg}
 	if err := snapshot.AttachDetectorSet(cfg.Detectors); err != nil {
 		s.err = err

@@ -222,7 +222,7 @@ func TestSessionTraceEvents(t *testing.T) {
 }
 
 // TestSessionCancelSequential: an already-canceled context stops the
-// sequential engine before the first path.
+// one-worker engine before the first path.
 func TestSessionCancelSequential(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

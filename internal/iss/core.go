@@ -595,6 +595,19 @@ func (c *Core) findPeripheral(addr uint32) *Peripheral {
 	return nil
 }
 
+// SetObs wires the core's observability sinks to o's registry:
+// "iss.instr", "iss.execs" and the "iss.bb.*" block-cache counters. A
+// nil o unwires them. Clones inherit the sinks, so wiring a snapshot
+// once covers every core cloned from it.
+func (c *Core) SetObs(o *obs.Obs) {
+	m := o.Registry()
+	c.ObsInstr = m.Counter("iss.instr")
+	c.ObsExecs = m.Counter("iss.execs")
+	c.ObsBBHits = m.Counter("iss.bb.hits")
+	c.ObsBBMisses = m.Counter("iss.bb.misses")
+	c.ObsBBInval = m.Counter("iss.bb.inval")
+}
+
 // Run executes until the core halts or maxInstr instructions have
 // retired (0 = use Cfg.MaxInstr; both 0 = unbounded). Execution flows
 // through the predecoded basic-block cache (bbcache.go) unless an
