@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-iss bench-fork examples clean
+.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache examples clean
 
 all: verify
 
@@ -96,6 +96,17 @@ verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# The repository benchmark (bench/README.md): every workload of
+# BENCHMARK.json, five rounds, written to bench/out/BENCH_$(LABEL).json.
+LABEL ?= local
+bench-json:
+	bash bench/run.sh -label $(LABEL)
+
+# Compare two BENCH files (A = parent, B = change); exits 1 on a
+# regression beyond the BENCHMARK.json bounds.
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
+
 # Block-cache ablation microbenchmarks (EXPERIMENTS.md "Block cache
 # ablation"): each benchmark runs the bb / bb-nofuse / nocache variants.
 bench-iss:
@@ -106,6 +117,11 @@ bench-iss:
 # capture threshold, and with full prefix re-execution.
 bench-fork:
 	$(GO) test -run NONE -bench BenchmarkForkVsRestart -benchtime 20x .
+
+# Query-cache model validation (DESIGN.md "Query caching"): validating
+# a 256-condition shared-prefix set directly and as Check's exact hit.
+bench-qcache:
+	$(GO) test -run NONE -bench BenchmarkValidateModel -benchmem ./internal/qcache
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -193,6 +193,7 @@ func (r *Report) DiffCheck(b *smt.Builder, cache *qcache.Cache, maxConflicts int
 				hits++
 			}
 		}
+		ev.Release()
 		if hits == 1 {
 			dr.Covered++
 		} else {

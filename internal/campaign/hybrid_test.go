@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -80,5 +81,27 @@ func TestHybridCampaignTCPIP(t *testing.T) {
 	}
 	if f.Kind == "" || f.Func == "" {
 		t.Fatalf("finding missing classification: %+v", f)
+	}
+}
+
+// TestLeaseSeedPerLease pins the hybrid lease seeding: the fuzzing seed
+// is a pure function of (campaign seed, lease ID), and distinct leases
+// of one campaign, or one lease ID under distinct campaign seeds, fuzz
+// with distinct seeds.
+func TestLeaseSeedPerLease(t *testing.T) {
+	if leaseSeed(1, "c1-l1") != leaseSeed(1, "c1-l1") {
+		t.Fatal("lease seed is not deterministic")
+	}
+	seen := map[int64]string{}
+	for _, seed := range []int64{0, 1, 2} {
+		for i := 1; i <= 50; i++ {
+			id := fmt.Sprintf("c1-l%d", i)
+			s := leaseSeed(seed, id)
+			key := fmt.Sprintf("seed %d lease %s", seed, id)
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("%s and %s share fuzz seed %d", prev, key, s)
+			}
+			seen[s] = key
+		}
 	}
 }

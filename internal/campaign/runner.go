@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"rvcte/internal/cte"
@@ -30,6 +31,11 @@ type Runner struct {
 	seeds [][]byte           // synced corpus (hybrid seeds)
 	fixed uint               // fixed-bug mask, for classification
 	proto cte.ProtocolConfig // stateful guests: resolved protocol-state wiring
+
+	// Hybrid campaigns: one Session per worker, resumed by every lease,
+	// so corpus, coverage and escalation memory outlive a timebox.
+	hyb    *cte.Session
+	hexecs uint64 // fuzz executions reported by earlier leases
 }
 
 // NewRunner builds the worker-local state for spec. The program name
@@ -87,7 +93,11 @@ func (r *Runner) Sync(l Lease) {
 		r.qseq = l.QSeq
 	}
 	if len(l.Corpus) > 0 {
+		n := len(r.seeds)
 		r.seeds, _ = fuzz.MergeInputs(r.seeds, l.Corpus)
+		if r.hyb != nil {
+			r.hyb.AddSeeds(r.seeds[n:]) // peers' inputs, new to this worker
+		}
 	}
 	if l.CSeq > r.cseq {
 		r.cseq = l.CSeq
@@ -166,26 +176,31 @@ func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 
 func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 	start := time.Now()
-	cfg := cte.Config{
-		Mode: cte.ModeHybrid,
-		Budget: cte.Budget{
-			Timeout:              time.Duration(l.FuzzMS) * time.Millisecond,
-			MaxInstrPerRun:       r.spec.MaxInstr,
-			MaxConflictsPerQuery: r.spec.MaxConflicts,
-		},
-		Cache:       cte.CacheConfig{Queries: r.qc},
-		Seed:        r.spec.Seed,
-		StopOnError: r.spec.StopOnError,
-		Detectors:   r.spec.Detectors,
-		Fuzz: cte.FuzzConfig{
-			Seeds:          r.seeds,
-			Batch:          r.spec.FuzzBatch,
-			StallExecs:     r.spec.StallExecs,
-			DryEscalations: r.spec.DryEscalations,
-		},
-		Protocol: r.proto,
+	if r.hyb == nil {
+		// The first lease starts the worker's session; later leases
+		// resume it for another timebox (FuzzLeaseMS is fixed per
+		// campaign, so the first lease's timebox is every lease's).
+		r.hyb = cte.NewSession(r.snap, cte.Config{
+			Mode: cte.ModeHybrid,
+			Budget: cte.Budget{
+				Timeout:              time.Duration(l.FuzzMS) * time.Millisecond,
+				MaxInstrPerRun:       r.spec.MaxInstr,
+				MaxConflictsPerQuery: r.spec.MaxConflicts,
+			},
+			Cache:       cte.CacheConfig{Queries: r.qc},
+			Seed:        leaseSeed(r.spec.Seed, l.ID),
+			StopOnError: r.spec.StopOnError,
+			Detectors:   r.spec.Detectors,
+			Fuzz: cte.FuzzConfig{
+				Seeds:          r.seeds,
+				Batch:          r.spec.FuzzBatch,
+				StallExecs:     r.spec.StallExecs,
+				DryEscalations: r.spec.DryEscalations,
+			},
+			Protocol: r.proto,
+		})
 	}
-	rep := cte.NewSession(r.snap, cfg).Run(ctx)
+	rep := r.hyb.Run(ctx)
 
 	res := Result{Lease: l.ID}
 	for _, f := range rep.Findings {
@@ -193,16 +208,30 @@ func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 	}
 	if rep.Fuzz != nil {
 		// Send the inputs the coordinator has not seeded us with; it
-		// dedups by content hash anyway.
-		merged, _ := fuzz.MergeInputs(append([][]byte(nil), r.seeds...), rep.Fuzz.Corpus)
-		res.Corpus = merged[len(r.seeds):]
-		res.Stats.Execs = rep.Fuzz.Execs
+		// dedups by content hash anyway. They count as known from now
+		// on, so their echo in the next lease's corpus delta is no news.
+		n := len(r.seeds)
+		r.seeds, _ = fuzz.MergeInputs(r.seeds, rep.Fuzz.Corpus)
+		res.Corpus = r.seeds[n:]
+		res.Stats.Execs = rep.Fuzz.Execs - r.hexecs
+		r.hexecs = rep.Fuzz.Execs
 	}
 	res.QEntries = r.qcacheDelta()
 	res.Stats.Queries = rep.Queries
 	res.Stats.Instr = rep.TotalInstr
 	res.Stats.WallMS = time.Since(start).Milliseconds()
 	return res
+}
+
+// leaseSeed derives the fuzzing seed of a worker's hybrid session from
+// the campaign seed and the ID of the lease that started it. Lease IDs
+// are unique, so concurrent workers fuzz with distinct seeds instead of
+// duplicating each other's mutations, and they are assigned in order,
+// so a campaign stays reproducible for a fixed seed and lease order.
+func leaseSeed(seed int64, leaseID string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(leaseID))
+	return seed ^ int64(h.Sum64())
 }
 
 // qcacheDelta exports the cache entries not yet exchanged with the

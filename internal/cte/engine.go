@@ -21,7 +21,9 @@ package cte
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"rvcte/internal/bmc"
@@ -401,9 +403,14 @@ func findingOf(core *iss.Core, path int) (f *Finding, prune bool) {
 	}, false
 }
 
-// childKey is the (bound, assignment) dedup key of a pending input.
+// childKey is the (bound, assignment) dedup key of a pending input:
+// "<bound>|" followed by the DescribeInput rendering.
 func childKey(b *smt.Builder, in Input) string {
-	return fmt.Sprintf("%d|%s", in.Bound, DescribeInput(b, in.Assignment))
+	var sb strings.Builder
+	sb.WriteString(strconv.Itoa(in.Bound))
+	sb.WriteByte('|')
+	writeInput(&sb, b, in.Assignment)
+	return sb.String()
 }
 
 // seedFrontier fills a fresh frontier from Explore.Roots (dedup-seeded
@@ -452,23 +459,34 @@ func (e *engine) recordFinding(f *Finding) {
 // DescribeInput renders an input assignment with variable names, sorted,
 // for stable test output and tool display.
 func DescribeInput(b *smt.Builder, in smt.Assignment) string {
+	var sb strings.Builder
+	writeInput(&sb, b, in)
+	return sb.String()
+}
+
+// writeInput appends "{name=value, ...}" for the variables of in that b
+// knows, sorted by name; values are decimal.
+func writeInput(sb *strings.Builder, b *smt.Builder, in smt.Assignment) {
 	type kv struct {
 		name string
 		val  uint64
 	}
-	var items []kv
+	items := make([]kv, 0, len(in))
 	for id, v := range in {
-		if id < b.NumVars() {
-			items = append(items, kv{b.VarName(id), v})
+		if name, ok := b.LookupName(id); ok {
+			items = append(items, kv{name, v})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
-	s := "{"
+	slices.SortFunc(items, func(x, y kv) int { return strings.Compare(x.name, y.name) })
+	var num [20]byte
+	sb.WriteByte('{')
 	for i, it := range items {
 		if i > 0 {
-			s += ", "
+			sb.WriteString(", ")
 		}
-		s += fmt.Sprintf("%s=%d", it.name, it.val)
+		sb.WriteString(it.name)
+		sb.WriteByte('=')
+		sb.Write(strconv.AppendUint(num[:0], it.val, 10))
 	}
-	return s + "}"
+	sb.WriteByte('}')
 }

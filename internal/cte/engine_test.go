@@ -235,6 +235,38 @@ func TestDescribeInput(t *testing.T) {
 	}
 }
 
+// TestDescribeInputGolden pins the exact rendering that cmd/cte prints
+// and the child dedup key is built from: names sorted bytewise, decimal
+// values, variables unknown to the builder dropped, "<bound>|" prefix.
+func TestDescribeInputGolden(t *testing.T) {
+	b := smt.NewBuilder()
+	for _, name := range []string{"pkt[2]", "pkt[10]", "len", "pkt[0]", "Z", "s.state"} {
+		b.Var(8, name)
+	}
+	in := smt.Assignment{0: 7, 1: 255, 2: 0, 3: 1<<64 - 1, 4: 42, 5: 3, 9: 99}
+	cases := []struct {
+		in        smt.Assignment
+		bound     int
+		describe  string
+		wantChild string
+	}{
+		{in, 3,
+			"{Z=42, len=0, pkt[0]=18446744073709551615, pkt[10]=255, pkt[2]=7, s.state=3}",
+			"3|{Z=42, len=0, pkt[0]=18446744073709551615, pkt[10]=255, pkt[2]=7, s.state=3}"},
+		{smt.Assignment{}, 0, "{}", "0|{}"},
+		{smt.Assignment{9: 1, 12: 2}, 0, "{}", "0|{}"},
+		{smt.Assignment{1: 1}, -1, "{pkt[10]=1}", "-1|{pkt[10]=1}"},
+	}
+	for i, c := range cases {
+		if got := DescribeInput(b, c.in); got != c.describe {
+			t.Errorf("case %d: DescribeInput = %q\nwant %q", i, got, c.describe)
+		}
+		if got := childKey(b, Input{Assignment: c.in, Bound: c.bound}); got != c.wantChild {
+			t.Errorf("case %d: childKey = %q\nwant %q", i, got, c.wantChild)
+		}
+	}
+}
+
 func TestReportString(t *testing.T) {
 	r := &Report{Paths: 2, Queries: 3}
 	if r.String() == "" {

@@ -13,28 +13,37 @@ import (
 	"rvcte/internal/smt"
 )
 
-// hybrid is the driver state for one run.
+// hybrid is the driver state of one hybrid Session. It outlives a Run:
+// a later Run continues the campaign with the corpus, coverage map,
+// per-entry escalation bounds and attempted-flip set of the earlier
+// ones, so a caller that fuzzes in timeboxes (a campaign worker running
+// one lease after another) does not re-derive its previous timeboxes'
+// work.
 type hybrid struct {
 	cfg     Config
 	snap    *iss.Core // working snapshot (possibly advanced past init)
 	builder *smt.Builder
 	fz      *fuzz.Fuzzer
-	solvers []*smt.Solver
 	// attempted dedups flip queries by the full (path prefix, condition)
 	// conjunction — a condition alone is not enough, since it may be
 	// unsat under one prefix and sat under another.
 	attempted map[string]bool
-	rep       *Report
-	fs        *FuzzStats
+	fs        *FuzzStats // counters cumulative over the Session's Runs
+	reported  int        // fuzzer findings returned by earlier Runs
+	// The solvers persist too (a fresh solver's history would change
+	// the models of later flips); their counters restart every Run.
+	solvers    []*smt.Solver
+	stoppedDry bool    // the last Run ended on a dry escalation streak
+	rep        *Report // the current Run's
 
 	// Observability handles (Config.Obs); nil-safe when unwired.
 	obsEsc, obsFlips, obsSolves, obsReplayed *obs.Counter
 	tracer                                   *obs.Tracer
 }
 
-// runHybrid executes a hybrid fuzzing campaign over the snapshot and
-// reports in the unified Report shape (Fuzz section filled).
-func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
+// newHybrid applies the hybrid defaults to cfg, advances the snapshot
+// past the shared initialization prefix and builds the fuzzer.
+func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 	cfg.Workers = cfg.effectiveWorkers()
 	if cfg.Fuzz.Batch <= 0 {
 		cfg.Fuzz.Batch = 500
@@ -49,7 +58,6 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 		cfg.Fuzz.DryEscalations = 3
 	}
 
-	start := time.Now()
 	snapshot.Freeze()
 	working, skipped := advancePastInput(snapshot)
 
@@ -58,10 +66,8 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 		snap:      working,
 		builder:   snapshot.B,
 		attempted: make(map[string]bool),
-		rep:       &Report{Mode: ModeHybrid, Workers: cfg.Workers},
 		fs:        &FuzzStats{SkipInitInstrs: skipped},
 	}
-	h.rep.Fuzz = h.fs
 	if m := cfg.Obs.Registry(); m != nil {
 		h.obsEsc = m.Counter("hybrid.escalations")
 		h.obsFlips = m.Counter("hybrid.flips_attempted")
@@ -81,6 +87,26 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 	for i := 0; i < cfg.Workers; i++ {
 		h.solvers = append(h.solvers, newSolver(snapshot.B, cfg))
 	}
+	return h
+}
+
+// run executes one hybrid timebox and reports in the unified Report
+// shape. The budgets (Timeout, MaxExecs, MaxEscalations) count from the
+// start of this run; Findings lists the findings new in this run; the
+// Fuzz section is cumulative over the Session.
+func (h *hybrid) run(ctx context.Context) *Report {
+	cfg := h.cfg
+	start := time.Now()
+	h.rep = &Report{Mode: ModeHybrid, Workers: cfg.Workers}
+	for _, s := range h.solvers {
+		s.Stats = smt.Stats{}
+	}
+	execs0 := h.fz.Stats().Execs
+	esc0 := h.fs.Escalations
+	// A Run resumed after a dry stop fuzzes before it escalates again:
+	// the stall that ended the previous Run is still pending, and
+	// escalating straight away would end this one without a batch.
+	fuzzFirst := h.stoppedDry
 
 	dry := 0
 	for {
@@ -89,7 +115,8 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 			break
 		}
 		st := h.fz.Stats()
-		if cfg.Budget.MaxExecs > 0 && st.Execs >= cfg.Budget.MaxExecs {
+		execs := st.Execs - execs0
+		if cfg.Budget.MaxExecs > 0 && execs >= cfg.Budget.MaxExecs {
 			h.rep.Stopped = "exec-budget"
 			break
 		}
@@ -97,12 +124,12 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 			h.rep.Stopped = "timeout"
 			break
 		}
-		if h.fz.SinceNewCover() >= cfg.Fuzz.StallExecs {
+		if !fuzzFirst && h.fz.SinceNewCover() >= cfg.Fuzz.StallExecs {
 			// Coverage stalled: escalate the most deserving corpus entry.
 			// A fruitless escalation retries the next entry immediately —
 			// fuzz batches are only worth their cost when there are solved
 			// inputs to execute or coverage is still moving.
-			if cfg.Budget.MaxEscalations > 0 && h.fs.Escalations >= cfg.Budget.MaxEscalations {
+			if cfg.Budget.MaxEscalations > 0 && h.fs.Escalations-esc0 >= cfg.Budget.MaxEscalations {
 				h.rep.Stopped = "escalation-budget"
 				break
 			}
@@ -123,25 +150,26 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 			dry = 0
 		}
 		batch := cfg.Fuzz.Batch
-		if cfg.Budget.MaxExecs > 0 && st.Execs+uint64(batch) > cfg.Budget.MaxExecs {
-			batch = int(cfg.Budget.MaxExecs - st.Execs)
+		if cfg.Budget.MaxExecs > 0 && execs+uint64(batch) > cfg.Budget.MaxExecs {
+			batch = int(cfg.Budget.MaxExecs - execs)
 		}
 		batchStart := time.Now()
 		h.fz.RunBatchContext(ctx, batch)
+		fuzzFirst = false
 		if h.tracer != nil {
 			after := h.fz.Stats()
 			h.tracer.Emit(obs.Event{Ev: obs.EvFuzzBatch,
 				DurUS: time.Since(batchStart).Microseconds(),
 				N:     int64(after.Execs - st.Execs), N2: int64(after.Edges)})
 		}
-		if cfg.StopOnError && len(h.fz.Findings()) > 0 {
+		if cfg.StopOnError && len(h.fz.Findings()) > h.reported {
 			h.rep.Stopped = "stop-on-error"
 			break
 		}
 	}
 
-	h.fs.Stats = h.fz.Stats()
-	for _, f := range h.fz.Findings() {
+	findings := h.fz.Findings()
+	for _, f := range findings[h.reported:] {
 		h.rep.Findings = append(h.rep.Findings, Finding{
 			Err: f.Err, Data: f.Data, Exec: f.Exec,
 			Output: f.Output, Instrs: f.Instrs,
@@ -151,9 +179,14 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 				PC: f.Err.PC, Err: f.Err.Error(), N: int64(f.Exec)})
 		}
 	}
+	h.reported = len(findings)
+	h.stoppedDry = h.rep.Stopped == "dry"
+	fs := *h.fs
+	fs.Stats = h.fz.Stats()
 	for _, e := range h.fz.Corpus() {
-		h.fs.Corpus = append(h.fs.Corpus, e.Data)
+		fs.Corpus = append(fs.Corpus, e.Data)
 	}
+	h.rep.Fuzz = &fs
 	addSolverStats(h.rep, h.solvers)
 	h.rep.WallTime = time.Since(start)
 	if cfg.Cache.Queries != nil {
@@ -299,6 +332,11 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	wg.Wait()
 	for _, t := range tallies {
 		h.rep.addTCs(t)
+	}
+	// Flips left unclaimed by a cancellation were never solved: a later
+	// Run of the Session may attempt them again.
+	for _, pk := range picks[next:len(jobs)] {
+		delete(h.attempted, pk.key)
 	}
 
 	// Inject in path order so the campaign stays deterministic at -j 1.

@@ -96,6 +96,38 @@ func TestHybridSolvesMagicGate(t *testing.T) {
 	}
 }
 
+// TestHybridResume: a second Run of a hybrid Session continues the
+// first — the corpus and exec count carry over, the bug found by the
+// first Run is not reported again, the flip the first Run solved is not
+// solved a second time, and although the first Run ended on a dry
+// escalation streak the second one fuzzes before escalating again.
+func TestHybridResume(t *testing.T) {
+	sess := NewSession(snapshot(t, magicSrc), Config{Mode: ModeHybrid, Seed: 1, Budget: Budget{MaxExecs: 5_000}, Fuzz: FuzzConfig{Batch: 200}})
+	first := sess.Run(context.Background())
+	if len(first.Findings) != 1 || first.Queries == 0 {
+		t.Fatalf("first run: findings %d queries %d want 1 and >0 (stopped: %s)", len(first.Findings), first.Queries, first.Stopped)
+	}
+	second := sess.Run(context.Background())
+	if len(second.Findings) != 0 {
+		t.Errorf("second run re-reported %d findings", len(second.Findings))
+	}
+	if second.Queries != 0 {
+		t.Errorf("second run solved %d flips again", second.Queries)
+	}
+	if first.Stopped != "dry" {
+		t.Fatalf("first run stopped %q, want dry", first.Stopped)
+	}
+	if second.Fuzz.Execs <= first.Fuzz.Execs || len(second.Fuzz.Corpus) < len(first.Fuzz.Corpus) {
+		t.Errorf("second run did not continue the first: execs %d -> %d, corpus %d -> %d",
+			first.Fuzz.Execs, second.Fuzz.Execs, len(first.Fuzz.Corpus), len(second.Fuzz.Corpus))
+	}
+	if second.Fuzz.Escalations <= first.Fuzz.Escalations {
+		t.Errorf("escalations not cumulative: %d -> %d", first.Fuzz.Escalations, second.Fuzz.Escalations)
+	}
+	t.Logf("first: %s execs %d esc %d; second: %s execs %d esc %d",
+		first.Stopped, first.Fuzz.Execs, first.Fuzz.Escalations, second.Stopped, second.Fuzz.Execs, second.Fuzz.Escalations)
+}
+
 // TestHybridWithCache: the qcache slots in front of flip solving exactly
 // as in the pure-concolic engine, and the run still finds the bug.
 func TestHybridWithCache(t *testing.T) {

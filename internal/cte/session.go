@@ -204,6 +204,8 @@ type Session struct {
 	// concolic mode (serialized, but scheduling-ordered with
 	// Workers > 1). The other modes ignore it.
 	OnPath func(path int, core *iss.Core)
+
+	hyb *hybrid // hybrid mode: driver state that a later Run resumes
 }
 
 // NewSession prepares a run of cfg's Mode over the snapshot, attaching
@@ -228,11 +230,30 @@ func NewSession(snapshot *iss.Core, cfg Config) *Session {
 	return s
 }
 
+// AddSeeds queues inputs for a hybrid Session's next Run, like
+// Config.Fuzz.Seeds: they run as given and join the corpus if they add
+// coverage. A campaign worker feeds its peers' corpus deltas in this
+// way between leases. The other modes ignore them.
+func (s *Session) AddSeeds(seeds [][]byte) {
+	if s.hyb != nil {
+		s.hyb.fz.AddSeeds(seeds)
+		return
+	}
+	s.cfg.Fuzz.Seeds = append(append([][]byte(nil), s.cfg.Fuzz.Seeds...), seeds...)
+}
+
 // Run executes the session until a budget is hit, the state space is
 // exhausted, or ctx is canceled (Report.Stopped says which). Workers
 // and fuzz batches observe cancellation within one execution, so an
 // interrupt tears the run down promptly with a complete Report of the
 // work done so far.
+//
+// In hybrid mode a later Run on the same Session resumes the campaign
+// where the previous one stopped: corpus, coverage map, escalation
+// bounds, the attempted-flip set and the solvers carry over. Budget.Timeout,
+// MaxExecs and MaxEscalations apply to each Run, Report.Findings lists
+// the findings new in that Run, and Report.Fuzz is cumulative over the
+// Session. The other modes start afresh on every Run.
 func (s *Session) Run(ctx context.Context) *Report {
 	start := time.Now()
 	var rep *Report
@@ -240,7 +261,10 @@ func (s *Session) Run(ctx context.Context) *Report {
 	case s.err != nil:
 		rep = &Report{Stopped: "config: " + s.err.Error()}
 	case s.cfg.Mode == ModeHybrid:
-		rep = runHybrid(ctx, s.snap, s.cfg)
+		if s.hyb == nil {
+			s.hyb = newHybrid(s.snap, s.cfg)
+		}
+		rep = s.hyb.run(ctx)
 	case s.cfg.Mode == ModeBMC:
 		rep = runBMC(ctx, s.snap, s.cfg)
 	default:

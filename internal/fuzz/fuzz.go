@@ -378,6 +378,16 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte) 
 	f.obsCorpus.Set(int64(len(f.corpus)))
 }
 
+// AddSeeds queues inputs behind the pending ones, like Options.Seeds:
+// they run exactly as given and join the corpus if they add coverage.
+func (f *Fuzzer) AddSeeds(seeds [][]byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range seeds {
+		f.queue = append(f.queue, queued{data: append([]byte(nil), s...)})
+	}
+}
+
 // Inject queues a solver-derived input for execution; the hybrid driver
 // calls this with inputs solved from escalated entries. bound is an
 // opaque generational tag returned with the entry by EscalationTarget

@@ -179,6 +179,7 @@ func (c *Core) ApplyModel(model smt.Assignment) {
 			c.Output[i] = byte(ev.Eval(s))
 		}
 	}
+	ev.Release()
 }
 
 // TakeForkPoints detaches and returns the checkpoints captured during

@@ -126,3 +126,59 @@ func BenchmarkQCacheResolveLarge(b *testing.B) {
 		b.Fatalf("benchmark must not re-solve (%+v)", st)
 	}
 }
+
+// sharedPrefixConds builds n conditions over a running sum of byte
+// inputs: condition i bounds the sum of the first i+1 inputs (every
+// condition re-reads the whole prefix DAG before it) or pins one input
+// away from a constant — the shape of a deep path condition, where
+// validating each condition on its own re-walks the shared prefix.
+func sharedPrefixConds(bld *smt.Builder, n int) []*smt.Expr {
+	conds := make([]*smt.Expr, 0, n)
+	var acc *smt.Expr
+	for i := 0; len(conds) < n; i++ {
+		v := bld.Var(8, fmt.Sprintf("sp[%d]", i))
+		if acc == nil {
+			acc = bld.ZExt(v, 32)
+		} else {
+			acc = bld.Add(acc, bld.ZExt(v, 32))
+		}
+		conds = append(conds, bld.Ule(acc, bld.Const(32, uint64(200*(i+1)))))
+		if len(conds) < n {
+			conds = append(conds, bld.Ne(v, bld.Const(8, uint64(i%251))))
+		}
+	}
+	return conds
+}
+
+// BenchmarkValidateModel measures model validation of a 256-condition
+// shared-prefix set: directly, and as the exact-hit path of Check that
+// runs it on every hit (after the seed solve there is no SAT work).
+func BenchmarkValidateModel(b *testing.B) {
+	bld := smt.NewBuilder()
+	conds := sharedPrefixConds(bld, 256)
+	c := New(bld, Options{})
+	solver := smt.NewSolver(bld)
+	sat, model, _ := c.Check(solver, conds, nil)
+	if !sat {
+		b.Fatal("seed query must be sat")
+	}
+	b.Run("validate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !ValidateModel(conds, model) {
+				b.Fatal("model must validate")
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sat, _, _ := c.Check(solver, conds, nil); !sat {
+				b.Fatal("hit must stay sat")
+			}
+		}
+	})
+	if st := c.Stats(); st.SolverCalls != 1 {
+		b.Fatalf("benchmark must not re-solve (%+v)", st)
+	}
+}

@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"slices"
 	"sort"
 
 	"rvcte/internal/smt"
@@ -77,7 +78,7 @@ func (c *Cache) hashSet(conds []*smt.Expr) []uint64 {
 		elems = append(elems, c.hashLocked(e))
 	}
 	c.hmu.Unlock()
-	sort.Slice(elems, func(i, j int) bool { return elems[i] < elems[j] })
+	slices.Sort(elems)
 	// Deduplicate: conjunction is idempotent, so {a,a,b} keys as {a,b}.
 	out := elems[:0]
 	for i, h := range elems {

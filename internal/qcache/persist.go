@@ -19,7 +19,7 @@ import (
 // Keys and element hashes are structural (variables hash by name, see
 // key.go), so entries from a previous process land on the same keys.
 // Sat models are stored keyed by variable *name* and re-validated with
-// smt.Eval before any hit is served, so a stale or foreign sat entry can
+// ValidateModel before any hit is served, so a stale or foreign sat entry can
 // cost a re-solve but never a wrong model. Unsat entries are trusted by
 // key: a matching key means a structurally identical constraint set
 // (modulo 64-bit hash collision, the standard exposure of any hashed

@@ -11,10 +11,17 @@
 //     the first visit. Variables hash by name, making keys stable across
 //     processes (persist.go).
 //   - Model reuse. Cached sat models (and, during slicing, the incumbent
-//     input) are *tried* against a new set with smt.Eval before any SAT
+//     input) are *tried* against a new set by evaluation before any SAT
 //     call. A cached superset model automatically satisfies a subset
 //     query, so superset subsumption falls out of the candidate index +
-//     Eval check; no cached model is ever returned unvalidated.
+//     evaluation check; no cached model is ever returned unvalidated.
+//   - Validation cost. ValidateModel evaluates the whole set under one
+//     sub-expression memo (an smt.Evaluator), so a shared path-condition
+//     prefix is walked once per validated model rather than once per
+//     condition. Memo storage is pooled and cleared between calls, so
+//     a warmed exact hit allocates nothing per condition; a memo that
+//     grew past a size cap is dropped rather than pooled, keeping every
+//     later clear cheap.
 //   - Unsat subsumption. Any superset of a known-unsat set is unsat.
 //     Unsat entries are indexed under their minimum element hash (which a
 //     superset necessarily contains), so the subset scan is a bounded
@@ -51,7 +58,7 @@ const (
 // Options tunes a cache.
 type Options struct {
 	// MaxCandidates bounds how many cached models are tried (via
-	// smt.Eval) per lookup before falling back to the solver. 0 selects
+	// ValidateModel) per lookup before falling back to the solver. 0 selects
 	// the default of 8.
 	MaxCandidates int
 }
@@ -215,10 +222,15 @@ func (c *Cache) Stats() Stats {
 
 // ValidateModel reports whether m satisfies every condition. It is the
 // cache-independent correctness oracle: the cache runs it before handing
-// out any cached or merged model, and tests use it to audit hits.
+// out any cached or merged model, and tests use it to audit hits. The
+// whole set is evaluated by one smt.Evaluator, so a shared prefix is
+// walked once per validated model, and its pooled memo is released for
+// the next validation.
 func ValidateModel(conds []*smt.Expr, m smt.Assignment) bool {
+	ev := smt.NewEvaluator(m)
+	defer ev.Release()
 	for _, e := range conds {
-		if smt.Eval(e, m) != 1 {
+		if ev.Eval(e) != 1 {
 			return false
 		}
 	}
@@ -311,6 +323,10 @@ func (c *Cache) checkSliced(solver *smt.Solver, live []*smt.Expr, hint smt.Assig
 	last := len(live) - 1
 	var flipped []int
 	merged := smt.Assignment{}
+	// One evaluator checks every prefix group against the hint, so
+	// structure shared between groups is evaluated once.
+	hintEv := smt.NewEvaluator(hint)
+	defer hintEv.Release()
 	for _, g := range groups {
 		inFlipped := false
 		for _, i := range g {
@@ -327,7 +343,7 @@ func (c *Cache) checkSliced(solver *smt.Solver, live []*smt.Expr, hint smt.Assig
 		// so it satisfies this group. Verify (cheap) rather than trust —
 		// callers other than the engine may pass arbitrary hints.
 		for _, i := range g {
-			if smt.Eval(live[i], hint) != 1 {
+			if hintEv.Eval(live[i]) != 1 {
 				return false, nil, false, false
 			}
 			for _, v := range c.varsOf(live[i]) {
@@ -533,8 +549,9 @@ func (c *Cache) project(conds []*smt.Expr, model smt.Assignment) map[string]uint
 	out := map[string]uint64{}
 	for _, e := range conds {
 		for _, v := range c.varsOf(e) {
-			if _, ok := out[c.b.VarName(v)]; !ok {
-				out[c.b.VarName(v)] = model[v]
+			name := c.b.VarName(v)
+			if _, ok := out[name]; !ok {
+				out[name] = model[v]
 			}
 		}
 	}

@@ -1,24 +1,52 @@
 package smt
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Assignment maps variable ids to concrete values. Values are stored
 // width-masked.
 type Assignment map[int]uint64
 
+// memoPool recycles the sub-expression memos of Eval and Evaluator.
+// Model validation runs on every query-cache hit, so a fresh
+// memo per call made map allocation and growth the dominant cost of a
+// hit. A cleared map keeps its storage, so a reused memo is
+// allocation-free once it has grown to the working-set size.
+var memoPool = sync.Pool{New: func() any { return make(map[*Expr]uint64) }}
+
+// maxPooledMemo caps the entries of a memo that goes back to the pool.
+// Clearing a map costs time proportional to its capacity, so a memo
+// that grew past the cap (one huge evaluation) is dropped instead of
+// slowing down every later reuse.
+const maxPooledMemo = 1 << 15
+
+func getMemo() map[*Expr]uint64 { return memoPool.Get().(map[*Expr]uint64) }
+
+func putMemo(memo map[*Expr]uint64) {
+	if memo == nil || len(memo) > maxPooledMemo {
+		return
+	}
+	clear(memo)
+	memoPool.Put(memo)
+}
+
 // Eval computes the concrete value of e under the assignment. Unassigned
 // variables evaluate to zero (the solver's don't-care completion). The
 // result is masked to e.Width.
 func Eval(e *Expr, a Assignment) uint64 {
-	cache := map[*Expr]uint64{}
-	return evalRec(e, a, cache)
+	memo := getMemo()
+	v := evalRec(e, a, memo)
+	putMemo(memo)
+	return v
 }
 
 // Evaluator evaluates many expressions under one fixed assignment,
-// sharing the sub-expression cache across calls. Shadow-state
+// sharing the sub-expression memo across calls. Shadow-state
 // reconcretization (re-evaluating every symbolic byte of a forked VP
 // under a new solver model) evaluates thousands of expressions that
-// share structure, where the per-call cache of Eval would redo the
+// share structure, where the per-call memo of Eval would redo the
 // shared work each time. The zero-default semantics are identical to
 // Eval: unassigned variables evaluate to zero.
 type Evaluator struct {
@@ -29,13 +57,21 @@ type Evaluator struct {
 // NewEvaluator creates an evaluator over a. The assignment must not be
 // mutated while the evaluator is in use (cached values would go stale).
 func NewEvaluator(a Assignment) *Evaluator {
-	return &Evaluator{a: a, cache: map[*Expr]uint64{}}
+	return &Evaluator{a: a, cache: getMemo()}
 }
 
 // Eval computes the concrete value of e under the evaluator's
 // assignment, masked to e.Width.
 func (ev *Evaluator) Eval(e *Expr) uint64 {
 	return evalRec(e, ev.a, ev.cache)
+}
+
+// Release hands the evaluator's memo storage back for reuse by later
+// evaluations. The evaluator must not be used afterwards. Calling it is
+// optional: an unreleased memo is simply garbage collected.
+func (ev *Evaluator) Release() {
+	putMemo(ev.cache)
+	ev.cache = nil
 }
 
 func evalRec(e *Expr, a Assignment, cache map[*Expr]uint64) uint64 {

@@ -99,13 +99,14 @@ type exprKey struct {
 type Builder struct {
 	mu       sync.Mutex
 	intern   map[exprKey]*Expr
-	varNames []string // variable id -> name
-	varWidth []uint8  // variable id -> width
+	varNames []string       // variable id -> name
+	varWidth []uint8        // variable id -> width
+	varIDs   map[string]int // name -> variable id
 }
 
 // NewBuilder returns an empty expression builder.
 func NewBuilder() *Builder {
-	return &Builder{intern: make(map[exprKey]*Expr)}
+	return &Builder{intern: make(map[exprKey]*Expr), varIDs: make(map[string]int)}
 }
 
 // NumVars reports how many distinct variables have been created.
@@ -122,16 +123,23 @@ func (b *Builder) VarName(id int) string {
 	return b.varNames[id]
 }
 
+// LookupName returns the name of variable id, or ok=false when the
+// builder has no such variable.
+func (b *Builder) LookupName(id int) (name string, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if id < 0 || id >= len(b.varNames) {
+		return "", false
+	}
+	return b.varNames[id], true
+}
+
 // VarID returns the id of the named variable, if it exists.
 func (b *Builder) VarID(name string) (int, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, n := range b.varNames {
-		if n == name {
-			return id, true
-		}
-	}
-	return 0, false
+	id, ok := b.varIDs[name]
+	return id, ok
 }
 
 // VarWidth returns the width of variable id.
@@ -217,17 +225,16 @@ func (b *Builder) Var(width uint8, name string) *Expr {
 	// workers minting the same name agree on one variable id.
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, n := range b.varNames {
-		if n == name {
-			if b.varWidth[id] != width {
-				panic(fmt.Sprintf("smt: variable %q redeclared with width %d (was %d)", name, width, b.varWidth[id]))
-			}
-			return b.mkLocked(KVar, width, uint64(id), nil, nil, nil)
+	if id, ok := b.varIDs[name]; ok {
+		if b.varWidth[id] != width {
+			panic(fmt.Sprintf("smt: variable %q redeclared with width %d (was %d)", name, width, b.varWidth[id]))
 		}
+		return b.mkLocked(KVar, width, uint64(id), nil, nil, nil)
 	}
 	id := len(b.varNames)
 	b.varNames = append(b.varNames, name)
 	b.varWidth = append(b.varWidth, width)
+	b.varIDs[name] = id
 	return b.mkLocked(KVar, width, uint64(id), nil, nil, nil)
 }
 

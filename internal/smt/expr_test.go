@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -327,5 +328,72 @@ func TestSizeCounting(t *testing.T) {
 	// nodes: x, mul(x,x), add = 3 (mul interned once)
 	if e.Size() != 3 {
 		t.Errorf("Size: got %d want 3", e.Size())
+	}
+}
+
+// TestVarNameIndexManyVars: with thousands of variables, name lookup,
+// redeclaration (same width reuses the node, another width panics and
+// leaves the registry alone) and unknown names all behave through the
+// name index.
+func TestVarNameIndexManyVars(t *testing.T) {
+	const n = 4000
+	b := NewBuilder()
+	widths := []uint8{1, 8, 16, 32, 64}
+	vars := make([]*Expr, n)
+	for i := range vars {
+		vars[i] = b.Var(widths[i%len(widths)], fmt.Sprintf("in[%d]", i))
+	}
+	if b.NumVars() != n {
+		t.Fatalf("NumVars %d want %d", b.NumVars(), n)
+	}
+	model := Assignment{}
+	for i, v := range vars {
+		name := fmt.Sprintf("in[%d]", i)
+		if id, ok := b.VarID(name); !ok || id != i || int(v.Val) != i {
+			t.Fatalf("VarID(%q) = %d,%v; want %d", name, id, ok, i)
+		}
+		if got, ok := b.LookupName(i); !ok || got != name || b.VarName(i) != name {
+			t.Fatalf("name of %d: %q,%v", i, got, ok)
+		}
+		if b.Var(v.Width, name) != v {
+			t.Fatalf("redeclaring %q with its width must return the same node", name)
+		}
+		model[i] = ^uint64(0)
+	}
+	if b.Value(model, "in[3999]") != mask(widths[3999%len(widths)]) {
+		t.Errorf("Value(in[3999]) = %#x", b.Value(model, "in[3999]"))
+	}
+
+	func() {
+		defer func() {
+			want := `smt: variable "in[2]" redeclared with width 8 (was 16)`
+			if r := recover(); r != want {
+				t.Errorf("redeclaration panic %v, want %q", r, want)
+			}
+		}()
+		b.Var(8, "in[2]")
+	}()
+	if b.NumVars() != n || b.VarWidth(2) != 16 {
+		t.Errorf("failed redeclaration changed the registry: %d vars, width %d", b.NumVars(), b.VarWidth(2))
+	}
+
+	for _, name := range []string{"in[4000]", "in", "", "IN[0]"} {
+		if id, ok := b.VarID(name); ok {
+			t.Errorf("VarID(%q) = %d for an unknown name", name, id)
+		}
+		if b.Value(model, name) != 0 {
+			t.Errorf("Value(%q) of an unknown name must be 0", name)
+		}
+	}
+	for _, id := range []int{-1, n, n + 10} {
+		if _, ok := b.LookupName(id); ok {
+			t.Errorf("LookupName(%d) found a variable", id)
+		}
+	}
+	if v := b.Var(8, "late"); int(v.Val) != n {
+		t.Errorf("new variable after %d got id %d", n, v.Val)
+	}
+	if id, ok := b.VarID("late"); !ok || id != n {
+		t.Errorf("VarID(late) = %d,%v", id, ok)
 	}
 }

@@ -142,10 +142,8 @@ func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool
 func (b *Builder) Value(model Assignment, name string) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, n := range b.varNames {
-		if n == name {
-			return model[id] & mask(b.varWidth[id])
-		}
+	if id, ok := b.varIDs[name]; ok {
+		return model[id] & mask(b.varWidth[id])
 	}
 	return 0
 }
