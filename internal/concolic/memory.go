@@ -10,22 +10,62 @@ const (
 	pageBits = 12
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+
+	lineBits  = 6
+	lineSize  = 1 << lineBits // shadow entries per symLine
+	lineMask  = lineSize - 1
+	pageLines = pageSize / lineSize
 )
 
-// page holds pageSize bytes of concrete data plus, lazily, one 8-bit
-// symbolic expression per byte. A shared page must be copied before any
-// write (copy-on-write cloning, supporting the paper's "VP is cloned
-// before executing each new input").
+// symLine is the symbolic shadow of lineSize consecutive bytes of a page.
+type symLine [lineSize]*smt.Expr
+
+// page holds pageSize bytes of concrete data plus a line-chunked
+// symbolic shadow: lines[i] covers bytes [i*lineSize, (i+1)*lineSize)
+// and stays nil until a symbolic byte is stored there. A shared page must
+// be copied before any write (copy-on-write cloning, supporting the
+// paper's "VP is cloned before executing each new input"); the copy
+// duplicates the data and the line pointers but shares every line.
+//
+// Lines follow the same rule one level down: bit i of own says lines[i]
+// was allocated by this page and is referenced by no other page, so it
+// may be written in place. A line without its own bit may be shared with
+// other pages and is never written — a store that changes one of its
+// entries replaces it with a private copy first. A page's lines become
+// shared only when the page itself is copied, and a copied page is shared
+// (never written again), so its stale own bits are never consulted.
 type page struct {
-	data   [pageSize]byte
-	sym    []*smt.Expr // nil until a symbolic byte is stored
+	// lines precedes data so the garbage collector scans only the
+	// pointer prefix of a page, not its 4 KB of bytes.
+	lines  [pageLines]*symLine
+	own    uint64
 	shared bool
+	data   [pageSize]byte
 }
 
-func (p *page) ensureSym() {
-	if p.sym == nil {
-		p.sym = make([]*smt.Expr, pageSize)
+// setSym stores the symbolic part of the byte at off. Storing nil where
+// the shadow is already nil (or re-storing the same expression) leaves
+// the page untouched: no line is allocated or copied.
+func (p *page) setSym(off uint32, sym *smt.Expr) {
+	li := off >> lineBits
+	ln := p.lines[li]
+	switch {
+	case ln == nil:
+		if sym == nil {
+			return
+		}
+		ln = new(symLine)
+		p.lines[li] = ln
+		p.own |= 1 << li
+	case ln[off&lineMask] == sym:
+		return
+	case p.own&(1<<li) == 0:
+		cp := *ln
+		ln = &cp
+		p.lines[li] = ln
+		p.own |= 1 << li
 	}
+	ln[off&lineMask] = sym
 }
 
 // Memory is a sparse concolic byte store covering the 32-bit address
@@ -93,10 +133,7 @@ func (m *Memory) pageFor(addr uint32, write bool) *page {
 		return p
 	}
 	if write && p.shared {
-		np := &page{data: p.data}
-		if p.sym != nil {
-			np.sym = append([]*smt.Expr(nil), p.sym...)
-		}
+		np := &page{lines: p.lines, data: p.data}
 		m.pages[idx] = np
 		return np
 	}
@@ -121,12 +158,7 @@ func (m *Memory) storeByte(addr uint32, c byte, sym *smt.Expr) {
 	p := m.pageFor(addr, true)
 	off := addr & pageMask
 	p.data[off] = c
-	if sym != nil {
-		p.ensureSym()
-		p.sym[off] = sym
-	} else if p.sym != nil {
-		p.sym[off] = nil
-	}
+	p.setSym(off, sym)
 }
 
 // LoadByteRaw reads one concolic byte.
@@ -136,10 +168,10 @@ func (m *Memory) LoadByteRaw(addr uint32) (byte, *smt.Expr) {
 		return 0, nil
 	}
 	off := addr & pageMask
-	if p.sym == nil {
-		return p.data[off], nil
+	if ln := p.lines[off>>lineBits]; ln != nil {
+		return p.data[off], ln[off&lineMask]
 	}
-	return p.data[off], p.sym[off]
+	return p.data[off], nil
 }
 
 // Store writes an n-byte little-endian concolic value (n in {1,2,4}). The
@@ -289,28 +321,31 @@ func (m *Memory) MakeSymbolic(addr uint32, conc []byte, name string) []*smt.Expr
 // actually changes — and OnWrite fires per changed byte so block-cache
 // invalidation sees the mutation.
 func (m *Memory) Reconcretize(ev *smt.Evaluator) {
-	for idx := range m.pages {
-		p := m.pages[idx]
-		if p.sym == nil {
-			continue
-		}
+	for idx, p := range m.pages {
 		base := idx << pageBits
-		for off := 0; off < pageSize; off++ {
-			s := p.sym[off]
-			if s == nil {
+		for li := range p.lines {
+			ln := p.lines[li]
+			if ln == nil {
 				continue
 			}
-			nb := byte(ev.Eval(s))
-			if nb == p.data[off] {
-				continue
+			for j, s := range ln {
+				if s == nil {
+					continue
+				}
+				off := uint32(li<<lineBits | j)
+				nb := byte(ev.Eval(s))
+				if nb == p.data[off] {
+					continue
+				}
+				if m.OnWrite != nil {
+					m.OnWrite(base|off, 1)
+				}
+				// COW on first actual change; later changes of the same
+				// page hit the now-private copy. The copy shares ln, which
+				// is only read here.
+				p = m.pageFor(base|off, true)
+				p.data[off] = nb
 			}
-			if m.OnWrite != nil {
-				m.OnWrite(base|uint32(off), 1)
-			}
-			// COW on first actual change; later changes of the same page
-			// hit the now-private copy.
-			p = m.pageFor(base|uint32(off), true)
-			p.data[off] = nb
 		}
 	}
 }

@@ -192,7 +192,7 @@ type engine struct {
 	obsPaths, obsSat, obsUnsat, obsUnknown *obs.Counter
 	obsPruned, obsFindings                 *obs.Counter
 	obsForks, obsForkRestarts              *obs.Counter
-	frontierG, coverG                      *obs.Gauge
+	frontierG, coverG, forkLiveG           *obs.Gauge
 	pathHist, forkSuffixHist               *obs.Histogram
 	tracer                                 *obs.Tracer
 }
@@ -217,6 +217,7 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 		e.forkSuffixHist = m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS)
 		e.frontierG = m.Gauge("cte.frontier")
 		e.coverG = m.Gauge("cte.cover_pcs")
+		e.forkLiveG = m.Gauge("cte.fork_live")
 		e.pathHist = m.Histogram("cte.path_us", obs.LatencyBoundsUS)
 		e.tracer = cfg.Obs.Trace()
 	}

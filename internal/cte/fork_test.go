@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rvcte/internal/iss"
+	"rvcte/internal/obs"
 	"rvcte/internal/rv32"
 )
 
@@ -192,5 +193,57 @@ func TestForkParallelSameFindings(t *testing.T) {
 		if !restSet[k] {
 			t.Errorf("fork-only behavior %s", k)
 		}
+	}
+}
+
+// TestForkLiveGauge: cte.fork_live counts the queued inputs that hold a
+// checkpoint. It rises while forked children wait in the frontier, never
+// exceeds the frontier length, and is back at zero when Run returns —
+// whether the run exhausts, stops on its path budget with the rest of
+// the queue dropped, or exports the queue (exported inputs carry no
+// checkpoint).
+func TestForkLiveGauge(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		maxPaths int
+		export   bool
+	}{
+		{"exhausted", 0, false},
+		{"budget", 40, false},
+		{"export", 40, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ob := obs.New()
+			live, front := ob.Registry().Gauge("cte.fork_live"), ob.Registry().Gauge("cte.frontier")
+			sess := NewSession(snapshot(t, bitstormSrc), Config{
+				Budget:  Budget{MaxPaths: c.maxPaths},
+				Explore: ExploreConfig{ExportFrontier: c.export},
+				Fork:    ForkConfig{Enabled: true},
+				Obs:     ob,
+			})
+			var peak int64
+			sess.OnPath = func(path int, _ *iss.Core) {
+				if v := live.Value(); v < 0 || v > front.Value() {
+					t.Errorf("path %d: fork_live %d outside [0, frontier %d]", path, v, front.Value())
+				} else {
+					peak = max(peak, v)
+				}
+			}
+			rep := sess.Run(context.Background())
+			if peak == 0 {
+				t.Error("fork_live never rose above zero")
+			}
+			if v := live.Value(); v != 0 {
+				t.Errorf("fork_live %d after Run (stopped=%s), want 0", v, rep.Stopped)
+			}
+			if c.export && len(rep.Frontier) == 0 {
+				t.Error("nothing exported")
+			}
+			for _, in := range rep.Frontier {
+				if in.Fork != nil {
+					t.Fatal("an exported input kept its checkpoint")
+				}
+			}
+		})
 	}
 }

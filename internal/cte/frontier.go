@@ -3,6 +3,8 @@ package cte
 import (
 	"container/heap"
 	"math/rand"
+
+	"rvcte/internal/obs"
 )
 
 // frontier holds the pending inputs of one exploration run and yields
@@ -24,6 +26,11 @@ type frontier struct {
 
 	pq  covQueue // Coverage
 	seq int      // insertion counter for stable Coverage tie-breaks
+
+	// forks counts the queued inputs holding a Fork checkpoint; forkLive
+	// (nil-safe) mirrors every change of it into the cte.fork_live gauge.
+	forks    int
+	forkLive *obs.Gauge
 }
 
 func newFrontier(s Strategy, rng *rand.Rand) *frontier {
@@ -37,7 +44,16 @@ func (f *frontier) len() int {
 	return len(f.list) - f.head
 }
 
+// countFork adjusts the checkpoint count by d when in holds one.
+func (f *frontier) countFork(in Input, d int) {
+	if in.Fork != nil {
+		f.forks += d
+		f.forkLive.Add(int64(d))
+	}
+}
+
 func (f *frontier) push(in Input) {
+	f.countFork(in, 1)
 	if f.strategy == Coverage {
 		heap.Push(&f.pq, covItem{in: in, seq: f.seq})
 		f.seq++
@@ -53,6 +69,13 @@ func (f *frontier) push(in Input) {
 // len() check (the parallel engine's claim loop) get a clean signal
 // instead of a strategy-dependent crash.
 func (f *frontier) pop() (Input, bool) {
+	in, ok := f.take()
+	f.countFork(in, -1)
+	return in, ok
+}
+
+// take removes and returns the next input per the strategy.
+func (f *frontier) take() (Input, bool) {
 	if f.len() == 0 {
 		return Input{}, false
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"rvcte/internal/iss"
 	"rvcte/internal/smt"
 )
 
@@ -23,7 +24,7 @@ type pool struct {
 
 	front    *frontier
 	seen     map[string]bool
-	cover    map[uint32]struct{}
+	cover    iss.PCSet
 	rep      *Report // rep.Stopped != "" blocks further claims
 	started  int     // paths claimed, bounds MaxPaths
 	inflight int     // claimed but not yet merged
@@ -51,7 +52,6 @@ func (e *engine) run(ctx context.Context) *Report {
 		ctx:   ctx,
 		front: newFrontier(e.Cfg.Explore.Strategy, rand.New(rand.NewSource(e.Cfg.Seed+1))),
 		seen:  map[string]bool{},
-		cover: make(map[uint32]struct{}),
 		rep:   &Report{Workers: workers, PerWorker: make([]WorkerStats, workers)},
 	}
 	x.cond = sync.NewCond(&x.mu)
@@ -61,6 +61,7 @@ func (e *engine) run(ctx context.Context) *Report {
 	for i := 0; i < workers; i++ {
 		x.solvers = append(x.solvers, newSolver(e.Builder, e.Cfg))
 	}
+	x.front.forkLive = e.forkLiveG
 	e.seedFrontier(x.front, x.seen)
 
 	var wg sync.WaitGroup
@@ -78,10 +79,13 @@ func (e *engine) run(ctx context.Context) *Report {
 	if rep.Exhausted {
 		rep.Stopped = "exhausted"
 	}
-	rep.Covered = x.cover
+	rep.Covered = make(map[uint32]struct{}, x.cover.Len())
+	x.cover.Each(func(pc uint32) { rep.Covered[pc] = struct{}{} })
 	rep.WallTime = time.Since(start)
 	addSolverStats(rep, x.solvers)
 	e.exportFrontier(x.front, rep)
+	// Inputs left unexplored release their checkpoints with the frontier.
+	e.forkLiveG.Add(-int64(x.front.forks))
 	if e.Cfg.Cache.Queries != nil {
 		st := e.Cfg.Cache.Queries.Stats()
 		rep.Cache = &st
@@ -163,13 +167,8 @@ func (x *pool) merge(id int, res pathResult) {
 	// on this path; children inherit it.
 	var score float64
 	if core.TrackCoverage {
-		for pc := range core.Coverage {
-			if _, ok := x.cover[pc]; !ok {
-				x.cover[pc] = struct{}{}
-				score++
-			}
-		}
-		e.coverG.Set(int64(len(x.cover)))
+		score = float64(x.cover.Union(&core.Coverage))
+		e.coverG.Set(int64(x.cover.Len()))
 	}
 
 	if f, prune := findingOf(core, path); prune {

@@ -253,10 +253,11 @@ type Core struct {
 	ExitCode uint32
 	Err      *SimError
 
-	// TrackCoverage enables per-run PC coverage collection (used by the
-	// coverage-guided search strategy, paper §5 future work 3).
+	// TrackCoverage enables per-run PC coverage collection into Coverage
+	// (used by the coverage-guided search strategy, paper §5 future
+	// work 3).
 	TrackCoverage bool
-	Coverage      map[uint32]struct{}
+	Coverage      PCSet
 
 	// NoConcretizationTCs disables the §2.2 optional trace conditions at
 	// size concretizations (used by the ablation benchmarks).
@@ -296,7 +297,7 @@ type Core struct {
 
 	// EdgeMap, when non-nil, collects hashed PC-pair edge coverage
 	// (AFL-style; the length must be a power of two). Unlike the
-	// Coverage map it costs one multiply, one xor and a saturating
+	// Coverage set it costs one multiply, one xor and a saturating
 	// increment per retired instruction — cheap enough for fuzzing
 	// throughput. With ProtoStates > 1 the map is split into that many
 	// equal power-of-two banks and each edge lands in the bank selected
@@ -495,7 +496,7 @@ func (c *Core) cloneNoMem() *Core {
 	for k, v := range c.Input {
 		n.Input[k] = v
 	}
-	n.Coverage = nil // coverage is per-run
+	n.Coverage = PCSet{} // coverage is per-run
 	n.traceRing = append([]TraceEntry(nil), c.traceRing...)
 	// Fork-capture state: checkpoints belong to the original (the engine
 	// harvests them per path); a clone starts a clean capture epoch.
@@ -702,10 +703,7 @@ func (c *Core) Step() {
 		c.prevLoc = cur >> 1
 	}
 	if c.TrackCoverage {
-		if c.Coverage == nil {
-			c.Coverage = make(map[uint32]struct{})
-		}
-		c.Coverage[c.PC] = struct{}{}
+		c.Coverage.Add(c.PC)
 	}
 	if c.TraceDepth > 0 {
 		if len(c.traceRing) < c.TraceDepth {

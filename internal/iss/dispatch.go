@@ -174,10 +174,7 @@ func (c *Core) runBlock(b *bblock, maxInstr uint64) {
 			c.prevLoc = cur >> 1
 		}
 		if c.TrackCoverage {
-			if c.Coverage == nil {
-				c.Coverage = make(map[uint32]struct{})
-			}
-			c.Coverage[c.PC] = struct{}{}
+			c.Coverage.Add(c.PC)
 		}
 		if c.TraceDepth > 0 {
 			if len(c.traceRing) < c.TraceDepth {
@@ -249,10 +246,7 @@ func (c *Core) pairBoundary(d *decoded) {
 		c.prevLoc = cur >> 1
 	}
 	if c.TrackCoverage {
-		if c.Coverage == nil {
-			c.Coverage = make(map[uint32]struct{})
-		}
-		c.Coverage[d.pc2] = struct{}{}
+		c.Coverage.Add(d.pc2)
 	}
 	if c.TraceDepth > 0 {
 		if len(c.traceRing) < c.TraceDepth {

@@ -92,7 +92,7 @@ func (c *Core) captureFork(site int) {
 		// share.
 		n = c.cloneNoMem()
 		n.Mem = memo
-		c.copyPrefixCoverage(n)
+		n.Coverage = c.Coverage.Clone()
 	} else {
 		n = c.cloneForFork()
 		c.capMemo = n.Mem
@@ -113,19 +113,8 @@ func (c *Core) captureFork(site int) {
 // coverage exactly like a restart run would.
 func (c *Core) cloneForFork() *Core {
 	n := c.Clone()
-	c.copyPrefixCoverage(n)
+	n.Coverage = c.Coverage.Clone()
 	return n
-}
-
-func (c *Core) copyPrefixCoverage(n *Core) {
-	if c.Coverage == nil {
-		return
-	}
-	cov := make(map[uint32]struct{}, len(c.Coverage))
-	for pc := range c.Coverage {
-		cov[pc] = struct{}{}
-	}
-	n.Coverage = cov
 }
 
 // Fork materializes a resumable core from the checkpoint at site: a
