@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache examples clean
+.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-fuzz examples clean
 
 all: verify
 
@@ -122,6 +122,11 @@ bench-fork:
 # a 256-condition shared-prefix set directly and as Check's exact hit.
 bench-qcache:
 	$(GO) test -run NONE -bench BenchmarkValidateModel -benchmem ./internal/qcache
+
+# Concrete fuzz throughput (EXPERIMENTS.md "Concrete fuzz throughput"):
+# one fuzz execution of the buggy TCP/IP stack, with bytes allocated.
+bench-fuzz:
+	$(GO) test -run NONE -bench BenchmarkFuzzStep -benchmem ./internal/fuzz
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -356,6 +356,54 @@ func TestFreezeCloneConcurrent(t *testing.T) {
 	}
 }
 
+// TestCheckpointCloneConcurrent: a fork checkpoint is an unfrozen clone
+// of a running memory whose read and write TLBs are warm, and several
+// workers may clone one checkpoint at the same time while the running
+// memory keeps writing. Cloning the checkpoint must write nothing to it
+// (a data race under -race), and every side must keep its own bytes.
+func TestCheckpointCloneConcurrent(t *testing.T) {
+	b := smt.NewBuilder()
+	m := NewMemory(b)
+	const span = 3 * pageSize
+	for i := 0; i < span; i += 4 {
+		m.Store(uint32(i), 4, Concrete(uint32(i)))
+	}
+	m.MakeSymbolic(100, make([]byte, 8), "cp")
+	m.Load(8, 4) // warm read TLB
+	cp := m.Clone()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := cp.Clone()
+			for i := 0; i < span; i += 64 {
+				c.Store(uint32(i), 4, Concrete(uint32(g)))
+			}
+			for i := 0; i < span; i += 64 {
+				if v := c.Load(uint32(i), 4); v.C != uint32(g) {
+					t.Errorf("clone %d: own write at %#x lost, got %#x", g, i, v.C)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < span; i += 64 {
+		m.Store(uint32(i), 4, Concrete(0xffffffff))
+	}
+	wg.Wait()
+
+	for i := 0; i < span; i += 64 {
+		if v := cp.Load(uint32(i), 4); v.C != uint32(i) {
+			t.Fatalf("checkpoint word %#x changed to %#x", i, v.C)
+		}
+		if v := m.Load(uint32(i), 4); v.C != 0xffffffff {
+			t.Fatalf("running memory word %#x = %#x, want its own write", i, v.C)
+		}
+	}
+}
+
 // TestUnfrozenCloneStillCopiesOnWrite guards the single-threaded
 // contract: cloning an unfrozen memory and writing on either side must
 // not leak into the other.

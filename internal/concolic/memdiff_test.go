@@ -30,9 +30,13 @@ func (r refMem) clone() refMem {
 // the same random operations — byte and word stores (symbolic, concrete,
 // constant-expression, nil over nil), loads, MakeSymbolic, Reconcretize —
 // across a growing family of clones that all keep being written, some of
-// them frozen snapshots that are only cloned and read. After every
+// them frozen snapshots that are only cloned and read. Word accesses
+// straddle line and page boundaries, and clones, freezes and
+// Reconcretize also run right after accesses that warmed the memory's
+// read and write TLBs on the very page they then affect. After every
 // operation the touched bytes of every live memory must match its own
-// reference; periodically every byte ever touched is compared and the
+// reference, read both byte-wise and through the one-byte Load fast
+// path; periodically every byte ever touched is compared and the
 // line-ownership invariant is checked. Runs under -race via make race.
 func TestMemoryDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -89,6 +93,21 @@ func memoryDifferential(t *testing.T, seed int64) {
 		if c != want.c || e != want.s {
 			t.Fatalf("step %d: %#x = (%d, %v), reference (%d, %v)", step, a, c, e, want.c, want.s)
 		}
+		// Load folds a constant expression into the concrete part, so
+		// only plain and truly symbolic bytes compare directly.
+		if v := s.m.Load(a, 1); (want.s == nil || !want.s.IsConst()) &&
+			(v.C != uint32(want.c) || (want.s == nil) != (v.Sym == nil)) {
+			t.Fatalf("step %d: Load(%#x, 1) = %+v, reference (%d, %v)", step, a, v, want.c, want.s)
+		}
+	}
+	// warm fills both TLBs of s with the page of a: a load, then (unless
+	// s is frozen) a store of the byte's current value.
+	warm := func(s *side, a uint32) {
+		s.m.Load(a, 1)
+		if !s.frozen {
+			rb := s.ref[a]
+			s.m.StoreByte(a, rb.c, rb.s)
+		}
 	}
 	checkAll := func(step int) {
 		t.Helper()
@@ -107,21 +126,57 @@ func memoryDifferential(t *testing.T, seed int64) {
 	for step := 0; step < 3000; step++ {
 		s := sides[rng.Intn(len(sides))]
 		var at []uint32 // bytes this step may have changed
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(22); {
 		case op < 2 && len(sides) < 12: // clone; both sides keep going
 			sides = append(sides, newSide(s.m.Clone(), s.ref.clone()))
 		case op == 2 && !s.frozen && rng.Intn(4) == 0: // freeze into a snapshot
 			s.m.Freeze()
 			s.frozen = true
+		case op == 20 && len(sides) < 12: // clone with warm TLBs, then write the warm page on both sides
+			a := addr()
+			warm(s, a)
+			if !s.frozen && rng.Intn(4) == 0 {
+				s.m.Freeze()
+				s.frozen = true
+			}
+			c := newSide(s.m.Clone(), s.ref.clone())
+			sides = append(sides, c)
+			for _, w := range []*side{s, c} {
+				if w.frozen {
+					continue
+				}
+				v := Concrete(rng.Uint32())
+				w.m.Store(a&^3, 4, v)
+				for i := uint32(0); i < 4; i++ {
+					w.ref[a&^3+i] = refByte{byte(v.C >> (8 * i)), nil}
+					at = append(at, a&^3+i)
+				}
+			}
 		case op < 4: // multi-byte load
 			a, n := addr(), []int{1, 2, 4}[rng.Intn(3)]
 			v := s.m.Load(a, n)
-			var c uint32
-			sym := false
+			// Load folds a word whose symbolic bytes are all constant
+			// expressions into a concrete value built from those
+			// constants; a word with a true variable keeps the concrete
+			// parts.
+			var c, folded uint32
+			sym, allConst := false, true
 			for i := 0; i < n; i++ {
 				rb := s.ref[a+uint32(i)]
 				c |= uint32(rb.c) << (8 * i)
-				sym = sym || rb.s != nil
+				fb := rb.c
+				if rb.s != nil {
+					sym = true
+					if rb.s.IsConst() {
+						fb = byte(rb.s.Val)
+					} else {
+						allConst = false
+					}
+				}
+				folded |= uint32(fb) << (8 * i)
+			}
+			if allConst {
+				c, sym = folded, false
 			}
 			if v.C != c || (!sym && v.Sym != nil) {
 				t.Fatalf("step %d: Load(%#x, %d) = %+v, reference %#x (symbolic bytes: %v)", step, a, n, v, c, sym)
@@ -157,7 +212,16 @@ func memoryDifferential(t *testing.T, seed int64) {
 				s.ref[a+uint32(i)] = refByte{conc[i], exprs[i]}
 				at = append(at, a+uint32(i))
 			}
-		default: // substitute a new model
+		default: // substitute a new model, after warming the TLBs on a symbolic byte
+			lowest, found := uint32(0), false
+			for a, rb := range s.ref {
+				if rb.s != nil && (!found || a < lowest) {
+					lowest, found = a, true
+				}
+			}
+			if found {
+				warm(s, lowest)
+			}
 			model := smt.Assignment{}
 			for id := 0; id < b.NumVars(); id++ {
 				if rng.Intn(3) > 0 {

@@ -1,7 +1,9 @@
 package concolic
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"rvcte/internal/smt"
 )
@@ -70,10 +72,24 @@ func (p *page) setSym(off uint32, sym *smt.Expr) {
 
 // Memory is a sparse concolic byte store covering the 32-bit address
 // space. The zero value is not usable; create with NewMemory.
+//
+// Two one-entry TLBs cache the last page-table lookups: rPage (index
+// rIdx) for reads and wPage (index wIdx) for writes, each nil when
+// empty. wPage is always a private page (not shared), so a write through
+// it needs no copy-on-write check; rPage may be shared. Every page-table
+// change refreshes them: a copy-on-write replacement installs the new
+// page in both, and Freeze and Clone drop wPage because they turn every
+// private page into a shared one (after Clone rPage stays valid: the
+// receiver's table still maps the same page). A frozen memory has both
+// entries empty and never fills them, so concurrent readers of a
+// snapshot write nothing.
 type Memory struct {
 	pages  map[uint32]*page
 	ops    Ops
 	frozen bool // pages are already marked shared; Clone must not mutate them
+
+	rIdx, wIdx   uint32
+	rPage, wPage *page
 
 	// OnWrite, when non-nil, is invoked once per mutating call with the
 	// written range before the caller observes the new bytes. The ISS uses
@@ -98,6 +114,7 @@ func (m *Memory) Freeze() {
 		p.shared = true
 	}
 	m.frozen = true
+	m.rPage, m.wPage = nil, nil
 }
 
 // Clone returns a copy-on-write snapshot. Both the original and the clone
@@ -113,6 +130,8 @@ func (m *Memory) Freeze() {
 // transitions false→true, and only the page's exclusive owner performs
 // the write — an already-shared page is never written again (not even to
 // re-set the flag), so concurrent cloners of downstream forks only read.
+// The same holds for the write TLB: it is dropped only when set, so
+// cloning a memory whose pages are all shared writes nothing.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{pages: make(map[uint32]*page, len(m.pages)), ops: m.ops}
 	for k, p := range m.pages {
@@ -121,21 +140,77 @@ func (m *Memory) Clone() *Memory {
 		}
 		c.pages[k] = p
 	}
+	if m.wPage != nil {
+		m.wPage = nil
+	}
 	return c
 }
 
-func (m *Memory) pageFor(addr uint32, write bool) *page {
-	idx := addr >> pageBits
-	p := m.pages[idx]
-	if p == nil {
-		p = &page{}
-		m.pages[idx] = p
+// pagePool holds private pages of released memories (Release) for reuse
+// by later page allocations and copy-on-write copies, which overwrite
+// every field.
+var pagePool sync.Pool
+
+func getPage() *page {
+	if p, _ := pagePool.Get().(*page); p != nil {
 		return p
 	}
-	if write && p.shared {
-		np := &page{lines: p.lines, data: p.data}
-		m.pages[idx] = np
-		return np
+	return new(page)
+}
+
+// Release empties the memory and recycles its private pages for later
+// copies-on-write: the per-execution clone of a fuzzing campaign
+// releases its memory once the run is merged, so the next execution's
+// copies need no fresh allocation. Shared pages stay untouched (clones
+// or the snapshot still map them). The caller must be the memory's only
+// user and must not use it afterwards.
+func (m *Memory) Release() {
+	for _, p := range m.pages {
+		if !p.shared {
+			pagePool.Put(p)
+		}
+	}
+	m.pages = nil
+	m.rPage, m.wPage = nil, nil
+}
+
+// readPage returns the page holding addr for reading, or nil when the
+// page was never written.
+func (m *Memory) readPage(addr uint32) *page {
+	idx := addr >> pageBits
+	if m.rPage != nil && m.rIdx == idx {
+		return m.rPage
+	}
+	p := m.pages[idx]
+	if p != nil && !m.frozen {
+		m.rIdx, m.rPage = idx, p
+	}
+	return p
+}
+
+// writePage returns the private page holding addr, allocating it or
+// copying a shared one first.
+func (m *Memory) writePage(addr uint32) *page {
+	idx := addr >> pageBits
+	if m.wPage != nil && m.wIdx == idx {
+		return m.wPage
+	}
+	p := m.pages[idx]
+	switch {
+	case p == nil:
+		p = getPage()
+		*p = page{}
+		m.pages[idx] = p
+	case p.shared:
+		np := getPage()
+		np.lines, np.own, np.shared = p.lines, 0, false
+		np.data = p.data
+		p = np
+		m.pages[idx] = p
+	}
+	if !m.frozen {
+		m.rIdx, m.rPage = idx, p
+		m.wIdx, m.wPage = idx, p
 	}
 	return p
 }
@@ -155,7 +230,7 @@ func (m *Memory) storeByte(addr uint32, c byte, sym *smt.Expr) {
 	if sym != nil && sym.Width != 8 {
 		panic(fmt.Sprintf("concolic: StoreByte symbolic width %d", sym.Width))
 	}
-	p := m.pageFor(addr, true)
+	p := m.writePage(addr)
 	off := addr & pageMask
 	p.data[off] = c
 	p.setSym(off, sym)
@@ -163,7 +238,7 @@ func (m *Memory) storeByte(addr uint32, c byte, sym *smt.Expr) {
 
 // LoadByteRaw reads one concolic byte.
 func (m *Memory) LoadByteRaw(addr uint32) (byte, *smt.Expr) {
-	p := m.pages[addr>>pageBits]
+	p := m.readPage(addr)
 	if p == nil {
 		return 0, nil
 	}
@@ -180,16 +255,44 @@ func (m *Memory) Store(addr uint32, n int, v Value) {
 	if m.OnWrite != nil {
 		m.OnWrite(addr, n)
 	}
-	for i := 0; i < n; i++ {
-		var symByte *smt.Expr
-		if v.Sym != nil {
-			symByte = m.ops.B.Extract(v.Sym, uint8(i*8+7), uint8(i*8))
-			if symByte.IsConst() {
-				symByte = nil
-			}
+	off := addr & pageMask
+	if off+uint32(n) > pageSize {
+		for i := 0; i < n; i++ {
+			m.storeByte(addr+uint32(i), byte(v.C>>(8*i)), m.symByte(v, i))
 		}
-		m.storeByte(addr+uint32(i), byte(v.C>>(8*i)), symByte)
+		return
 	}
+	p := m.writePage(addr)
+	if v.Sym == nil && p.lines[off>>lineBits] == nil && p.lines[(off+uint32(n)-1)>>lineBits] == nil {
+		switch n {
+		case 4:
+			binary.LittleEndian.PutUint32(p.data[off:], v.C)
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(p.data[off:], uint16(v.C))
+			return
+		case 1:
+			p.data[off] = byte(v.C)
+			return
+		}
+	}
+	for i := uint32(0); i < uint32(n); i++ {
+		p.data[off+i] = byte(v.C >> (8 * i))
+		p.setSym(off+i, m.symByte(v, int(i)))
+	}
+}
+
+// symByte is byte i of v's symbolic part, or nil when v is concrete or
+// that byte folds to a constant.
+func (m *Memory) symByte(v Value, i int) *smt.Expr {
+	if v.Sym == nil {
+		return nil
+	}
+	e := m.ops.B.Extract(v.Sym, uint8(i*8+7), uint8(i*8))
+	if e.IsConst() {
+		return nil
+	}
+	return e
 }
 
 // Load reads an n-byte little-endian concolic value (n in {1,2,4}). When
@@ -197,6 +300,22 @@ func (m *Memory) Store(addr uint32, n int, v Value) {
 // expressions are concatenated (and the builder re-fuses contiguous
 // extracts, so a round trip returns the original expression).
 func (m *Memory) Load(addr uint32, n int) Value {
+	if off := addr & pageMask; off+uint32(n) <= pageSize {
+		p := m.readPage(addr)
+		if p == nil {
+			return Value{}
+		}
+		if p.lines[off>>lineBits] == nil && p.lines[(off+uint32(n)-1)>>lineBits] == nil {
+			switch n {
+			case 4:
+				return Value{C: binary.LittleEndian.Uint32(p.data[off:])}
+			case 2:
+				return Value{C: uint32(binary.LittleEndian.Uint16(p.data[off:]))}
+			case 1:
+				return Value{C: uint32(p.data[off])}
+			}
+		}
+	}
 	var c uint32
 	anySym := false
 	var bytes [4]*smt.Expr
@@ -343,7 +462,7 @@ func (m *Memory) Reconcretize(ev *smt.Evaluator) {
 				// COW on first actual change; later changes of the same
 				// page hit the now-private copy. The copy shares ln, which
 				// is only read here.
-				p = m.pageFor(base|off, true)
+				p = m.writePage(base | off)
 				p.data[off] = nb
 			}
 		}

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sort"
 )
 
@@ -95,25 +96,55 @@ func bucketize(edge []byte) ([]edgeBit, uint64) {
 	return cov, hash
 }
 
-// virginMerge ORs cov into the virgin map and returns how many
-// previously-unseen bits it set (0 = nothing new).
-func virginMerge(virgin []byte, cov []edgeBit) int {
-	n := 0
-	for _, eb := range cov {
-		if newBits := eb.Bits &^ virgin[eb.Idx]; newBits != 0 {
-			virgin[eb.Idx] |= newBits
-			n += popcount8(newBits)
-		}
+const (
+	lowBits  = 0x7f7f7f7f7f7f7f7f
+	highBits = 0x8080808080808080
+)
+
+// bucketLUT16 is bucketLUT applied to two packed counts at once, so
+// classifying eight counts takes four lookups.
+var bucketLUT16 = func() (t [1 << 16]uint16) {
+	for i := range t {
+		t[i] = uint16(bucketLUT[i&0xff]) | uint16(bucketLUT[i>>8])<<8
 	}
-	return n
+	return
+}()
+
+// classify8 maps the eight raw hit counts packed in w to their count
+// classes (bucketLUT), byte for byte.
+func classify8(w uint64) uint64 {
+	return uint64(bucketLUT16[uint16(w)]) |
+		uint64(bucketLUT16[uint16(w>>16)])<<16 |
+		uint64(bucketLUT16[uint16(w>>32)])<<32 |
+		uint64(bucketLUT16[uint16(w>>48)])<<48
 }
 
-func popcount8(b byte) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
+// mergeCoverage folds one execution's raw edge map into the virgin map
+// eight entries at a time: it classifies the counts, ORs the classes
+// into virgin, and returns how many virgin bits it set (0 = nothing new)
+// and how many virgin entries went from zero to nonzero. It is the
+// word-wise equivalent of virginMerge(virgin, cov) for bucketize's cov,
+// without materializing cov; len(edge) must be a multiple of 8.
+func mergeCoverage(virgin, edge []byte) (newBits, newEntries int) {
+	for i := 0; i < len(edge); i += 8 {
+		w := binary.LittleEndian.Uint64(edge[i:])
+		if w == 0 {
+			continue
+		}
+		v := binary.LittleEndian.Uint64(virgin[i:])
+		nb := classify8(w) &^ v
+		if nb == 0 {
+			continue
+		}
+		binary.LittleEndian.PutUint64(virgin[i:], v|nb)
+		newBits += bits.OnesCount64(nb)
+		// High bit of every zero byte of v, and of every nonzero byte of
+		// nb (carry-free: the low seven bits are added separately).
+		zeroV := ^((v&lowBits + lowBits) | v | lowBits)
+		setNB := ((nb&lowBits + lowBits) | nb) & highBits
+		newEntries += bits.OnesCount64(zeroV & setNB)
 	}
-	return n
+	return newBits, newEntries
 }
 
 // minimizeCorpus implements afl-cmin's greedy reduction: for every

@@ -1,6 +1,9 @@
 package fuzz
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 // TestBucketize: raw hit counts map to afl count classes, zero bytes are
 // skipped, and the signature is order- and content-sensitive.
@@ -28,6 +31,20 @@ func TestBucketize(t *testing.T) {
 	if _, sig3 := bucketize(edge); sig3 == sig {
 		t.Error("bucket change did not change signature")
 	}
+}
+
+// virginMerge ORs cov into the virgin map and returns how many
+// previously-unseen bits it set (0 = nothing new). It is the byte-wise
+// reference for mergeCoverage.
+func virginMerge(virgin []byte, cov []edgeBit) int {
+	n := 0
+	for _, eb := range cov {
+		if newBits := eb.Bits &^ virgin[eb.Idx]; newBits != 0 {
+			virgin[eb.Idx] |= newBits
+			n += bits.OnesCount8(newBits)
+		}
+	}
+	return n
 }
 
 // TestVirginMerge: new bits are counted once; re-merging the same

@@ -8,10 +8,14 @@
 //
 // Each execution clones the frozen snapshot (copy-on-write memory) and
 // runs on the ISS's predecoded basic-block cache: all clones share one
-// decoded-block layer, so per-execution cost is mutation + dispatch,
-// not re-decoding the guest. iss.bb.* counters expose the cache
-// behaviour; fuzz.execs over wall time is the throughput headline
-// (EXPERIMENTS.md "Block cache ablation").
+// decoded-block table, so per-execution cost is mutation + dispatch,
+// not re-decoding the guest. After the run, the raw edge map is merged
+// into the virgin map word by word (mergeCoverage), allocating nothing;
+// the sparse per-entry coverage is built only for inputs the corpus
+// admits, and the clone's memory is released so its copied pages serve
+// the next execution. iss.bb.* counters expose the cache behaviour;
+// fuzz.execs over wall time is the throughput headline (EXPERIMENTS.md
+// "Block cache ablation", "Concrete fuzz throughput").
 package fuzz
 
 import (
@@ -105,7 +109,6 @@ type Fuzzer struct {
 
 	mu        sync.Mutex
 	virgin    []byte
-	sigs      map[uint64]bool
 	corpus    []*Entry
 	nextID    int
 	queue     []queued // unfuzzed inputs: seeds and solver injections, FIFO
@@ -121,7 +124,7 @@ type Fuzzer struct {
 	issInstr, issExecs                            *obs.Counter
 	bbHits, bbMisses, bbInval                     *obs.Counter
 	obsCorpus, obsEdges                           *obs.Gauge
-	edgeEntries                                   int // nonzero virgin entries (mirrors Stats.Edges)
+	edgeEntries                                   int // nonzero virgin entries (Stats.Edges)
 }
 
 // New freezes snap and builds a fuzzer around it. The queue starts with
@@ -146,7 +149,6 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 		snap:    snap,
 		opt:     opt,
 		virgin:  make([]byte, mapLen),
-		sigs:    make(map[uint64]bool),
 		seenBug: make(map[findingKey]bool),
 		queue:   []queued{{data: []byte{}}},
 	}
@@ -233,6 +235,7 @@ func (f *Fuzzer) step(ws *workerState) {
 	f.mu.Lock()
 	f.mergeLocked(q, c, c.InstrCount-startInstr, ws.edge)
 	f.mu.Unlock()
+	c.Mem.Release()
 }
 
 // pickLocked selects the next input to execute: queued seeds/injections
@@ -331,18 +334,9 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte) 
 		}
 	}
 
-	cov, sig := bucketize(edge)
-	newBits := 0
-	if !f.sigs[sig] {
-		f.sigs[sig] = true
-		// Count map entries about to transition 0 → nonzero so the
-		// edge-count gauge stays incremental (Stats() still rescans).
-		for _, eb := range cov {
-			if f.virgin[eb.Idx] == 0 && eb.Bits != 0 {
-				f.edgeEntries++
-			}
-		}
-		newBits = virginMerge(f.virgin, cov)
+	newBits, newEntries := mergeCoverage(f.virgin, edge)
+	if newEntries > 0 {
+		f.edgeEntries += newEntries
 		f.obsEdges.Set(int64(f.edgeEntries))
 	}
 	if newBits > 0 {
@@ -358,6 +352,7 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte) 
 	if newBits == 0 && !q.injected {
 		return
 	}
+	cov, sig := bucketize(edge)
 	keep := data
 	if c.FuzzPos < len(keep) {
 		// Unconsumed tail bytes cannot influence behaviour — trim them so
@@ -494,11 +489,7 @@ func (f *Fuzzer) Stats() Stats {
 	s.CorpusSize = len(f.corpus)
 	s.Findings = len(f.findings)
 	s.MaxDemand = f.maxDemand
-	for _, v := range f.virgin {
-		if v != 0 {
-			s.Edges++
-		}
-	}
+	s.Edges = f.edgeEntries
 	return s
 }
 

@@ -1,7 +1,7 @@
 package iss
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"rvcte/internal/rv32"
 )
@@ -17,17 +17,16 @@ import (
 // LoadImage) via the concolic.Memory OnWrite hook.
 //
 // Clone safety follows the memory snapshot protocol. Core.Freeze
-// promotes the core's decoded blocks into a shared frozenBlocks layer:
-// an immutable base map plus a concurrently growable overlay that
-// clones populate lazily, so the first path to execute a block decodes
-// it for every later path of the campaign. Publishing is sound because
-// of the copy-on-write invariant: a page the clone has not written is
-// bit-identical to the frozen image, so a block decoded from clean
-// pages is the block every sibling clone would decode. Each core
-// tracks the 64-byte memory lines it has written since cloning (a
-// dirty bitset over RAM) and refuses to use or publish shared blocks
-// overlapping them — a clone that rewrites code (rare) falls back to
-// its precise private layer.
+// promotes the core's decoded blocks into a shared blockTable, which
+// clones keep filling lazily and concurrently, so the first path to
+// execute a block decodes it for every later path of the campaign.
+// Publishing is sound because of the copy-on-write invariant: a page the
+// clone has not written is bit-identical to the frozen image, so a block
+// decoded from clean pages is the block every sibling clone would
+// decode. Each core tracks the 64-byte memory lines it has written since
+// cloning (a dirtySet) and refuses to use or publish shared blocks
+// overlapping them — a clone that rewrites code (rare) falls back to its
+// precise private layer.
 
 const (
 	// maxBlockOps caps block length so pathological straight-line code
@@ -39,6 +38,16 @@ const (
 	// page as code (common in small linked images) does not shadow the
 	// page's shared blocks on every data write.
 	bbPageBits = 6
+
+	// codePageBits sets the leaf size of the shared block table: one
+	// leaf per 4 KB of RAM, one slot per halfword-aligned start PC.
+	codePageBits = 12
+	codePageMask = 1<<codePageBits - 1
+
+	// dirtyLeafBits sets the leaf size of a dirtySet: 2^12 lines (256 KB
+	// of RAM) per leaf, held in one uint64 of line bits per 4 KB page.
+	dirtyLeafBits  = 12
+	dirtyLeafWords = 1 << (dirtyLeafBits - 6)
 )
 
 // bblock is one immutable decoded basic block covering code bytes
@@ -49,13 +58,112 @@ type bblock struct {
 	dead       bool // invalidated; still present in stale page lists
 }
 
-// frozenBlocks is the translation cache shared by every clone of a
-// frozen snapshot: an immutable base built at Freeze time plus an
-// overlay that clones extend concurrently with blocks decoded from
-// clean (unwritten) pages.
-type frozenBlocks struct {
-	blocks  map[uint32]*bblock // immutable after Freeze
-	overlay sync.Map           // uint32 start PC → *bblock
+// blockTable is the translation cache shared by every clone of a frozen
+// snapshot: a two-level table over RAM whose top level, one entry per
+// 4 KB code page, is allocated at Freeze, and whose leaves, one slot per
+// halfword-aligned start PC, are allocated by the first block published
+// into their page. A lookup is two indexes and one atomic load. Clones
+// publish concurrently; a slot is written once (first publisher wins)
+// and a leaf pointer likewise.
+type blockTable struct {
+	base   uint32 // RAM base: slot addresses are offsets from it
+	leaves []atomic.Pointer[blockLeaf]
+}
+
+type blockLeaf [1 << (codePageBits - 1)]atomic.Pointer[bblock]
+
+func newBlockTable(ramBase, ramSize uint32) *blockTable {
+	n := (uint64(ramSize) + codePageMask) >> codePageBits
+	return &blockTable{base: ramBase, leaves: make([]atomic.Pointer[blockLeaf], n)}
+}
+
+// slot returns the slot of the block starting at pc, allocating its leaf
+// when alloc is set. It returns nil when pc is odd or outside RAM (no
+// block can start there) or when the leaf is absent and alloc is unset.
+func (t *blockTable) slot(pc uint32, alloc bool) *atomic.Pointer[bblock] {
+	off := pc - t.base
+	pg := uint64(off >> codePageBits)
+	if pc&1 != 0 || pg >= uint64(len(t.leaves)) {
+		return nil
+	}
+	l := t.leaves[pg].Load()
+	if l == nil {
+		if !alloc {
+			return nil
+		}
+		if nl := new(blockLeaf); t.leaves[pg].CompareAndSwap(nil, nl) {
+			l = nl
+		} else {
+			l = t.leaves[pg].Load()
+		}
+	}
+	return &l[(off&codePageMask)>>1]
+}
+
+// load returns the block published at pc, or nil.
+func (t *blockTable) load(pc uint32) *bblock {
+	if s := t.slot(pc, false); s != nil {
+		return s.Load()
+	}
+	return nil
+}
+
+// publish installs b unless another block was published at its start PC
+// first, and returns the block the table holds; nil when b cannot be
+// placed in the table.
+func (t *blockTable) publish(b *bblock) *bblock {
+	s := t.slot(b.start, true)
+	if s == nil {
+		return nil
+	}
+	if s.CompareAndSwap(nil, b) {
+		return b
+	}
+	return s.Load()
+}
+
+// each calls fn for every published block.
+func (t *blockTable) each(fn func(*bblock)) {
+	for i := range t.leaves {
+		if l := t.leaves[i].Load(); l != nil {
+			for j := range l {
+				if b := l[j].Load(); b != nil {
+					fn(b)
+				}
+			}
+		}
+	}
+}
+
+// dirtySet is the set of 64-byte RAM lines a core has written since it
+// was cloned, sized by what was written: a top level with one entry per
+// 2^dirtyLeafBits lines, and a leaf of line bits allocated on the first
+// write into its range.
+type dirtySet []*[dirtyLeafWords]uint64
+
+func (d dirtySet) has(line uint32) bool {
+	l := d[line>>dirtyLeafBits]
+	return l != nil && l[line>>6%dirtyLeafWords]&(1<<(line&63)) != 0
+}
+
+func (d dirtySet) add(line uint32) {
+	l := d[line>>dirtyLeafBits]
+	if l == nil {
+		l = new([dirtyLeafWords]uint64)
+		d[line>>dirtyLeafBits] = l
+	}
+	l[line>>6%dirtyLeafWords] |= 1 << (line & 63)
+}
+
+func (d dirtySet) clone() dirtySet {
+	n := make(dirtySet, len(d))
+	for i, l := range d {
+		if l != nil {
+			cp := *l
+			n[i] = &cp
+		}
+	}
+	return n
 }
 
 // bbCache is the per-core cache state: a private mutable layer for
@@ -67,15 +175,14 @@ type bbCache struct {
 	pages  map[uint32][]*bblock // page index over private blocks
 	lo, hi uint32               // extent of private code ([lo,hi); lo>hi when empty)
 
-	shared *frozenBlocks
-	// dirty is a bitset with one bit per 64-byte RAM line this core has
-	// written since it was cloned (or frozen); nil until the first
-	// tracked write. Shared blocks touching a dirty line are ignored
-	// and re-decoded privately; only blocks decoded entirely from clean
-	// lines are published to the shared overlay. Tracked only while
-	// shared != nil — a root core's private layer is kept consistent by
-	// precise invalidation instead.
-	dirty            []uint64
+	shared *blockTable
+	// dirty holds the 64-byte RAM lines this core has written since it
+	// was cloned (or frozen); nil until the first tracked write. Shared
+	// blocks touching a dirty line are ignored and re-decoded privately;
+	// only blocks decoded entirely from clean lines are published to the
+	// shared table. Tracked only while shared != nil — a root core's
+	// private layer is kept consistent by precise invalidation instead.
+	dirty            dirtySet
 	ramBase, ramSize uint32
 
 	hits, misses, invals uint64
@@ -100,7 +207,7 @@ func (bc *bbCache) cleanRange(start, end uint32) bool {
 	}
 	last := (end - 1 - bc.ramBase) >> bbPageBits
 	for l := (start - bc.ramBase) >> bbPageBits; l <= last; l++ {
-		if bc.dirty[l>>6]&(1<<(l&63)) != 0 {
+		if bc.dirty.has(l) {
 			return false
 		}
 	}
@@ -123,16 +230,16 @@ func (bc *bbCache) markDirty(lo, hi uint32) {
 	}
 	if bc.dirty == nil {
 		lines := (bc.ramSize >> bbPageBits) + 1
-		bc.dirty = make([]uint64, (lines+63)/64)
+		bc.dirty = make(dirtySet, (lines>>dirtyLeafBits)+1)
 	}
 	last := (hi - 1 - bc.ramBase) >> bbPageBits
 	for l := (lo - bc.ramBase) >> bbPageBits; l <= last; l++ {
-		bc.dirty[l>>6] |= 1 << (l & 63)
+		bc.dirty.add(l)
 	}
 }
 
 // lookup returns the decoded block starting at pc, decoding it on a
-// miss and publishing the result to the shared overlay when possible. A
+// miss and publishing the result to the shared table when possible. A
 // nil return means the first instruction at pc cannot be fetched or
 // decoded; the caller falls back to Step for exact legacy error
 // reporting.
@@ -144,13 +251,8 @@ func (bc *bbCache) lookup(c *Core, pc uint32) *bblock {
 		}
 	}
 	publishable := false
-	if fb := bc.shared; fb != nil {
-		b := fb.blocks[pc]
-		if b == nil {
-			if v, ok := fb.overlay.Load(pc); ok {
-				b = v.(*bblock)
-			}
-		}
+	if t := bc.shared; t != nil {
+		b := t.load(pc)
 		if b != nil && bc.cleanRange(b.start, b.end) {
 			bc.hits++
 			return b
@@ -168,10 +270,9 @@ func (bc *bbCache) lookup(c *Core, pc uint32) *bblock {
 		// Decoded entirely from clean pages: identical to what any
 		// sibling clone would decode from the frozen image, so publish
 		// it for the whole campaign. First publisher wins.
-		if v, loaded := bc.shared.overlay.LoadOrStore(pc, nb); loaded {
-			nb = v.(*bblock)
+		if pb := bc.shared.publish(nb); pb != nil {
+			return pb
 		}
-		return nb
 	}
 	bc.insert(nb)
 	return nb
@@ -230,32 +331,30 @@ func (bc *bbCache) invalidate(lo, hi uint32) bool {
 // baseline, so the dirty set resets.
 func (bc *bbCache) freeze() {
 	if bc.shared != nil && len(bc.blocks) == 0 && bc.dirty == nil {
-		// Nothing private and nothing stale: the current shared layer
-		// already matches this core's memory and keeps growing through
-		// its overlay. (When shared is nil we fall through even with an
-		// empty private layer, so that clones always have an overlay to
+		// Nothing private and nothing stale: the current shared table
+		// already matches this core's memory and keeps growing as clones
+		// publish into it. (When shared is nil we fall through even with
+		// an empty private layer, so that clones always have a table to
 		// publish into.)
 		return
 	}
-	fb := &frozenBlocks{blocks: make(map[uint32]*bblock)}
-	if old := bc.shared; old != nil {
-		for pc, b := range old.blocks {
-			if bc.cleanRange(b.start, b.end) {
-				fb.blocks[pc] = b
-			}
+	t := newBlockTable(bc.ramBase, bc.ramSize)
+	put := func(b *bblock) {
+		if s := t.slot(b.start, true); s != nil {
+			s.Store(b)
 		}
-		old.overlay.Range(func(k, v any) bool {
-			b := v.(*bblock)
+	}
+	if old := bc.shared; old != nil {
+		old.each(func(b *bblock) {
 			if bc.cleanRange(b.start, b.end) {
-				fb.blocks[k.(uint32)] = b
+				put(b)
 			}
-			return true
 		})
 	}
-	for pc, b := range bc.blocks {
-		fb.blocks[pc] = b
+	for _, b := range bc.blocks {
+		put(b)
 	}
-	bc.shared = fb
+	bc.shared = t
 	bc.blocks = make(map[uint32]*bblock)
 	bc.pages = make(map[uint32][]*bblock)
 	bc.lo, bc.hi = ^uint32(0), 0
@@ -263,9 +362,9 @@ func (bc *bbCache) freeze() {
 }
 
 // cloneFor returns the cache for a clone of the owning core: the shared
-// layer is carried over (base immutable, overlay concurrency-safe), the
-// private layer is rebuilt lazily, and the dirty bitset is inherited
-// (the clone's memory contains the parent's writes).
+// table is carried over (safe for concurrent publishing), the private
+// layer is rebuilt lazily, and the dirty set is inherited (the clone's
+// memory contains the parent's writes).
 func (bc *bbCache) cloneFor() *bbCache {
 	if bc == nil {
 		return newBBCache(0, 0)
@@ -273,7 +372,7 @@ func (bc *bbCache) cloneFor() *bbCache {
 	n := newBBCache(bc.ramBase, bc.ramSize)
 	n.shared = bc.shared
 	if bc.dirty != nil {
-		n.dirty = append([]uint64(nil), bc.dirty...)
+		n.dirty = bc.dirty.clone()
 	}
 	return n
 }

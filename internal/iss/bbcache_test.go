@@ -3,6 +3,7 @@ package iss
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -72,7 +73,7 @@ loop:
 // TestCloneSharedBlocksConcurrent exercises the clone-safety contract
 // under the race detector: many goroutines clone one frozen snapshot
 // and run concurrently, racing to publish decoded blocks into the
-// shared overlay.
+// shared block table.
 func TestCloneSharedBlocksConcurrent(t *testing.T) {
 	snap := buildCore(t, cloneGuest)
 	snap.Freeze()
@@ -233,5 +234,95 @@ func TestBBStatsCounters(t *testing.T) {
 	}
 	if hits < 90 {
 		t.Errorf("loop of 100 iterations produced only %d block hits", hits)
+	}
+}
+
+// TestDirtyLinesMatchReference drives markDirty with random write ranges
+// across RAM (and straddling its ends) and checks cleanRange against a
+// flat set of written 64-byte lines, on ranges around the writes, in
+// every leaf of the dirty set. A clone's dirty set starts equal and
+// diverges independently.
+func TestDirtyLinesMatchReference(t *testing.T) {
+	const base, size = 0x80000000, 4 << 20
+	bc := newBBCache(base, size)
+	ref := map[uint32]bool{}
+	rng := rand.New(rand.NewSource(1))
+	check := func(bc *bbCache, ref map[uint32]bool, at uint32) {
+		t.Helper()
+		for j := 0; j < 16; j++ {
+			s := at - 256 + uint32(rng.Intn(512))
+			if s < base || s > base+size-256 {
+				continue
+			}
+			e := s + 1 + uint32(rng.Intn(255))
+			want := true
+			for l := (s - base) >> bbPageBits; l <= (e-1-base)>>bbPageBits; l++ {
+				want = want && !ref[l]
+			}
+			if got := bc.cleanRange(s, e); got != want {
+				t.Fatalf("cleanRange(%#x, %#x) = %v, reference %v", s, e, got, want)
+			}
+		}
+	}
+	mark := func(bc *bbCache, ref map[uint32]bool) uint32 {
+		lo := base - 64 + uint32(rng.Intn(size+128))
+		hi := lo + 1 + uint32(rng.Intn(200))
+		bc.markDirty(lo, hi)
+		for a := lo; a != hi; a++ {
+			if a >= base && a < base+size {
+				ref[(a-base)>>bbPageBits] = true
+			}
+		}
+		return lo
+	}
+	for i := 0; i < 300; i++ {
+		check(bc, ref, mark(bc, ref))
+	}
+	n := bc.cloneFor()
+	nref := map[uint32]bool{}
+	for l := range ref {
+		nref[l] = true
+	}
+	for i := 0; i < 100; i++ {
+		at := mark(n, nref)
+		check(n, nref, at)
+		check(bc, ref, at)
+	}
+}
+
+// TestBlockTablePublish: the shared table serves a block at its exact
+// start PC only, keeps the first of two blocks published at one PC, and
+// has no slot for odd PCs or PCs outside RAM. Freezing carries over the
+// shared blocks that are clean for the freezing core and drops the ones
+// overlapping lines it wrote.
+func TestBlockTablePublish(t *testing.T) {
+	const base, size = 0x80000000, 1 << 20
+	tb := newBlockTable(base, size)
+	first := &bblock{start: base + 0x1004, end: base + 0x1010}
+	if got := tb.publish(first); got != first {
+		t.Fatal("first publisher lost")
+	}
+	if got := tb.publish(&bblock{start: first.start, end: first.end}); got != first {
+		t.Fatal("second publisher replaced the first")
+	}
+	if tb.load(first.start) != first || tb.load(first.start+2) != nil || tb.load(first.start+1) != nil {
+		t.Fatal("lookup does not key on the exact start PC")
+	}
+	last := &bblock{start: base + size - 2, end: base + size}
+	if tb.publish(last) != last || tb.load(last.start) != last {
+		t.Fatal("the last halfword of RAM has no slot")
+	}
+	for _, pc := range []uint32{base - 2, base + size, 0} {
+		if tb.publish(&bblock{start: pc, end: pc + 4}) != nil || tb.load(pc) != nil {
+			t.Fatalf("pc %#x outside RAM got a slot", pc)
+		}
+	}
+
+	bc := newBBCache(base, size)
+	bc.shared = tb
+	bc.markDirty(first.start, first.start+4)
+	bc.freeze()
+	if bc.shared == tb || bc.shared.load(first.start) != nil || bc.shared.load(last.start) != last {
+		t.Fatal("freeze kept a block over a written line or dropped a clean one")
 	}
 }
