@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-fuzz examples clean
+.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native examples clean
 
 all: verify
 
@@ -123,10 +123,26 @@ bench-fork:
 bench-qcache:
 	$(GO) test -run NONE -bench BenchmarkValidateModel -benchmem ./internal/qcache
 
+# CDCL core on the pinned path stream (DESIGN.md "SAT core"): one
+# Check per op, i.e. ns and allocations per query.
+bench-smt:
+	$(GO) test -run NONE -bench BenchmarkSolverPathStream -benchmem ./internal/smt
+
 # Concrete fuzz throughput (EXPERIMENTS.md "Concrete fuzz throughput"):
 # one fuzz execution of the buggy TCP/IP stack, with bytes allocated.
 bench-fuzz:
 	$(GO) test -run NONE -bench BenchmarkFuzzStep -benchmem ./internal/fuzz
+
+# Native Go fuzzing: every Fuzz* target in the module, FUZZTIME each,
+# from its seed corpus under the package's testdata/fuzz. Not part of
+# verify; a finding is written to that testdata directory and fails.
+FUZZTIME ?= 30s
+fuzz-native:
+	grep -rl --include='*_test.go' '^func Fuzz' internal cmd | while read f; do \
+	  for fz in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+	    $(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) -parallel 2 ./$$(dirname $$f) || exit 1; \
+	  done; \
+	done
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -11,9 +11,16 @@ type blaster struct {
 	bld     *Builder
 	bits    map[*Expr][]Lit
 	varBits map[int][]Lit
+	vars    []blastedVar // the varBits entries in blast order
 	andMemo map[[2]Lit]Lit
 	xorMemo map[[2]Lit]Lit
 	litTrue Lit
+}
+
+// blastedVar is a builder variable and its LSB-first bit literals.
+type blastedVar struct {
+	id   int
+	bits []Lit
 }
 
 func newBlaster(b *Builder, s *Sat) *blaster {
@@ -325,6 +332,7 @@ func (bl *blaster) blast(e *Expr) []Lit {
 				vb[i] = MkLit(bl.sat.NewVar(), false)
 			}
 			bl.varBits[id] = vb
+			bl.vars = append(bl.vars, blastedVar{id, vb})
 		}
 		out = vb
 	case KAdd:

@@ -2,8 +2,16 @@ package smt
 
 // CDCL SAT solver with two-watched-literal propagation, VSIDS-style
 // activity-based decision heuristics, first-UIP clause learning, phase
-// saving and geometric restarts. This is the engine underneath the
-// bit-blaster; it plays the role of MiniSat inside STP.
+// saving and geometric restarts. Learnt clauses are kept for the
+// solver's lifetime: none is ever deleted. This is the engine underneath
+// the bit-blaster; it plays the role of MiniSat inside STP.
+//
+// The core holds no pointers on its hot path (DESIGN.md "SAT core").
+// Every clause lives in one flat arena of literals behind a length
+// word and is named by a cref; watchers and reasons are crefs; values
+// are indexed by literal. A binary clause is propagated from its
+// watcher alone: the watcher's blocker is always the clause's other
+// literal.
 
 // Lit is a literal: variable v is encoded as 2v (positive) / 2v+1
 // (negative). Variables are numbered from 0.
@@ -36,28 +44,36 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// cref names a clause in the arena: the offset of its first literal
+// shifted left by one, with the low bit set for a binary clause. The
+// literal before that offset holds the clause length. Offset 0 is the
+// first clause's length word, so the zero cref names no clause.
+type cref int32
+
+const (
+	crefNone cref = 0
+	// maxArena bounds the arena so every offset fits a cref.
+	maxArena = 1<<30 - 1
+)
+
+func (c cref) binary() bool { return c&1 != 0 }
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // a literal of c; if true, the clause is satisfied
 }
 
 // Sat is the CDCL solver instance. The zero value is not usable; create
 // with NewSat.
 type Sat struct {
-	clauses []*clause
-	learnts []*clause
-	watches [][]watcher // indexed by literal
-
-	assigns  []lbool // indexed by variable
-	phase    []bool  // saved phases
-	level    []int32 // decision level per variable
-	reason   []*clause
+	arena    []Lit       // every clause: its length, then its literals
+	watches  [][]watcher // indexed by literal
+	clauses  int         // problem clauses of two or more literals
+	learnts  int         // learnt clauses of two or more literals
+	vals     []lbool     // indexed by literal
+	phase    []bool      // saved phases
+	level    []int32     // decision level per variable
+	reason   []cref      // implying clause per variable
 	trail    []Lit
 	trailLim []int // decision-level boundaries in trail
 	qhead    int
@@ -67,9 +83,10 @@ type Sat struct {
 	order    *varHeap
 
 	seen     []bool // scratch for conflict analysis
-	claInc   float64
-	ok       bool // false once UNSAT at level 0
-	Conflict int  // number of conflicts (statistics)
+	learnt   []Lit  // scratch: the clause analyze derives
+	toClear  []Lit  // scratch: variables analyze marked seen
+	ok       bool   // false once UNSAT at level 0
+	Conflict int    // number of conflicts (statistics)
 	Props    int64
 
 	// Budget limits an individual Solve call; <= 0 means unlimited.
@@ -88,18 +105,18 @@ const (
 
 // NewSat creates an empty solver.
 func NewSat() *Sat {
-	s := &Sat{varInc: 1, claInc: 1, ok: true}
+	s := &Sat{varInc: 1, ok: true}
 	s.order = &varHeap{act: &s.activity}
 	return s
 }
 
 // NewVar adds a fresh variable and returns its index.
 func (s *Sat) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefNone)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -108,17 +125,15 @@ func (s *Sat) NewVar() int {
 }
 
 // NumVars returns the number of variables.
-func (s *Sat) NumVars() int { return len(s.assigns) }
+func (s *Sat) NumVars() int { return len(s.level) }
 
-func (s *Sat) value(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -v
-	}
-	return v
+func (s *Sat) value(l Lit) lbool { return s.vals[l] }
+
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Sat) lits(c cref) []Lit {
+	off := int(c >> 1)
+	end := off + int(s.arena[off-1])
+	return s.arena[off:end:end]
 }
 
 // AddClause adds a clause; returns false if the formula became trivially
@@ -154,111 +169,151 @@ func (s *Sat) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefNone) {
 			s.ok = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefNone {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
+	s.newClause(out)
+	s.clauses++
 	return true
 }
 
-func (s *Sat) watchClause(c *clause) {
-	s.watches[c.lits[0].Flip()] = append(s.watches[c.lits[0].Flip()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Flip()] = append(s.watches[c.lits[1].Flip()], watcher{c, c.lits[0]})
+// newClause copies lits (two or more) into the arena and watches its
+// first two literals.
+func (s *Sat) newClause(lits []Lit) cref {
+	off := len(s.arena) + 1
+	if off+len(lits) > maxArena {
+		panic("smt: SAT clause arena exceeds 2^30 literals")
+	}
+	s.arena = append(s.arena, Lit(len(lits)))
+	s.arena = append(s.arena, lits...)
+	c := cref(off << 1)
+	if len(lits) == 2 {
+		c |= 1
+	}
+	s.watches[lits[0].Flip()] = append(s.watches[lits[0].Flip()], watcher{c, lits[1]})
+	s.watches[lits[1].Flip()] = append(s.watches[lits[1].Flip()], watcher{c, lits[0]})
+	return c
 }
 
-func (s *Sat) enqueue(l Lit, from *clause) bool {
+func (s *Sat) enqueue(l Lit, from cref) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
+	s.assign(l, from)
+	return true
+}
+
+// assign makes the unassigned literal l true, implied by from.
+func (s *Sat) assign(l Lit, from cref) {
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
 	s.phase[v] = !l.Neg()
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	return true
 }
 
 func (s *Sat) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Sat) propagate() *clause {
+// propagate runs unit propagation to a fixpoint and returns the
+// conflicting clause, or crefNone.
+func (s *Sat) propagate() cref {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Props++
+		falseLit := p.Flip()
 		ws := s.watches[p]
 		j := 0
 	nextWatch:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := vals[w.blocker]
+			if bv == lTrue {
 				ws[j] = w
 				j++
 				continue
 			}
-			c := w.c
-			// Ensure the false literal (p.Flip()) is lits[1].
-			if c.lits[0] == p.Flip() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if w.c.binary() {
+				// The blocker is the other literal: unit or conflict
+				// without reading the clause.
+				ws[j] = w
+				j++
+				if bv == lUndef {
+					s.assign(w.blocker, w.c)
+					continue
+				}
+				// analyze reads a conflict clause in order; store the
+				// order the general loop below would have left.
+				cl := s.lits(w.c)
+				cl[0], cl[1] = w.blocker, falseLit
+				return s.conflict(p, ws, i, j, w.c)
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				ws[j] = watcher{c, first}
+			c := s.lits(w.c)
+			// Ensure the false literal (p.Flip()) is c[1].
+			if c[0] == falseLit {
+				c[0], c[1] = c[1], c[0]
+			}
+			first := c[0]
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{w.c, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Flip()] = append(s.watches[c.lits[1].Flip()], watcher{c, first})
+			for k := 2; k < len(c); k++ {
+				if vals[c[k]] != lFalse {
+					c[1], c[k] = c[k], c[1]
+					s.watches[c[1].Flip()] = append(s.watches[c[1].Flip()], watcher{w.c, first})
 					continue nextWatch
 				}
 			}
 			// Unit or conflicting.
-			ws[j] = watcher{c, first}
+			ws[j] = watcher{w.c, first}
 			j++
-			if s.value(first) == lFalse {
-				// Conflict: copy back remaining watchers, return.
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
-					j++
-				}
-				s.watches[p] = ws[:j]
-				s.qhead = len(s.trail)
-				return c
+			if vals[first] == lFalse {
+				return s.conflict(p, ws, i, j, w.c)
 			}
-			s.enqueue(first, c)
+			s.assign(first, w.c)
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return crefNone
 }
 
-func (s *Sat) analyze(confl *clause) (learnt []Lit, backLevel int) {
+// conflict ends propagate on conflicting clause c found at watcher i of
+// ws, p's watch list, whose first j entries are kept: it keeps the
+// unvisited watchers and returns c.
+func (s *Sat) conflict(p Lit, ws []watcher, i, j int, c cref) cref {
+	j += copy(ws[j:], ws[i+1:])
+	s.watches[p] = ws[:j]
+	s.qhead = len(s.trail)
+	return c
+}
+
+// analyze derives the first-UIP learnt clause of conflict confl and the
+// level to backjump to. The returned slice is scratch, valid until the
+// next call.
+func (s *Sat) analyze(confl cref) (learnt []Lit, backLevel int) {
 	pathC := 0
 	var p Lit = -1
-	learnt = append(learnt, 0) // placeholder for the asserting literal
+	learnt = append(s.learnt[:0], 0) // placeholder for the asserting literal
 	idx := len(s.trail) - 1
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
@@ -288,18 +343,18 @@ func (s *Sat) analyze(confl *clause) (learnt []Lit, backLevel int) {
 		}
 	}
 	learnt[0] = p.Flip()
-	toClear := append([]Lit(nil), learnt...)
+	s.toClear = append(s.toClear[:0], learnt...)
 
 	// Minimize: drop literals implied by the rest (cheap local check).
 	out := learnt[:1]
 	for _, q := range learnt[1:] {
 		r := s.reason[q.Var()]
-		if r == nil {
+		if r == crefNone {
 			out = append(out, q)
 			continue
 		}
 		redundant := true
-		for _, l := range r.lits {
+		for _, l := range s.lits(r) {
 			if l == q.Flip() {
 				continue
 			}
@@ -314,9 +369,10 @@ func (s *Sat) analyze(confl *clause) (learnt []Lit, backLevel int) {
 	}
 	// Keep seen consistent: clear flags for every var touched, including
 	// literals dropped by minimization.
-	for _, q := range toClear {
+	for _, q := range s.toClear {
 		s.seen[q.Var()] = false
 	}
+	s.learnt = learnt
 	learnt = out
 
 	// Compute backtrack level: max level among learnt[1:].
@@ -350,9 +406,11 @@ func (s *Sat) cancelUntil(level int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
+		v := l.Var()
+		s.reason[v] = crefNone
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:s.trailLim[level]]
@@ -366,52 +424,10 @@ func (s *Sat) pickBranchVar() int {
 		if v < 0 {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
-}
-
-func (s *Sat) reduceDB() {
-	// Drop the least active half of the learnt clauses (keep binary ones).
-	if len(s.learnts) < 100 {
-		return
-	}
-	// Partial selection: simple threshold on median-ish activity.
-	var sum float64
-	for _, c := range s.learnts {
-		sum += c.activity
-	}
-	avg := sum / float64(len(s.learnts))
-	kept := s.learnts[:0]
-	removed := map[*clause]bool{}
-	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || c.activity >= avg || s.locked(c) {
-			kept = append(kept, c)
-		} else {
-			removed[c] = true
-		}
-	}
-	if len(removed) == 0 {
-		return
-	}
-	s.learnts = kept
-	// Rebuild watches excluding removed clauses.
-	for li := range s.watches {
-		ws := s.watches[li]
-		j := 0
-		for _, w := range ws {
-			if !removed[w.c] {
-				ws[j] = w
-				j++
-			}
-		}
-		s.watches[li] = ws[:j]
-	}
-}
-
-func (s *Sat) locked(c *clause) bool {
-	return s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
 }
 
 // Solve determines satisfiability under the given assumptions. On
@@ -453,8 +469,8 @@ func (s *Sat) solveKeep(assumptions ...Lit) SolveResult {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(p, nil)
-			if confl := s.propagate(); confl != nil {
+			s.assign(p, crefNone)
+			if s.propagate() != crefNone {
 				// A conflict while placing assumptions means the
 				// assumption set is inconsistent with the formula.
 				return Unsat
@@ -462,7 +478,7 @@ func (s *Sat) solveKeep(assumptions ...Lit) SolveResult {
 		}
 
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefNone {
 			conflicts++
 			s.Conflict++
 			if budget > 0 && s.Conflict-baseConflicts > budget {
@@ -482,16 +498,15 @@ func (s *Sat) solveKeep(assumptions ...Lit) SolveResult {
 			s.cancelUntil(backLevel)
 			if len(learnt) == 1 {
 				s.cancelUntil(0)
-				if !s.enqueue(learnt[0], nil) {
+				if !s.enqueue(learnt[0], crefNone) {
 					s.ok = false
 					return Unsat
 				}
 				// Restart loop re-establishes assumptions.
 				continue
 			}
-			c := &clause{lits: learnt, learnt: true, activity: s.claInc}
-			s.learnts = append(s.learnts, c)
-			s.watchClause(c)
+			c := s.newClause(learnt)
+			s.learnts++
 			s.enqueue(learnt[0], c)
 			s.varInc *= 1.0 / 0.95
 			continue
@@ -501,7 +516,6 @@ func (s *Sat) solveKeep(assumptions ...Lit) SolveResult {
 			// Restart.
 			conflicts = 0
 			maxConflicts = maxConflicts * 3 / 2
-			s.reduceDB()
 			s.cancelUntil(len(assumptions))
 			continue
 		}
@@ -511,13 +525,13 @@ func (s *Sat) solveKeep(assumptions ...Lit) SolveResult {
 			return SatResult
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(MkLit(v, !s.phase[v]), nil)
+		s.assign(MkLit(v, !s.phase[v]), crefNone)
 	}
 }
 
 // ModelValue returns the value of variable v in the last satisfying
 // assignment. Unassigned variables report false.
-func (s *Sat) ModelValue(v int) bool { return s.assigns[v] == lTrue }
+func (s *Sat) ModelValue(v int) bool { return s.vals[MkLit(v, false)] == lTrue }
 
 // varHeap is a max-heap on variable activity with lazy deletion.
 type varHeap struct {

@@ -21,10 +21,11 @@ type Stats struct {
 // as SAT assumptions, so the common concolic pattern — many queries that
 // share a long path-condition prefix — is incremental.
 type Solver struct {
-	bld   *Builder
-	sat   *Sat
-	bl    *blaster
-	Stats Stats
+	bld    *Builder
+	sat    *Sat
+	bl     *blaster
+	assume []Lit // Check's assumption buffer
+	Stats  Stats
 
 	// MaxConflictsPerQuery bounds each query; 0 means unlimited. When a
 	// query exceeds the budget Check returns unknown=true.
@@ -32,18 +33,28 @@ type Solver struct {
 
 	// Observability handles (SetObs). All are nil-safe: an unwired
 	// solver pays one nil test per query.
-	obsQueries *obs.Counter
-	obsSat     *obs.Counter
-	obsUnsat   *obs.Counter
-	obsUnknown *obs.Counter
-	obsTimeNS  *obs.Counter
-	obsLatency *obs.Histogram
-	tracer     *obs.Tracer
+	obsQueries  *obs.Counter
+	obsSat      *obs.Counter
+	obsUnsat    *obs.Counter
+	obsUnknown  *obs.Counter
+	obsTimeNS   *obs.Counter
+	obsBlastNS  *obs.Counter
+	obsSearchNS *obs.Counter
+	obsLatency  *obs.Histogram
+	obsVars     *obs.Gauge
+	obsClauses  *obs.Gauge
+	obsLearnts  *obs.Gauge
+	tracer      *obs.Tracer
+
+	// CNF sizes last added to the size gauges, which sum over solvers.
+	gaugedVars, gaugedClauses, gaugedLearnts int
 }
 
 // SetObs wires the solver into an observability bundle: per-query
-// counters under "smt.*", a query-latency histogram (microseconds), and
-// per-query trace events when o carries a tracer. Safe with a nil o.
+// counters under "smt.*" (time split into blasting and CDCL search), a
+// query-latency histogram (microseconds), gauges of the CNF size summed
+// over every solver on the bundle, and per-query trace events when o
+// carries a tracer. Safe with a nil o.
 func (s *Solver) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
@@ -54,7 +65,12 @@ func (s *Solver) SetObs(o *obs.Obs) {
 	s.obsUnsat = m.Counter("smt.unsat")
 	s.obsUnknown = m.Counter("smt.unknown")
 	s.obsTimeNS = m.Counter("smt.solver_ns")
+	s.obsBlastNS = m.Counter("smt.blast_ns")
+	s.obsSearchNS = m.Counter("smt.search_ns")
 	s.obsLatency = m.Histogram("smt.query_us", obs.LatencyBoundsUS)
+	s.obsVars = m.Gauge("smt.cnf_vars")
+	s.obsClauses = m.Gauge("smt.cnf_clauses")
+	s.obsLearnts = m.Gauge("smt.learnts")
 	s.tracer = o.Trace()
 }
 
@@ -64,12 +80,26 @@ func NewSolver(b *Builder) *Solver {
 	return &Solver{bld: b, sat: sat, bl: newBlaster(b, sat)}
 }
 
+// gaugeSize adds the growth of the CNF since the last call to the size
+// gauges.
+func (s *Solver) gaugeSize() {
+	if s.obsVars == nil {
+		return
+	}
+	vars, clauses, learnts := s.sat.NumVars(), s.sat.clauses, s.sat.learnts
+	s.obsVars.Add(int64(vars - s.gaugedVars))
+	s.obsClauses.Add(int64(clauses - s.gaugedClauses))
+	s.obsLearnts.Add(int64(learnts - s.gaugedLearnts))
+	s.gaugedVars, s.gaugedClauses, s.gaugedLearnts = vars, clauses, learnts
+}
+
 // Check determines whether the conjunction of conds is satisfiable. Each
 // cond must have width 1. On sat, model assigns every variable blasted so
 // far (variables not constrained get zero). unknown reports budget
 // exhaustion (callers treat it as unsat-for-now during exploration).
 func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool) {
 	start := time.Now()
+	var blastDur, searchDur time.Duration
 	defer func() {
 		dur := time.Since(start)
 		s.Stats.Queries++
@@ -79,7 +109,10 @@ func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool
 		s.Stats.SatProps = s.sat.Props
 		s.obsQueries.Inc()
 		s.obsTimeNS.Add(int64(dur))
+		s.obsBlastNS.Add(int64(blastDur))
+		s.obsSearchNS.Add(int64(searchDur))
 		s.obsLatency.ObserveDuration(dur)
+		s.gaugeSize()
 		result := "unsat"
 		switch {
 		case sat:
@@ -97,7 +130,7 @@ func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool
 		}
 	}()
 
-	assumptions := make([]Lit, 0, len(conds))
+	s.assume = s.assume[:0]
 	for _, c := range conds {
 		if c.Width != 1 {
 			panic("smt: Check condition must have width 1")
@@ -108,10 +141,13 @@ func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool
 		if c.IsTrue() {
 			continue
 		}
-		assumptions = append(assumptions, s.bl.blastBool(c))
+		s.assume = append(s.assume, s.bl.blastBool(c))
 	}
+	blasted := time.Now()
+	blastDur = blasted.Sub(start)
 	s.sat.Budget = s.MaxConflictsPerQuery
-	res := s.sat.solveKeep(assumptions...)
+	res := s.sat.solveKeep(s.assume...)
+	searchDur = time.Since(blasted)
 	if res != SatResult {
 		s.sat.cancelUntil(0)
 		if res == Unknown {
@@ -119,19 +155,15 @@ func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool
 		}
 		return false, nil, false
 	}
-	model = Assignment{}
-	for id, bits := range s.bl.varBits {
+	model = make(Assignment, len(s.bl.vars))
+	for _, bv := range s.bl.vars {
 		var v uint64
-		for i, l := range bits {
-			bv := s.sat.ModelValue(l.Var())
-			if l.Neg() {
-				bv = !bv
-			}
-			if bv {
+		for i, l := range bv.bits {
+			if s.sat.value(l) == lTrue {
 				v |= 1 << i
 			}
 		}
-		model[id] = v
+		model[bv.id] = v
 	}
 	s.sat.cancelUntil(0)
 	return true, model, false

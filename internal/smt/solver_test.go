@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rvcte/internal/obs"
 )
 
 func checkSat(t *testing.T, s *Solver, conds ...*Expr) Assignment {
@@ -566,5 +568,53 @@ func TestSolverBudgetStillBoundsQueries(t *testing.T) {
 	_, _, unknown := s.Check(hardFactorQuery(b, "hx", "hy", 251, 241)...)
 	if !unknown {
 		t.Fatal("budget of 1 conflict should exhaust on a factoring query")
+	}
+}
+
+// TestSolverObsLayers: Check's time splits into blasting and search
+// (their sum stays within smt.solver_ns, which also covers model
+// extraction), and the CNF size gauges grow with the CNF and sum over
+// every solver wired to the same bundle.
+func TestSolverObsLayers(t *testing.T) {
+	o := obs.New()
+	ps := newPathStream(3)
+	ps.s.SetObs(o)
+	read := func() *obs.Snapshot { return o.Registry().Snapshot() }
+	for i := 0; i < 50; i++ {
+		ps.step()
+	}
+	early := read()
+	for i := 0; i < 250; i++ {
+		ps.step()
+	}
+	snap := read()
+	total, blast, search := snap.Counters["smt.solver_ns"], snap.Counters["smt.blast_ns"], snap.Counters["smt.search_ns"]
+	if blast <= 0 || search <= 0 || blast+search > total {
+		t.Errorf("time split: blast %d + search %d must be positive and within solver %d", blast, search, total)
+	}
+	sat := ps.s.sat
+	want := map[string]int64{
+		"smt.cnf_vars":    int64(sat.NumVars()),
+		"smt.cnf_clauses": int64(sat.clauses),
+		"smt.learnts":     int64(sat.learnts),
+	}
+	for name, n := range want {
+		if got := snap.Gauges[name]; got != n || n <= early.Gauges[name] {
+			t.Errorf("%s = %d (after 50 queries %d), want %d and growing", name, got, early.Gauges[name], n)
+		}
+	}
+
+	// A second solver adds its own CNF to the sums.
+	b := NewBuilder()
+	s2 := NewSolver(b)
+	s2.SetObs(o)
+	x := b.Var(8, "x")
+	checkSat(t, s2, b.Eq(b.Mul(x, x), b.Const(8, 49)))
+	sum := read()
+	if got, want := sum.Gauges["smt.cnf_vars"], int64(sat.NumVars()+s2.sat.NumVars()); got != want {
+		t.Errorf("smt.cnf_vars over two solvers = %d, want %d", got, want)
+	}
+	if got, want := sum.Gauges["smt.cnf_clauses"], int64(sat.clauses+s2.sat.clauses); got != want {
+		t.Errorf("smt.cnf_clauses over two solvers = %d, want %d", got, want)
 	}
 }
