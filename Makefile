@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native examples clean
+.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native loc examples clean
 
 all: verify
 
@@ -143,6 +143,12 @@ fuzz-native:
 	    $(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) -parallel 2 ./$$(dirname $$f) || exit 1; \
 	  done; \
 	done
+
+# Non-test Go line count (ROADMAP: a tracked number): the main module,
+# then the separate bench/ module.
+loc:
+	@printf 'main module:  '; find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'bench module: '; find bench -path bench/.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,6 +1,7 @@
 package iss
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"rvcte/internal/rv32"
@@ -186,6 +187,11 @@ type bbCache struct {
 	ramBase, ramSize uint32
 
 	hits, misses, invals uint64
+
+	// one is the block decodeOne refills for every one-record step,
+	// allocated on first use; it is live only for the runBlock call it
+	// feeds.
+	one *bblock
 }
 
 func newBBCache(ramBase, ramSize uint32) *bbCache {
@@ -240,9 +246,8 @@ func (bc *bbCache) markDirty(lo, hi uint32) {
 
 // lookup returns the decoded block starting at pc, decoding it on a
 // miss and publishing the result to the shared table when possible. A
-// nil return means the first instruction at pc cannot be fetched or
-// decoded; the caller falls back to Step for exact legacy error
-// reporting.
+// nil return means the instruction at pc cannot be fetched (see
+// fetchFault).
 func (bc *bbCache) lookup(c *Core, pc uint32) *bblock {
 	if len(bc.blocks) > 0 { // fuzz/path clones usually have no private blocks
 		if b := bc.blocks[pc]; b != nil {
@@ -366,9 +371,6 @@ func (bc *bbCache) freeze() {
 // layer is rebuilt lazily, and the dirty set is inherited (the clone's
 // memory contains the parent's writes).
 func (bc *bbCache) cloneFor() *bbCache {
-	if bc == nil {
-		return newBBCache(0, 0)
-	}
 	n := newBBCache(bc.ramBase, bc.ramSize)
 	n.shared = bc.shared
 	if bc.dirty != nil {
@@ -395,7 +397,7 @@ func (c *Core) noteMemWrite(addr uint32, n int) {
 		}
 	}
 	bc := c.bb
-	if bc == nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	end := addr + uint32(n)
@@ -416,9 +418,6 @@ func (c *Core) noteMemWrite(addr uint32, n int) {
 // BBStats returns the block-cache hit, miss and invalidation counts
 // accumulated by this core.
 func (c *Core) BBStats() (hits, misses, invals uint64) {
-	if c.bb == nil {
-		return 0, 0, 0
-	}
 	return c.bb.hits, c.bb.misses, c.bb.invals
 }
 
@@ -437,31 +436,45 @@ func blockEnds(op rv32.Op) bool {
 	return false
 }
 
-// decodeBlock decodes the basic block starting at pc from the concrete
-// bytes of guest memory. Decoding mirrors fetch's validity checks and
-// stops before the first unfetchable or illegal instruction, so
-// erroring PCs always take the legacy Step path and fail identically.
-// Returns nil when no instruction could be decoded at all.
+// fetchAt fetches and decodes the instruction at pc from the concrete
+// bytes of guest memory, without side effects. When pc cannot be
+// executed it returns the fault kind and message instead: a misaligned
+// pc, or a 2- or 4-byte fetch leaving RAM, is ErrIllegalJump; an
+// illegal encoding is ErrIllegalInstr.
+func (c *Core) fetchAt(pc uint32) (rv32.Inst, ErrKind, string) {
+	if pc&1 != 0 {
+		return rv32.Inst{}, ErrIllegalJump, "misaligned pc"
+	}
+	if !c.inRAM(pc, 2) {
+		return rv32.Inst{}, ErrIllegalJump, "pc outside memory"
+	}
+	b0, _ := c.Mem.LoadByteRaw(pc)
+	b1, _ := c.Mem.LoadByteRaw(pc + 1)
+	word := uint32(b0) | uint32(b1)<<8
+	if word&3 == 3 {
+		if !c.inRAM(pc, 4) {
+			return rv32.Inst{}, ErrIllegalJump, "pc outside memory"
+		}
+		b2, _ := c.Mem.LoadByteRaw(pc + 2)
+		b3, _ := c.Mem.LoadByteRaw(pc + 3)
+		word |= uint32(b2)<<16 | uint32(b3)<<24
+	}
+	inst := rv32.Decode(word)
+	if inst.Op == rv32.OpIllegal {
+		return rv32.Inst{}, ErrIllegalInstr, fmt.Sprintf("encoding %#x", word)
+	}
+	return inst, ErrNone, ""
+}
+
+// decodeBlock decodes the basic block starting at pc. It stops before
+// the first instruction that cannot be fetched, so a faulting PC always
+// starts a block of its own, and returns nil when that is the first.
 func (c *Core) decodeBlock(start uint32) *bblock {
 	pc := start
 	b := &bblock{start: start}
 	for len(b.ops) < maxBlockOps {
-		if pc&1 != 0 || !c.inRAM(pc, 2) {
-			break
-		}
-		b0, _ := c.Mem.LoadByteRaw(pc)
-		b1, _ := c.Mem.LoadByteRaw(pc + 1)
-		word := uint32(b0) | uint32(b1)<<8
-		if word&3 == 3 {
-			if !c.inRAM(pc, 4) {
-				break
-			}
-			b2, _ := c.Mem.LoadByteRaw(pc + 2)
-			b3, _ := c.Mem.LoadByteRaw(pc + 3)
-			word |= uint32(b2)<<16 | uint32(b3)<<24
-		}
-		inst := rv32.Decode(word)
-		if inst.Op == rv32.OpIllegal {
+		inst, kind, _ := c.fetchAt(pc)
+		if kind != ErrNone {
 			break
 		}
 		b.ops = append(b.ops, makeDecoded(pc, inst))
@@ -477,6 +490,29 @@ func (c *Core) decodeBlock(start uint32) *bblock {
 	if !c.NoFusion {
 		fuseBlock(b)
 	}
+	return b
+}
+
+// decodeOne decodes the instruction at pc into a one-record block that
+// bypasses the block cache: the path of Step and of every core with an
+// ExecHook (whose hook then sees the instruction before its handler
+// runs). nil when pc cannot be fetched.
+func (c *Core) decodeOne(pc uint32) *bblock {
+	inst, kind, _ := c.fetchAt(pc)
+	if kind != ErrNone {
+		return nil
+	}
+	b := c.bb.one
+	if b == nil {
+		b = &bblock{ops: make([]decoded, 1)}
+		c.bb.one = b
+	}
+	d := &b.ops[0]
+	*d = makeDecoded(pc, inst)
+	if c.ExecHook != nil {
+		d.fn = stepHooked
+	}
+	b.start, b.end = pc, d.npc
 	return b
 }
 
@@ -523,7 +559,7 @@ func tryFuse(a, b *decoded) (decoded, bool) {
 	case rv32.OpSLT, rv32.OpSLTU, rv32.OpSLTI, rv32.OpSLTIU:
 		// slt* rd, ... ; beqz/bnez rd  →  one compare-and-branch. Only
 		// the concrete case is fused at runtime (symbolic compares must
-		// keep the legacy EPC/TC structure, see stepFusedCmpBr).
+		// keep the per-instruction EPC/TC structure, see stepFusedCmpBr).
 		if (b.op != rv32.OpBEQ && b.op != rv32.OpBNE) || b.rs2 != 0 || b.rs1 != a.rd || a.rd == 0 {
 			return decoded{}, false
 		}

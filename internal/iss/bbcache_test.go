@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rvcte/internal/asm"
+	"rvcte/internal/rv32"
 	"rvcte/internal/smt"
 )
 
@@ -48,12 +49,16 @@ func TestSMCInvalidatesCachedBlock(t *testing.T) {
 	}
 }
 
+// declineHook is an ExecHook that runs every instruction natively: it
+// selects the uncached one-record path (decode per step, no fusion).
+func declineHook(*Core, rv32.Inst) bool { return false }
+
 func TestSMCWithoutCacheMatches(t *testing.T) {
 	c := buildCore(t, smcGuest)
-	c.NoBlockCache = true
+	c.ExecHook = declineHook
 	c.Run(0)
 	if c.ExitCode != 42 {
-		t.Fatalf("legacy path exit code %d want 42", c.ExitCode)
+		t.Fatalf("one-record path exit code %d want 42", c.ExitCode)
 	}
 }
 
@@ -133,7 +138,7 @@ func TestCloneSMCConcurrent(t *testing.T) {
 
 // equivGuest mixes fusible pairs (lui+addi via li, auipc+addi via la,
 // slt+bnez), symbolic data, loads/stores and branches so the
-// equivalence check covers the fused, unfused and legacy execution
+// equivalence check covers the fused, unfused and one-record execution
 // paths on the same trace.
 const equivGuest = `
 _start:
@@ -168,9 +173,11 @@ name: .asciz "x"
 `
 
 // TestCacheEquivalence runs the same concolic execution with the cache
-// on, the cache on without fusion, and the legacy step loop, and
-// requires bit-identical architectural results: registers, counters,
-// exit state, console output, trace conditions and edge coverage.
+// on, the cache on without fusion, and on the uncached one-record path
+// (one instruction decoded per step, no fusion, no cross-instruction
+// state), and requires bit-identical architectural results: registers,
+// counters, exit state, console output, trace conditions and edge
+// coverage.
 func TestCacheEquivalence(t *testing.T) {
 	img, err := asm.Assemble(equivGuest, ramBase)
 	if err != nil {
@@ -178,10 +185,12 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 	input := []byte{3, 200, 7, 250, 1, 2, 3, 4}
 
-	exec := func(noCache, noFusion bool) *Core {
+	exec := func(oneRecord, noFusion bool) *Core {
 		c := New(smt.NewBuilder(), Config{RamBase: ramBase, RamSize: ramSize, MaxInstr: 1_000_000})
 		c.LoadImage(img.Origin, img.Bytes, img.Entry())
-		c.NoBlockCache = noCache
+		if oneRecord {
+			c.ExecHook = declineHook
+		}
 		c.NoFusion = noFusion
 		c.FuzzInput = input
 		c.EdgeMap = make([]byte, 1<<16)
@@ -189,7 +198,7 @@ func TestCacheEquivalence(t *testing.T) {
 		return c
 	}
 
-	ref := exec(true, false) // legacy fetch/decode/execute loop
+	ref := exec(true, false)
 	for _, v := range []struct {
 		name     string
 		noFusion bool
@@ -219,7 +228,7 @@ func TestCacheEquivalence(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(got.EdgeMap, ref.EdgeMap) {
-			t.Errorf("%s: edge coverage bitmap differs from legacy loop", v.name)
+			t.Errorf("%s: edge coverage bitmap differs from the one-record path", v.name)
 		}
 	}
 }
@@ -324,5 +333,36 @@ func TestBlockTablePublish(t *testing.T) {
 	bc.freeze()
 	if bc.shared == tb || bc.shared.load(first.start) != nil || bc.shared.load(last.start) != last {
 		t.Fatal("freeze kept a block over a written line or dropped a clean one")
+	}
+}
+
+// TestExecHookTakesOver: a core with an ExecHook shows the hook every
+// retired instruction, skips the native handler of each instruction the
+// hook takes over, and never touches the block cache.
+func TestExecHookTakesOver(t *testing.T) {
+	c := buildCore(t, `
+	_start:
+		li a0, 1
+		addi a0, a0, 2
+		addi a0, a0, 4
+	`+exitSeq)
+	seen := 0
+	c.ExecHook = func(c *Core, in rv32.Inst) bool {
+		seen++
+		if in.Op == rv32.OpADDI && in.Imm == 4 {
+			c.PC += uint32(in.Size) // take it over as a nop
+			return true
+		}
+		return false
+	}
+	c.Run(0)
+	if !c.Exited || c.ExitCode != 3 {
+		t.Fatalf("exit (%v, %d) err=%v, want 3: the hooked addi must not also run natively", c.Exited, c.ExitCode, c.Err)
+	}
+	if uint64(seen) != c.InstrCount {
+		t.Fatalf("hook saw %d instructions, %d retired", seen, c.InstrCount)
+	}
+	if hits, misses, _ := c.BBStats(); hits+misses != 0 {
+		t.Fatalf("hooked core used the block cache: %d hits, %d misses", hits, misses)
 	}
 }

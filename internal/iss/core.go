@@ -8,21 +8,22 @@
 // between the software under test and peripheral functions, interrupt
 // lines, and protected memory zones for heap overflow detection.
 //
-// # Execution engines
+// # Execution engine
 //
-// The ISS has two architecturally equivalent execution engines. Step
-// (core.go, exec.go) is the legacy reference: fetch, decode and a
-// switch over every opcode, once per instruction. Run normally executes
-// through the predecoded basic-block cache instead (bbcache.go,
-// dispatch.go): straight-line blocks are decoded once into pre-resolved
-// operation records dispatched through per-opcode handler functions,
-// with adjacent hot pairs fused into superinstructions. Blocks are
-// invalidated when the memory they cover is written, and Core.Freeze
-// publishes them into a shared layer that concurrent clones extend
-// lazily — so a fuzzing or multi-path campaign decodes each block once,
-// not once per execution. Core.NoBlockCache and Core.NoFusion select
-// the ablation points; results (registers, counters, EPC, trace
-// conditions, edge coverage) are bit-identical across all three modes.
+// The ISS has one executor: per-opcode handler functions (dispatch.go)
+// run over pre-resolved operation records by runBlock, which owns the
+// per-instruction prologue (budget, event delivery, fork pre-state, edge
+// map, coverage, trace ring). Run normally feeds it predecoded basic
+// blocks from the block cache (bbcache.go): straight-line blocks are
+// decoded once, with adjacent hot pairs fused into superinstructions.
+// Blocks are invalidated when the memory they cover is written, and
+// Core.Freeze publishes them into a shared layer that concurrent clones
+// extend lazily — so a fuzzing or multi-path campaign decodes each block
+// once, not once per execution. Step, and Run on a core with an
+// ExecHook, decode one instruction per step into a one-record block
+// instead; a no-op ExecHook is the uncached ablation point and
+// Core.NoFusion the unfused one. Results (registers, counters, EPC,
+// trace conditions, edge coverage) are bit-identical across the three.
 //
 // Both the concolic re-execution mode (FuzzInput replay) and the
 // fuzzer's ConcreteOnly fast path — which skips all symbolic shadow
@@ -119,7 +120,7 @@ type TraceCond struct {
 
 // EdgeIndex returns the EdgeMap slot that executing the control-flow
 // edge from→to would hit. It must mirror the per-instruction update in
-// Step: cur = (pc>>1)*K; idx = cur ^ (prev>>1); prev = cur.
+// runBlock: cur = (pc>>1)*K; idx = cur ^ (prev>>1); prev = cur.
 func EdgeIndex(from, to uint32, mapLen int) uint32 {
 	cur := (to >> 1) * 0x9e3779b1
 	prev := ((from >> 1) * 0x9e3779b1) >> 1
@@ -337,7 +338,9 @@ type Core struct {
 	// ExecHook, when set, may take over execution of an instruction
 	// (returning true). Used by the nested-interpretation baseline
 	// (internal/nestedvm) that models running the VP inside a generic
-	// symbolic execution engine like S2E.
+	// symbolic execution engine like S2E. A core with an ExecHook
+	// decodes one instruction per step and never uses the block cache,
+	// so a hook that always returns false is the uncached ablation.
 	ExecHook func(c *Core, inst rv32.Inst) bool
 
 	Output []byte // console output from the guest
@@ -358,10 +361,6 @@ type Core struct {
 	ObsBBMisses *obs.Counter
 	ObsBBInval  *obs.Counter
 
-	// NoBlockCache disables the predecoded basic-block cache: Run then
-	// drives the legacy fetch/decode/execute Step loop. Used by the
-	// ablation benchmarks as the honest pre-cache baseline.
-	NoBlockCache bool
 	// NoFusion keeps the block cache but disables the superinstruction
 	// pass that fuses hot adjacent pairs (lui+addi, auipc+addi,
 	// compare+branch).
@@ -452,9 +451,7 @@ func New(b *smt.Builder, cfg Config) *Core {
 // outstanding.
 func (c *Core) Freeze() {
 	c.Mem.Freeze()
-	if c.bb != nil {
-		c.bb.freeze()
-	}
+	c.bb.freeze()
 }
 
 // Clone deep-copies the VP state so a new input can be executed from the
@@ -612,8 +609,8 @@ func (c *Core) SetObs(o *obs.Obs) {
 // Run executes until the core halts or maxInstr instructions have
 // retired (0 = use Cfg.MaxInstr; both 0 = unbounded). Execution flows
 // through the predecoded basic-block cache (bbcache.go) unless an
-// ExecHook is installed or NoBlockCache is set, in which case the
-// legacy per-instruction Step loop runs instead.
+// ExecHook is installed, in which case every instruction is decoded
+// into a one-record block of its own.
 func (c *Core) Run(maxInstr uint64) {
 	if maxInstr == 0 {
 		maxInstr = c.Cfg.MaxInstr
@@ -621,135 +618,76 @@ func (c *Core) Run(maxInstr uint64) {
 	if c.ObsInstr != nil || c.ObsExecs != nil || c.ObsBBHits != nil ||
 		c.ObsBBMisses != nil || c.ObsBBInval != nil {
 		start := c.InstrCount
-		var h0, m0, i0 uint64
-		if c.bb != nil {
-			h0, m0, i0 = c.bb.hits, c.bb.misses, c.bb.invals
-		}
+		h0, m0, i0 := c.bb.hits, c.bb.misses, c.bb.invals
 		defer func() {
 			c.ObsInstr.Add(int64(c.InstrCount - start))
 			c.ObsExecs.Inc()
-			if c.bb != nil {
-				c.ObsBBHits.Add(int64(c.bb.hits - h0))
-				c.ObsBBMisses.Add(int64(c.bb.misses - m0))
-				c.ObsBBInval.Add(int64(c.bb.invals - i0))
-			}
+			c.ObsBBHits.Add(int64(c.bb.hits - h0))
+			c.ObsBBMisses.Add(int64(c.bb.misses - m0))
+			c.ObsBBInval.Add(int64(c.bb.invals - i0))
 		}()
-	}
-	if c.ExecHook != nil || c.NoBlockCache || c.bb == nil {
-		for !c.Halted() {
-			if maxInstr > 0 && c.InstrCount >= maxInstr {
-				c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
-				return
-			}
-			c.Step()
-		}
-		return
 	}
 	c.runLimit = maxInstr
 	for !c.Halted() {
-		b := c.bb.lookup(c, c.PC)
-		if b == nil {
-			// The instruction at PC cannot be fetched or decoded (or an
-			// event pending here will redirect the PC): take one legacy
-			// Step so error reporting and event delivery stay identical.
-			if maxInstr > 0 && c.InstrCount >= maxInstr {
-				c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
-				return
-			}
-			c.Step()
-			continue
+		var b *bblock
+		if c.ExecHook != nil {
+			b = c.decodeOne(c.PC)
+		} else {
+			b = c.bb.lookup(c, c.PC)
 		}
-		c.runBlock(b, maxInstr)
+		if b == nil {
+			c.fetchFault(maxInstr)
+		} else {
+			c.runBlock(b, maxInstr)
+		}
 	}
 }
 
-// Step retires one instruction (or takes one interrupt).
+// Step retires one instruction or takes one interrupt. A notification
+// that switches into a peripheral function is not a step of its own:
+// the peripheral's first instruction runs in the same Step.
 func (c *Core) Step() {
 	if c.Halted() {
+		return
+	}
+	n, depth := c.InstrCount, len(c.ctxStack)
+	c.stepOne()
+	if c.InstrCount == n && len(c.ctxStack) > depth && !c.Halted() {
+		c.stepOne()
+	}
+}
+
+// stepOne runs the instruction at PC as a one-record block, or its
+// fetch fault.
+func (c *Core) stepOne() {
+	if b := c.decodeOne(c.PC); b != nil {
+		c.runBlock(b, 0)
+	} else {
+		c.fetchFault(0)
+	}
+}
+
+// fetchFault handles a PC whose instruction cannot be fetched. The
+// instruction boundary's budget check and event delivery come first, as
+// in runBlock; when neither intervenes the path fails with the fetch
+// error. A fault retires nothing: no counter, edge, coverage or trace
+// ring update.
+func (c *Core) fetchFault(maxInstr uint64) {
+	if maxInstr > 0 && c.InstrCount >= maxInstr {
+		c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
 		return
 	}
 	if c.CaptureForks {
 		c.stepUnsafe = false
 	}
-	// Deliver notifications and interrupts only at peripheral depth 0,
-	// so peripheral functions execute atomically (they model hardware).
-	if len(c.ctxStack) == 0 {
-		if c.dispatchNotifications() {
-			// Context-switched into a notified peripheral function; the
-			// next fetch executes it.
-		} else if c.takeInterrupt() {
-			return
-		}
-	}
-	if c.CaptureForks {
-		c.recordPreState()
-	}
-	inst, ok := c.fetch()
-	if !ok {
+	if len(c.ctxStack) == 0 && (c.dispatchNotifications() || c.takeInterrupt()) {
 		return
 	}
-	if c.protoDirty {
-		c.protoRefresh()
+	// A host model's notification may have written code at PC; then the
+	// caller retries the fetch.
+	if _, kind, msg := c.fetchAt(c.PC); kind != ErrNone {
+		c.fail(kind, c.PC, msg)
 	}
-	if c.EdgeMap != nil {
-		if c.edgeMask == 0 {
-			c.initEdgeBank()
-		}
-		cur := (c.PC >> 1) * 0x9e3779b1
-		idx := c.protoBank + (cur^c.prevLoc)&c.edgeMask
-		if c.EdgeMap[idx] != 0xff {
-			c.EdgeMap[idx]++
-		}
-		c.prevLoc = cur >> 1
-	}
-	if c.TrackCoverage {
-		c.Coverage.Add(c.PC)
-	}
-	if c.TraceDepth > 0 {
-		if len(c.traceRing) < c.TraceDepth {
-			c.traceRing = append(c.traceRing, TraceEntry{PC: c.PC, Inst: inst})
-		} else {
-			c.traceRing[c.traceNext] = TraceEntry{PC: c.PC, Inst: inst}
-		}
-		c.traceNext = (c.traceNext + 1) % c.TraceDepth
-	}
-	if c.ExecHook == nil || !c.ExecHook(c, inst) {
-		c.execute(inst)
-	}
-	c.InstrCount++
-	if c.CyclesPer != nil {
-		c.Cycles += c.CyclesPer(inst.Op)
-	} else {
-		c.Cycles++
-	}
-}
-
-// fetch reads and decodes the instruction at PC.
-func (c *Core) fetch() (rv32.Inst, bool) {
-	if c.PC&1 != 0 {
-		c.fail(ErrIllegalJump, c.PC, "misaligned pc")
-		return rv32.Inst{}, false
-	}
-	if !c.inRAM(c.PC, 2) {
-		c.fail(ErrIllegalJump, c.PC, "pc outside memory")
-		return rv32.Inst{}, false
-	}
-	lo := c.Mem.Load(c.PC, 2)
-	word := lo.C
-	if word&3 == 3 {
-		if !c.inRAM(c.PC, 4) {
-			c.fail(ErrIllegalJump, c.PC, "pc outside memory")
-			return rv32.Inst{}, false
-		}
-		hi := c.Mem.Load(c.PC+2, 2)
-		word |= hi.C << 16
-	}
-	inst := rv32.Decode(word)
-	if inst.Op == rv32.OpIllegal {
-		c.fail(ErrIllegalInstr, c.PC, fmt.Sprintf("encoding %#x", word))
-		return rv32.Inst{}, false
-	}
-	return inst, true
 }
 
 // dispatchNotifications fires due CTE_notify callbacks. Reports whether a

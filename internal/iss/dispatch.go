@@ -8,16 +8,17 @@ import (
 	"rvcte/internal/smt"
 )
 
-// This file is the direct-threaded execution engine over predecoded
-// blocks (bbcache.go): each decoded record carries a handler function
-// pointer resolved once at decode time, so the hot loop is
-// prologue → indirect call → epilogue with no fetch, no rv32.Decode and
-// no opcode switch. Every handler mirrors the corresponding arm of the
-// legacy execute switch exactly — the legacy Step path stays the
-// semantic reference (and the NoBlockCache ablation baseline).
+// This file is the ISS's only executor: a direct-threaded engine over
+// decoded records. Each record carries a handler function pointer
+// resolved once at decode time, so the hot loop is prologue → indirect
+// call → epilogue with no fetch, no rv32.Decode and no opcode switch.
+// Records come in predecoded blocks from the block cache (bbcache.go),
+// or one at a time for Step and for cores with an ExecHook
+// (decodeOne). The independent references are the concrete VP
+// (internal/vp) and the nested interpreter (internal/nestedvm).
 
-// decoded is one pre-resolved operation record of a basic block. It is
-// immutable after decode (blocks are shared across clones).
+// decoded is one pre-resolved operation record of a basic block. Cached
+// records are immutable after decode (blocks are shared across clones).
 type decoded struct {
 	fn     stepFn
 	op     rv32.Op
@@ -103,11 +104,15 @@ func init() {
 	for _, op := range []rv32.Op{rv32.OpCSRRWI, rv32.OpCSRRSI, rv32.OpCSRRCI} {
 		stepTab[op] = stepCSRI
 	}
+	for op, fn := range stepTab {
+		if fn == nil {
+			stepTab[op] = stepUnknown
+		}
+	}
 }
 
 // makeDecoded builds the operation record for inst at pc, resolving the
-// handler and pre-computing the load/store metadata the legacy switch
-// looks up per execution.
+// handler and pre-computing the load/store metadata.
 func makeDecoded(pc uint32, inst rv32.Inst) decoded {
 	d := decoded{
 		fn: stepTab[inst.Op], op: inst.Op,
@@ -126,16 +131,13 @@ func makeDecoded(pc uint32, inst rv32.Inst) decoded {
 	case rv32.OpLW, rv32.OpSW:
 		d.msize = 4
 	}
-	if d.fn == nil {
-		d.fn = stepUnknown
-	}
 	return d
 }
 
-// runBlock executes the records of b in order, reproducing the exact
-// per-instruction structure of Run+Step: budget check, event delivery
-// at peripheral depth 0, edge/coverage/ring bookkeeping, execution,
-// retire accounting. It returns on halt, on a control transfer out of
+// runBlock executes the records of b in order, each with the full
+// per-instruction structure: budget check, event delivery at peripheral
+// depth 0, edge/coverage/ring bookkeeping, execution, retire
+// accounting. It returns on halt, on a control transfer out of
 // the block (last record), on a context switch, and on bbAbort
 // (peripheral entry or block invalidation).
 func (c *Core) runBlock(b *bblock, maxInstr uint64) {
@@ -258,6 +260,16 @@ func (c *Core) pairBoundary(d *decoded) {
 	}
 }
 
+// stepHooked is the handler of every record a core with an ExecHook
+// runs: the hook sees the instruction first, and the opcode's own
+// handler runs only when the hook declines it.
+func stepHooked(c *Core, d *decoded) rv32.Op {
+	if c.ExecHook(c, d.inst) {
+		return d.op
+	}
+	return stepTab[d.op](c, d)
+}
+
 func stepUnknown(c *Core, d *decoded) rv32.Op {
 	c.fail(ErrIllegalInstr, c.PC, d.op.String())
 	return d.op
@@ -355,8 +367,7 @@ func stepStore(c *Core, d *decoded) rv32.Op {
 	return d.op
 }
 
-// aluTail advances the PC after a non-branching record, matching the
-// fallthrough epilogue of the legacy execute switch.
+// aluTail advances the PC after a non-branching record.
 func aluTail(c *Core, d *decoded) rv32.Op {
 	if !c.Halted() {
 		c.PC = d.npc
@@ -540,8 +551,7 @@ func stepWFI(c *Core, d *decoded) rv32.Op {
 
 func stepCSR(c *Core, d *decoded) rv32.Op {
 	old := c.readCSR(uint16(d.imm))
-	v := c.reg(d.rs1)
-	nv := c.concretizeVal(v, "csr write")
+	nv := c.concretize(c.reg(d.rs1), "csr write")
 	switch d.op {
 	case rv32.OpCSRRW:
 		c.writeCSR(uint16(d.imm), nv)

@@ -8,210 +8,6 @@ import (
 	"rvcte/internal/smt"
 )
 
-// execute retires one decoded instruction.
-func (c *Core) execute(in rv32.Inst) {
-	o := c.Ops
-	cur := c.PC
-	next := c.PC + uint32(in.Size)
-
-	switch in.Op {
-	case rv32.OpLUI:
-		c.setReg(in.Rd, concolic.Concrete(uint32(in.Imm)))
-	case rv32.OpAUIPC:
-		c.setReg(in.Rd, concolic.Concrete(c.PC+uint32(in.Imm)))
-	case rv32.OpJAL:
-		c.setReg(in.Rd, concolic.Concrete(next))
-		c.PC = c.PC + uint32(in.Imm)
-		return
-	case rv32.OpJALR:
-		target := c.reg(in.Rs1)
-		// A symbolic jump target is concretized (paper §2.2
-		// "Concretization"): the EPC is extended with target == N.
-		taddr := c.concretize(target, "jump target")
-		c.setReg(in.Rd, concolic.Concrete(next))
-		c.PC = (taddr + uint32(in.Imm)) &^ 1
-		return
-
-	case rv32.OpBEQ, rv32.OpBNE, rv32.OpBLT, rv32.OpBGE, rv32.OpBLTU, rv32.OpBGEU:
-		a, b := c.reg(in.Rs1), c.reg(in.Rs2)
-		var taken bool
-		var cond *smt.Expr
-		switch in.Op {
-		case rv32.OpBEQ:
-			taken, cond = o.CmpEq(a, b)
-		case rv32.OpBNE:
-			taken, cond = o.CmpNe(a, b)
-		case rv32.OpBLT:
-			taken, cond = o.CmpLt(a, b)
-		case rv32.OpBGE:
-			taken, cond = o.CmpGe(a, b)
-		case rv32.OpBLTU:
-			taken, cond = o.CmpLtu(a, b)
-		default:
-			taken, cond = o.CmpGeu(a, b)
-		}
-		if cond != nil {
-			flipTo := next
-			if !taken {
-				flipTo = c.PC + uint32(in.Imm)
-			}
-			c.branchFlip(taken, cond, flipTo)
-		}
-		if taken {
-			c.PC = c.PC + uint32(in.Imm)
-		} else {
-			c.PC = next
-		}
-		return
-
-	case rv32.OpLB, rv32.OpLH, rv32.OpLW, rv32.OpLBU, rv32.OpLHU:
-		size := map[rv32.Op]int{rv32.OpLB: 1, rv32.OpLBU: 1, rv32.OpLH: 2, rv32.OpLHU: 2, rv32.OpLW: 4}[in.Op]
-		signed := in.Op == rv32.OpLB || in.Op == rv32.OpLH
-		addr := c.effAddr(in.Rs1, in.Imm)
-		if c.Halted() {
-			return
-		}
-		if !c.memLoad(addr, size, in.Rd, signed, next) {
-			return // context switched to a peripheral; pc already saved
-		}
-	case rv32.OpSB, rv32.OpSH, rv32.OpSW:
-		size := map[rv32.Op]int{rv32.OpSB: 1, rv32.OpSH: 2, rv32.OpSW: 4}[in.Op]
-		addr := c.effAddr(in.Rs1, in.Imm)
-		if c.Halted() {
-			return
-		}
-		if !c.memStore(addr, size, c.reg(in.Rs2), next) {
-			return
-		}
-
-	case rv32.OpADDI:
-		c.setReg(in.Rd, o.Add(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpSLTI:
-		c.setReg(in.Rd, o.Slt(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpSLTIU:
-		c.setReg(in.Rd, o.Sltu(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpXORI:
-		c.setReg(in.Rd, o.Xor(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpORI:
-		c.setReg(in.Rd, o.Or(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpANDI:
-		c.setReg(in.Rd, o.And(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpSLLI:
-		c.setReg(in.Rd, o.Sll(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpSRLI:
-		c.setReg(in.Rd, o.Srl(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-	case rv32.OpSRAI:
-		c.setReg(in.Rd, o.Sra(c.reg(in.Rs1), concolic.Concrete(uint32(in.Imm))))
-
-	case rv32.OpADD:
-		c.setReg(in.Rd, o.Add(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpSUB:
-		c.setReg(in.Rd, o.Sub(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpSLL:
-		c.setReg(in.Rd, o.Sll(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpSLT:
-		c.setReg(in.Rd, o.Slt(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpSLTU:
-		c.setReg(in.Rd, o.Sltu(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpXOR:
-		c.setReg(in.Rd, o.Xor(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpSRL:
-		c.setReg(in.Rd, o.Srl(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpSRA:
-		c.setReg(in.Rd, o.Sra(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpOR:
-		c.setReg(in.Rd, o.Or(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpAND:
-		c.setReg(in.Rd, o.And(c.reg(in.Rs1), c.reg(in.Rs2)))
-
-	case rv32.OpMUL:
-		c.setReg(in.Rd, o.Mul(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpMULH:
-		c.setReg(in.Rd, o.MulH(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpMULHSU:
-		c.setReg(in.Rd, o.MulHSU(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpMULHU:
-		c.setReg(in.Rd, o.MulHU(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpDIV:
-		c.setReg(in.Rd, o.Div(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpDIVU:
-		c.setReg(in.Rd, o.DivU(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpREM:
-		c.setReg(in.Rd, o.Rem(c.reg(in.Rs1), c.reg(in.Rs2)))
-	case rv32.OpREMU:
-		c.setReg(in.Rd, o.RemU(c.reg(in.Rs1), c.reg(in.Rs2)))
-
-	case rv32.OpFENCE:
-		// No-op on a single-hart VP.
-	case rv32.OpECALL:
-		c.ecall()
-		if c.Halted() {
-			return
-		}
-		// CTE_return redirects the PC; only advance when the ecall left
-		// it in place.
-		if c.PC == cur {
-			c.PC = next
-		}
-		return
-	case rv32.OpEBREAK:
-		c.fail(ErrAssertFail, c.PC, "ebreak")
-		return
-	case rv32.OpMRET:
-		const mieBit, mpieBit = uint32(1 << 3), uint32(1 << 7)
-		c.MStatus = c.MStatus&^mieBit | (c.MStatus&mpieBit)>>4
-		c.MStatus |= mpieBit
-		c.PC = c.MEPC
-		for _, d := range c.trapDet {
-			d.OnMRet(c)
-		}
-		return
-	case rv32.OpWFI:
-		c.waitForInterrupt()
-
-	case rv32.OpCSRRW, rv32.OpCSRRS, rv32.OpCSRRC:
-		old := c.readCSR(uint16(in.Imm))
-		v := c.reg(in.Rs1)
-		nv := c.concretizeVal(v, "csr write")
-		switch in.Op {
-		case rv32.OpCSRRW:
-			c.writeCSR(uint16(in.Imm), nv)
-		case rv32.OpCSRRS:
-			if in.Rs1 != 0 {
-				c.writeCSR(uint16(in.Imm), old|nv)
-			}
-		case rv32.OpCSRRC:
-			if in.Rs1 != 0 {
-				c.writeCSR(uint16(in.Imm), old&^nv)
-			}
-		}
-		c.setReg(in.Rd, concolic.Concrete(old))
-	case rv32.OpCSRRWI, rv32.OpCSRRSI, rv32.OpCSRRCI:
-		old := c.readCSR(uint16(in.Imm))
-		z := uint32(in.Rs2)
-		switch in.Op {
-		case rv32.OpCSRRWI:
-			c.writeCSR(uint16(in.Imm), z)
-		case rv32.OpCSRRSI:
-			if z != 0 {
-				c.writeCSR(uint16(in.Imm), old|z)
-			}
-		case rv32.OpCSRRCI:
-			if z != 0 {
-				c.writeCSR(uint16(in.Imm), old&^z)
-			}
-		}
-		c.setReg(in.Rd, concolic.Concrete(old))
-
-	default:
-		c.fail(ErrIllegalInstr, c.PC, in.Op.String())
-		return
-	}
-	if !c.Halted() {
-		c.PC = next
-	}
-}
-
 // Exported accessors for ExecHook implementations (the nested-VM
 // baseline executes through these so CTE semantics stay identical).
 
@@ -282,10 +78,6 @@ func (c *Core) concretize(v concolic.Value, what string) uint32 {
 		_ = what
 	}
 	return v.C
-}
-
-func (c *Core) concretizeVal(v concolic.Value, what string) uint32 {
-	return c.concretize(v, what)
 }
 
 // branch handles a symbolic branch condition per §2.2: emit a TC for the

@@ -68,8 +68,8 @@ var benchInput = func() []byte {
 
 // benchVariants are the block-cache ablation axes (EXPERIMENTS.md
 // "Block cache ablation"): the default predecoded-dispatch path, the
-// cache without superinstruction fusion, and the legacy
-// fetch/decode/execute loop.
+// cache without superinstruction fusion, and the uncached one-record
+// path (a declining ExecHook: one instruction decoded per step).
 var benchVariants = []struct {
 	name              string
 	noCache, noFusion bool
@@ -92,7 +92,9 @@ func BenchmarkConcreteExec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clear(edge)
 				c := snap.Clone()
-				c.NoBlockCache = v.noCache
+				if v.noCache {
+					c.ExecHook = declineHook
+				}
 				c.NoFusion = v.noFusion
 				c.ConcreteOnly = true
 				c.FuzzInput = benchInput
@@ -121,7 +123,9 @@ func BenchmarkConcolicExec(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := snap.Clone()
-				c.NoBlockCache = v.noCache
+				if v.noCache {
+					c.ExecHook = declineHook
+				}
 				c.NoFusion = v.noFusion
 				c.FuzzInput = benchInput
 				c.Run(0)

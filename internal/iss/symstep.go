@@ -12,41 +12,16 @@ import (
 // auxiliary state (protected zones, make_symbolic generations, pending
 // peripheral work).
 
-// DecodedAt returns the decoded instruction at pc, going through the
-// predecoded basic-block cache when enabled so a symbolic stepper shares
-// the concolic engine's translations (and their invalidation discipline)
-// instead of re-decoding per step. ok is false when pc cannot be fetched
-// or decoded; the caller maps that to its bad-PC trap detector.
+// DecodedAt returns the decoded instruction at pc through the
+// predecoded basic-block cache, so a symbolic stepper shares the
+// concolic engine's translations (and their invalidation discipline)
+// instead of re-decoding per step. ok is false when pc cannot be
+// fetched or decoded; the caller maps that to its bad-PC trap detector.
 func (c *Core) DecodedAt(pc uint32) (rv32.Inst, bool) {
-	if c.bb != nil && !c.NoBlockCache {
-		if b := c.bb.lookup(c, pc); b != nil && len(b.ops) > 0 && b.ops[0].pc == pc {
-			return b.ops[0].inst, true
-		}
-		// lookup failed: fall through to the legacy fetch for the
-		// precise error classification below.
+	if b := c.bb.lookup(c, pc); b != nil {
+		return b.ops[0].inst, true
 	}
-	saved := c.PC
-	savedErr := c.Err
-	c.PC = pc
-	c.Err = nil
-	inst, ok := c.fetch()
-	c.PC = saved
-	c.Err = savedErr
-	return inst, ok
-}
-
-// FetchErrAt classifies why pc is not executable, mirroring fetch():
-// misaligned pc and out-of-memory pc are ErrIllegalJump, an undecodable
-// word is ErrIllegalInstr. Only meaningful when DecodedAt returned !ok.
-func (c *Core) FetchErrAt(pc uint32) ErrKind {
-	if pc&1 != 0 || !c.inRAM(pc, 2) {
-		return ErrIllegalJump
-	}
-	lo := c.Mem.Load(pc, 2)
-	if lo.C&3 == 3 && !c.inRAM(pc, 4) {
-		return ErrIllegalJump
-	}
-	return ErrIllegalInstr
+	return rv32.Inst{}, false
 }
 
 // ZonesSnapshot copies the currently protected memory zones.

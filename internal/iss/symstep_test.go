@@ -6,9 +6,9 @@ import (
 	"rvcte/internal/rv32"
 )
 
-// TestDecodedAt: the symbolic-step decode hook must return the same
-// instruction with and without the block cache, and classify bad PCs
-// the way fetch() would fail them.
+// TestDecodedAt: the symbolic-step decode hook must return, through
+// the block cache, the instruction the one-record path fetches, and
+// refuse the PCs that path faults on.
 func TestDecodedAt(t *testing.T) {
 	c := buildCore(t, `
 	_start:
@@ -16,17 +16,16 @@ func TestDecodedAt(t *testing.T) {
 		addi a0, a0, 1
 	`+exitSeq)
 
-	inst, ok := c.DecodedAt(ramBase)
-	if !ok || inst.Op == rv32.OpIllegal {
-		t.Fatalf("DecodedAt(entry) = %v/%v, want a decodable instruction", inst.Op, ok)
+	for pc := uint32(ramBase); pc < ramBase+16; pc += 2 {
+		inst, ok := c.DecodedAt(pc)
+		ref, kind, _ := c.fetchAt(pc)
+		if ok != (kind == ErrNone) || inst != ref {
+			t.Fatalf("DecodedAt(%#x) = %+v/%v, one-record fetch gave %+v/%v", pc, inst, ok, ref, kind)
+		}
 	}
-	// Same answer through the legacy path.
-	c.NoBlockCache = true
-	inst2, ok2 := c.DecodedAt(ramBase)
-	if !ok2 || inst2 != inst {
-		t.Fatalf("legacy DecodedAt = %+v/%v, cache gave %+v", inst2, ok2, inst)
+	if inst, _ := c.DecodedAt(ramBase); inst.Op == rv32.OpIllegal {
+		t.Fatal("DecodedAt(entry) returned no instruction")
 	}
-	c.NoBlockCache = false
 
 	// DecodedAt must not disturb the core: PC and Err stay put.
 	if c.PC != ramBase || c.Err != nil {
@@ -45,8 +44,8 @@ func TestDecodedAt(t *testing.T) {
 		if _, ok := c.DecodedAt(tc.pc); ok {
 			t.Errorf("%s: DecodedAt succeeded", tc.name)
 		}
-		if got := c.FetchErrAt(tc.pc); got != tc.kind {
-			t.Errorf("%s: FetchErrAt = %v, want %v", tc.name, got, tc.kind)
+		if _, got, _ := c.fetchAt(tc.pc); got != tc.kind {
+			t.Errorf("%s: fetchAt = %v, want %v", tc.name, got, tc.kind)
 		}
 	}
 }

@@ -10,14 +10,18 @@
 // the specialized engine (paper §3.1.2, §4.1). The contrast is
 // deliberate: the native engine caches decoded basic blocks across
 // executions (see internal/iss bbcache.go), while this baseline
-// re-translates every instruction on every step by design — installing
-// an ExecHook also routes iss.Core.Run through the legacy per-step
-// loop, so the baseline never silently benefits from the block cache.
+// re-translates every instruction on every step by design — a core with
+// an ExecHook decodes one instruction per step into a one-record block
+// and never uses the block cache, so the baseline never silently
+// benefits from it.
 //
 // The CTE semantics (path condition tracking, peripherals, protected
-// zones) are inherited unchanged from internal/iss through its ExecHook
-// interface, so results are bit-identical to the native engine — only
-// the execution mechanism differs.
+// zones, system instructions) are inherited unchanged from internal/iss
+// through its ExecHook interface, so results are bit-identical to the
+// native engine — only the execution mechanism differs. Because its
+// micro-op semantics for the ALU, branch, jump and memory instructions
+// are its own, it is also an independent reference for the ISS's
+// handlers.
 package nestedvm
 
 import (

@@ -267,6 +267,17 @@ func signExtend(v uint32, bit uint) int32 {
 	return int32(v<<shift) >> shift
 }
 
+// rKey selects an R-type operation by funct3 and funct7.
+type rKey struct{ f3, f7 uint32 }
+
+var rTypeOps = map[rKey]Op{
+	{0, 0}: OpADD, {0, 0x20}: OpSUB, {1, 0}: OpSLL, {2, 0}: OpSLT,
+	{3, 0}: OpSLTU, {4, 0}: OpXOR, {5, 0}: OpSRL, {5, 0x20}: OpSRA,
+	{6, 0}: OpOR, {7, 0}: OpAND,
+	{0, 1}: OpMUL, {1, 1}: OpMULH, {2, 1}: OpMULHSU, {3, 1}: OpMULHU,
+	{4, 1}: OpDIV, {5, 1}: OpDIVU, {6, 1}: OpREM, {7, 1}: OpREMU,
+}
+
 // Decode decodes the instruction starting with the 32-bit little-endian
 // word w (for compressed instructions only the low 16 bits are used).
 func Decode(w uint32) Inst {
@@ -348,18 +359,7 @@ func Decode(w uint32) Inst {
 		}
 		return ill
 	case 0x33: // op
-		type key struct {
-			f3 uint32
-			f7 uint32
-		}
-		ops := map[key]Op{
-			{0, 0}: OpADD, {0, 0x20}: OpSUB, {1, 0}: OpSLL, {2, 0}: OpSLT,
-			{3, 0}: OpSLTU, {4, 0}: OpXOR, {5, 0}: OpSRL, {5, 0x20}: OpSRA,
-			{6, 0}: OpOR, {7, 0}: OpAND,
-			{0, 1}: OpMUL, {1, 1}: OpMULH, {2, 1}: OpMULHSU, {3, 1}: OpMULHU,
-			{4, 1}: OpDIV, {5, 1}: OpDIVU, {6, 1}: OpREM, {7, 1}: OpREMU,
-		}
-		op, ok := ops[key{funct3, funct7}]
+		op, ok := rTypeOps[rKey{funct3, funct7}]
 		if !ok {
 			return ill
 		}
@@ -458,12 +458,16 @@ func decodeCompressed(h uint16) Inst {
 		case 4:
 			f2 := bits(w, 11, 10)
 			switch f2 {
-			case 0: // C.SRLI
-				sh := bits(w, 12, 12)<<5 | bits(w, 6, 2)
-				return Inst{Op: OpSRLI, Rd: rs1P, Rs1: rs1P, Imm: int32(sh), Size: 2, Raw: w}
-			case 1: // C.SRAI
-				sh := bits(w, 12, 12)<<5 | bits(w, 6, 2)
-				return Inst{Op: OpSRAI, Rd: rs1P, Rs1: rs1P, Imm: int32(sh), Size: 2, Raw: w}
+			case 0: // C.SRLI (shamt[5] set is reserved on RV32)
+				if bits(w, 12, 12) != 0 {
+					return ill
+				}
+				return Inst{Op: OpSRLI, Rd: rs1P, Rs1: rs1P, Imm: int32(bits(w, 6, 2)), Size: 2, Raw: w}
+			case 1: // C.SRAI (likewise)
+				if bits(w, 12, 12) != 0 {
+					return ill
+				}
+				return Inst{Op: OpSRAI, Rd: rs1P, Rs1: rs1P, Imm: int32(bits(w, 6, 2)), Size: 2, Raw: w}
 			case 2: // C.ANDI
 				imm := signExtend(bits(w, 12, 12)<<5|bits(w, 6, 2), 5)
 				return Inst{Op: OpANDI, Rd: rs1P, Rs1: rs1P, Imm: imm, Size: 2, Raw: w}
@@ -486,9 +490,11 @@ func decodeCompressed(h uint16) Inst {
 	case 2:
 		rd := uint8(bits(w, 11, 7))
 		switch funct3 {
-		case 0: // C.SLLI
-			sh := bits(w, 12, 12)<<5 | bits(w, 6, 2)
-			return Inst{Op: OpSLLI, Rd: rd, Rs1: rd, Imm: int32(sh), Size: 2, Raw: w}
+		case 0: // C.SLLI (shamt[5] set is reserved on RV32)
+			if bits(w, 12, 12) != 0 {
+				return ill
+			}
+			return Inst{Op: OpSLLI, Rd: rd, Rs1: rd, Imm: int32(bits(w, 6, 2)), Size: 2, Raw: w}
 		case 2: // C.LWSP
 			if rd == 0 {
 				return ill
