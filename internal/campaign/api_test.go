@@ -2,9 +2,12 @@ package campaign
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -67,6 +70,80 @@ func TestHTTPStatusCodes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create = %d, want 201", resp.StatusCode)
+	}
+}
+
+// endlessBody is a request body of n bytes, a JSON string value that
+// never closes, generated as it is read. read is atomic: the client's
+// transport may still be reading when the response arrives.
+type endlessBody struct {
+	read atomic.Int64
+	n    int64
+}
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	off := b.read.Load()
+	if off >= b.n {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), b.n-off)]
+	const prefix = `{"prog":"`
+	for i := range p {
+		p[i] = 'a'
+		if off+int64(i) < int64(len(prefix)) {
+			p[i] = prefix[off+int64(i)]
+		}
+	}
+	b.read.Add(int64(len(p)))
+	return len(p), nil
+}
+
+// TestBodyBounds: a body over maxBodyBytes is refused with 413 after
+// the server has read about the cap, so neither the bytes read nor the
+// bytes allocated grow with the body, and a body naming a field the
+// endpoint does not know is refused with 400.
+func TestBodyBounds(t *testing.T) {
+	co, _ := newTestCoordinator(t)
+	ts := httptest.NewServer(NewServer(co, nil))
+	defer ts.Close()
+
+	for path, body := range map[string]string{
+		"/campaigns":                `{"prog":"storm-s","progr":"x"}`,
+		"/campaigns/c999/lease":     `{"worker":"w","workers":2}`,
+		"/campaigns/c999/heartbeat": `{"lease":"x","ttl":5}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with an unknown field = %d, want 400", path, resp.StatusCode)
+		}
+	}
+
+	body := &endlessBody{n: 64 * maxBodyBytes}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/campaigns", "application/json", body)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body = %d, want 413", resp.StatusCode)
+	}
+	if sent := body.read.Load(); sent >= body.n/4 {
+		t.Errorf("client sent %d of %d bytes before the refusal", sent, body.n)
+	}
+	// The JSON decoder buffers one value, growing its buffer by doubling
+	// up to the cap: a few times the cap in all, whatever the body size.
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte body: %d bytes sent, %d allocated", body.n, body.read.Load(), alloc)
+	if alloc > 8*maxBodyBytes {
+		t.Errorf("refusing a %d-byte body allocated %d bytes, bound %d", body.n, alloc, 8*maxBodyBytes)
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"rvcte/internal/obs"
@@ -22,8 +23,9 @@ import (
 //	POST   /campaigns/{id}/results   — worker: return a lease (Result/ResultReply)
 //	POST   /campaigns/{id}/heartbeat — worker: extend a lease ({"lease": id}/HeartbeatReply)
 //
-// All bodies are JSON. Unknown campaigns are 404, malformed bodies 400,
-// invalid specs 422.
+// All bodies are JSON. Unknown campaigns are 404, malformed bodies and
+// bodies with unknown fields 400, bodies over maxBodyBytes 413, invalid
+// specs 422.
 func NewServer(co *Coordinator, o *obs.Obs) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Handler(o))
@@ -133,9 +135,24 @@ func NewServer(co *Coordinator, o *obs.Obs) http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps a request body. The largest body a campaign-tcpip
+// sweep sends, a lease's results, is about 180 KB; the cap leaves a
+// margin of more than 40 times for larger packets and batches.
+const maxBodyBytes = 8 << 20
+
+// decode reads one JSON value of r's body into v. A body over
+// maxBodyBytes is refused with 413 after reading at most that much, and
+// a malformed body or one naming a field v does not have with 400.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), code)
 		return false
 	}
 	return true

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -67,82 +68,46 @@ var bucketLUT = func() (t [256]byte) {
 	return
 }()
 
-// bucketize converts a raw edge map into sparse bucketized coverage and
-// its signature hash (FNV-1a over the (index, bucket) pairs).
-func bucketize(edge []byte) ([]edgeBit, uint64) {
-	var cov []edgeBit
+// bucketize converts the raw counts of an execution into sparse
+// bucketized coverage and its signature hash (FNV-1a over the (index,
+// bucket) pairs in ascending index order). touched lists the nonzero
+// slots of edge (iss.Core.EdgeTouched); it is sorted in place.
+func bucketize(edge []byte, touched []uint32) ([]edgeBit, uint64) {
+	slices.Sort(touched)
+	cov := make([]edgeBit, 0, len(touched))
 	hash := uint64(0xcbf29ce484222325)
-	var word [12]byte
-	// Skip zero bytes eight at a time: the map is sparse (a few thousand
-	// edges in a 64 KiB map) and this scan runs once per execution.
-	for i := 0; i < len(edge); i += 8 {
-		if binary.LittleEndian.Uint64(edge[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if edge[j] == 0 {
-				continue
-			}
-			b := bucketLUT[edge[j]]
-			cov = append(cov, edgeBit{Idx: uint32(j), Bits: b})
-			binary.LittleEndian.PutUint32(word[:4], uint32(j))
-			word[4] = b
-			for _, c := range word[:5] {
-				hash ^= uint64(c)
-				hash *= 0x100000001b3
-			}
+	var word [5]byte
+	for _, i := range touched {
+		b := bucketLUT[edge[i]]
+		cov = append(cov, edgeBit{Idx: i, Bits: b})
+		binary.LittleEndian.PutUint32(word[:4], i)
+		word[4] = b
+		for _, c := range word {
+			hash ^= uint64(c)
+			hash *= 0x100000001b3
 		}
 	}
 	return cov, hash
 }
 
-const (
-	lowBits  = 0x7f7f7f7f7f7f7f7f
-	highBits = 0x8080808080808080
-)
-
-// bucketLUT16 is bucketLUT applied to two packed counts at once, so
-// classifying eight counts takes four lookups.
-var bucketLUT16 = func() (t [1 << 16]uint16) {
-	for i := range t {
-		t[i] = uint16(bucketLUT[i&0xff]) | uint16(bucketLUT[i>>8])<<8
-	}
-	return
-}()
-
-// classify8 maps the eight raw hit counts packed in w to their count
-// classes (bucketLUT), byte for byte.
-func classify8(w uint64) uint64 {
-	return uint64(bucketLUT16[uint16(w)]) |
-		uint64(bucketLUT16[uint16(w>>16)])<<16 |
-		uint64(bucketLUT16[uint16(w>>32)])<<32 |
-		uint64(bucketLUT16[uint16(w>>48)])<<48
-}
-
-// mergeCoverage folds one execution's raw edge map into the virgin map
-// eight entries at a time: it classifies the counts, ORs the classes
-// into virgin, and returns how many virgin bits it set (0 = nothing new)
-// and how many virgin entries went from zero to nonzero. It is the
-// word-wise equivalent of virginMerge(virgin, cov) for bucketize's cov,
-// without materializing cov; len(edge) must be a multiple of 8.
-func mergeCoverage(virgin, edge []byte) (newBits, newEntries int) {
-	for i := 0; i < len(edge); i += 8 {
-		w := binary.LittleEndian.Uint64(edge[i:])
-		if w == 0 {
-			continue
-		}
-		v := binary.LittleEndian.Uint64(virgin[i:])
-		nb := classify8(w) &^ v
+// mergeTouched folds one execution's raw counts into the virgin map: it
+// classifies the count of every touched slot, ORs the class into virgin,
+// and returns how many virgin bits it set (0 = nothing new) and how many
+// virgin entries went from zero to nonzero. It visits only the slots in
+// touched, in any order; for the full touched list it equals
+// virginMerge(virgin, cov) for bucketize's cov, without building cov.
+func mergeTouched(virgin, edge []byte, touched []uint32) (newBits, newEntries int) {
+	for _, i := range touched {
+		v := virgin[i]
+		nb := bucketLUT[edge[i]] &^ v
 		if nb == 0 {
 			continue
 		}
-		binary.LittleEndian.PutUint64(virgin[i:], v|nb)
-		newBits += bits.OnesCount64(nb)
-		// High bit of every zero byte of v, and of every nonzero byte of
-		// nb (carry-free: the low seven bits are added separately).
-		zeroV := ^((v&lowBits + lowBits) | v | lowBits)
-		setNB := ((nb&lowBits + lowBits) | nb) & highBits
-		newEntries += bits.OnesCount64(zeroV & setNB)
+		if v == 0 {
+			newEntries++
+		}
+		virgin[i] = v | nb
+		newBits += bits.OnesCount8(nb)
 	}
 	return newBits, newEntries
 }

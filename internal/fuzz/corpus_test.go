@@ -5,15 +5,17 @@ import (
 	"testing"
 )
 
-// TestBucketize: raw hit counts map to afl count classes, zero bytes are
-// skipped, and the signature is order- and content-sensitive.
+// TestBucketize: raw hit counts map to afl count classes, the touched
+// list is visited in ascending slot order whatever order it comes in,
+// and the signature is content-sensitive.
 func TestBucketize(t *testing.T) {
 	edge := make([]byte, 64)
 	edge[3] = 1    // bucket 1
 	edge[10] = 3   // bucket 4
 	edge[17] = 9   // bucket 16
 	edge[40] = 200 // bucket 128
-	cov, sig := bucketize(edge)
+	touched := func() []uint32 { return []uint32{17, 3, 40, 10} }
+	cov, sig := bucketize(edge, touched())
 	want := []edgeBit{{3, 1}, {10, 4}, {17, 16}, {40, 128}}
 	if len(cov) != len(want) {
 		t.Fatalf("cov length %d want %d", len(cov), len(want))
@@ -23,19 +25,19 @@ func TestBucketize(t *testing.T) {
 			t.Errorf("cov[%d] = %+v want %+v", i, eb, want[i])
 		}
 	}
-	_, sig2 := bucketize(edge)
+	_, sig2 := bucketize(edge, []uint32{3, 10, 17, 40})
 	if sig != sig2 {
-		t.Error("signature not deterministic")
+		t.Error("signature depends on the touched list's order")
 	}
 	edge[3] = 2 // different bucket, same edges
-	if _, sig3 := bucketize(edge); sig3 == sig {
+	if _, sig3 := bucketize(edge, touched()); sig3 == sig {
 		t.Error("bucket change did not change signature")
 	}
 }
 
 // virginMerge ORs cov into the virgin map and returns how many
 // previously-unseen bits it set (0 = nothing new). It is the byte-wise
-// reference for mergeCoverage.
+// reference for mergeTouched.
 func virginMerge(virgin []byte, cov []edgeBit) int {
 	n := 0
 	for _, eb := range cov {

@@ -9,13 +9,15 @@
 // Each execution clones the frozen snapshot (copy-on-write memory) and
 // runs on the ISS's predecoded basic-block cache: all clones share one
 // decoded-block table, so per-execution cost is mutation + dispatch,
-// not re-decoding the guest. After the run, the raw edge map is merged
-// into the virgin map word by word (mergeCoverage), allocating nothing;
-// the sparse per-entry coverage is built only for inputs the corpus
-// admits, and the clone's memory is released so its copied pages serve
-// the next execution. iss.bb.* counters expose the cache behaviour;
-// fuzz.execs over wall time is the throughput headline (EXPERIMENTS.md
-// "Block cache ablation", "Concrete fuzz throughput").
+// not re-decoding the guest. The ISS lists the edge-map slots each run
+// touches (iss.Core.EdgeTouched); only those are merged into the virgin
+// map (mergeTouched) and zeroed again, so the cost after a run follows
+// the edges it took, not the map size. The sparse per-entry coverage is
+// built only for inputs the corpus admits, and the clone's memory is
+// released so its copied pages serve the next execution. iss.bb.*
+// counters expose the cache behaviour; fuzz.execs over wall time is the
+// throughput headline (EXPERIMENTS.md "Block cache ablation", "Concrete
+// fuzz throughput").
 package fuzz
 
 import (
@@ -93,10 +95,12 @@ type queued struct {
 }
 
 // workerState is the per-worker scratch: a private PRNG (seeded from
-// Options.Seed and the worker index) and a reusable edge map.
+// Options.Seed and the worker index), a reusable edge map, all zero
+// between executions, and the list of slots the last execution touched.
 type workerState struct {
-	rng  *rand.Rand
-	edge []byte
+	rng     *rand.Rand
+	edge    []byte
+	touched []uint32
 }
 
 // Fuzzer owns the frozen snapshot, the corpus, and the virgin coverage
@@ -225,16 +229,20 @@ func (f *Fuzzer) step(ws *workerState) {
 	c.ObsBBHits = f.bbHits
 	c.ObsBBMisses = f.bbMisses
 	c.ObsBBInval = f.bbInval
-	clear(ws.edge)
 	c.EdgeMap = ws.edge
+	c.EdgeTouched = ws.touched[:0]
 	// The snapshot may carry pre-executed initialization (skip-init
 	// optimization); count only this run's instructions.
 	startInstr := c.InstrCount
 	c.Run(f.opt.MaxInstrPerRun)
+	ws.touched = c.EdgeTouched
 
 	f.mu.Lock()
-	f.mergeLocked(q, c, c.InstrCount-startInstr, ws.edge)
+	f.mergeLocked(q, c, c.InstrCount-startInstr, ws.edge, ws.touched)
 	f.mu.Unlock()
+	for _, i := range ws.touched {
+		ws.edge[i] = 0
+	}
 	c.Mem.Release()
 }
 
@@ -302,7 +310,7 @@ func (f *Fuzzer) weightedPickLocked(rng *rand.Rand) *Entry {
 
 // mergeLocked folds one finished execution into the corpus, coverage,
 // finding, and stats state.
-func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte) {
+func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, touched []uint32) {
 	data := q.data
 	f.stats.Execs++
 	f.stats.TotalInstr += instrs
@@ -334,7 +342,7 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte) 
 		}
 	}
 
-	newBits, newEntries := mergeCoverage(f.virgin, edge)
+	newBits, newEntries := mergeTouched(f.virgin, edge, touched)
 	if newEntries > 0 {
 		f.edgeEntries += newEntries
 		f.obsEdges.Set(int64(f.edgeEntries))
@@ -352,7 +360,7 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte) 
 	if newBits == 0 && !q.injected {
 		return
 	}
-	cov, sig := bucketize(edge)
+	cov, sig := bucketize(edge, touched)
 	keep := data
 	if c.FuzzPos < len(keep) {
 		// Unconsumed tail bytes cannot influence behaviour — trim them so

@@ -174,3 +174,32 @@ func TestFuzzerMinimize(t *testing.T) {
 		t.Error("minimize emptied the corpus")
 	}
 }
+
+// TestEdgeMapCleanAfterStep: after every execution the worker's edge
+// map is all zero again (the fuzzer zeroes only the touched slots, so a
+// slot missing from the list would leak its count into the next
+// execution), and the touched list names each slot once.
+func TestEdgeMapCleanAfterStep(t *testing.T) {
+	f := tcpipFuzzer(t, 2)
+	ws := f.ws[0]
+	maxTouched := 0
+	for i := 0; i < 300; i++ {
+		f.RunBatch(1)
+		for j, n := range ws.edge {
+			if n != 0 {
+				t.Fatalf("exec %d: slot %d holds %d after the merge", i, j, n)
+			}
+		}
+		seen := make(map[uint32]bool, len(ws.touched))
+		for _, idx := range ws.touched {
+			if seen[idx] {
+				t.Fatalf("exec %d: slot %d listed twice", i, idx)
+			}
+			seen[idx] = true
+		}
+		maxTouched = max(maxTouched, len(ws.touched))
+	}
+	if maxTouched == 0 {
+		t.Fatal("no execution touched the edge map")
+	}
+}

@@ -102,11 +102,22 @@ func TestFuzzTrajectoryPinned(t *testing.T) {
 
 // BenchmarkFuzzStep measures one pick→mutate→clone→run→merge iteration
 // on the buggy TCP/IP stack, after a warm-up that fills the shared block
-// table. Run with -benchmem (make bench-fuzz).
+// table. Besides execs/s it reports guest instr/s and edges/exec, the
+// mean touched-list length: the number of edge-map slots the merge and
+// the reset visit per execution. Run with -benchmem (make bench-fuzz).
 func BenchmarkFuzzStep(b *testing.B) {
 	f := tcpipFuzzer(b, 1)
 	f.RunBatch(300)
+	ws := f.ws[0]
+	instr0 := f.Stats().TotalInstr
+	touched := 0
 	b.ResetTimer()
-	f.RunBatch(b.N)
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "execs/s")
+	for i := 0; i < b.N; i++ {
+		f.step(ws)
+		touched += len(ws.touched)
+	}
+	sec := b.Elapsed().Seconds()
+	b.ReportMetric(float64(b.N)/sec, "execs/s")
+	b.ReportMetric(float64(f.Stats().TotalInstr-instr0)/sec, "instr/s")
+	b.ReportMetric(float64(touched)/float64(b.N), "edges/exec")
 }

@@ -56,7 +56,8 @@ const (
 type bblock struct {
 	start, end uint32
 	ops        []decoded
-	dead       bool // invalidated; still present in stale page lists
+	instrs     uint64 // instructions the block retires when run whole (a fused record counts 2)
+	dead       bool   // invalidated; still present in stale page lists
 }
 
 // blockTable is the translation cache shared by every clone of a frozen
@@ -183,7 +184,10 @@ type bbCache struct {
 	// only blocks decoded entirely from clean lines are published to the
 	// shared table. Tracked only while shared != nil — a root core's
 	// private layer is kept consistent by precise invalidation instead.
-	dirty            dirtySet
+	dirty dirtySet
+	// dirtyLo and dirtyHi bound the lines in dirty, so cleanRange answers
+	// for code outside the written extent with two compares.
+	dirtyLo, dirtyHi uint32
 	ramBase, ramSize uint32
 
 	hits, misses, invals uint64
@@ -211,8 +215,11 @@ func (bc *bbCache) cleanRange(start, end uint32) bool {
 	if bc.dirty == nil {
 		return true
 	}
-	last := (end - 1 - bc.ramBase) >> bbPageBits
-	for l := (start - bc.ramBase) >> bbPageBits; l <= last; l++ {
+	first, last := (start-bc.ramBase)>>bbPageBits, (end-1-bc.ramBase)>>bbPageBits
+	if last < bc.dirtyLo || first > bc.dirtyHi {
+		return true
+	}
+	for l := first; l <= last; l++ {
 		if bc.dirty.has(l) {
 			return false
 		}
@@ -234,12 +241,14 @@ func (bc *bbCache) markDirty(lo, hi uint32) {
 	if uint64(hi) > ramEnd {
 		hi = uint32(ramEnd)
 	}
+	first, last := (lo-bc.ramBase)>>bbPageBits, (hi-1-bc.ramBase)>>bbPageBits
 	if bc.dirty == nil {
 		lines := (bc.ramSize >> bbPageBits) + 1
 		bc.dirty = make(dirtySet, (lines>>dirtyLeafBits)+1)
+		bc.dirtyLo, bc.dirtyHi = first, last
 	}
-	last := (hi - 1 - bc.ramBase) >> bbPageBits
-	for l := (lo - bc.ramBase) >> bbPageBits; l <= last; l++ {
+	bc.dirtyLo, bc.dirtyHi = min(bc.dirtyLo, first), max(bc.dirtyHi, last)
+	for l := first; l <= last; l++ {
 		bc.dirty.add(l)
 	}
 }
@@ -375,6 +384,7 @@ func (bc *bbCache) cloneFor() *bbCache {
 	n.shared = bc.shared
 	if bc.dirty != nil {
 		n.dirty = bc.dirty.clone()
+		n.dirtyLo, n.dirtyHi = bc.dirtyLo, bc.dirtyHi
 	}
 	return n
 }
@@ -487,6 +497,7 @@ func (c *Core) decodeBlock(start uint32) *bblock {
 		return nil
 	}
 	b.end = pc
+	b.instrs = uint64(len(b.ops))
 	if !c.NoFusion {
 		fuseBlock(b)
 	}
@@ -504,7 +515,7 @@ func (c *Core) decodeOne(pc uint32) *bblock {
 	}
 	b := c.bb.one
 	if b == nil {
-		b = &bblock{ops: make([]decoded, 1)}
+		b = &bblock{ops: make([]decoded, 1), instrs: 1}
 		c.bb.one = b
 	}
 	d := &b.ops[0]
@@ -553,7 +564,7 @@ func tryFuse(a, b *decoded) (decoded, bool) {
 		}
 		f.k = f.k1 + uint32(b.imm)
 		f.op2, f.rd2 = b.op, b.rd
-		f.imm2, f.pc2, f.npc2, f.inst2 = b.imm, b.pc, b.npc, b.inst
+		f.imm2, f.pc2, f.npc2, f.loc2, f.inst2 = b.imm, b.pc, b.npc, b.loc, b.inst
 		return f, true
 
 	case rv32.OpSLT, rv32.OpSLTU, rv32.OpSLTI, rv32.OpSLTIU:
@@ -566,7 +577,7 @@ func tryFuse(a, b *decoded) (decoded, bool) {
 		f := *a
 		f.fn = stepFusedCmpBr
 		f.op2 = b.op
-		f.imm2, f.pc2, f.npc2, f.inst2 = b.imm, b.pc, b.npc, b.inst
+		f.imm2, f.pc2, f.npc2, f.loc2, f.inst2 = b.imm, b.pc, b.npc, b.loc, b.inst
 		return f, true
 	}
 	return decoded{}, false

@@ -12,10 +12,15 @@
 //
 // The ISS has one executor: per-opcode handler functions (dispatch.go)
 // run over pre-resolved operation records by runBlock, which owns the
-// per-instruction prologue (budget, event delivery, fork pre-state, edge
-// map, coverage, trace ring). Run normally feeds it predecoded basic
-// blocks from the block cache (bbcache.go): straight-line blocks are
-// decoded once, with adjacent hot pairs fused into superinstructions.
+// per-instruction prologue (budget, event delivery, edge map, and fork
+// pre-state, coverage and trace ring behind one per-Run flag). Budget
+// and event checks are block-granular where that cannot be observed: a
+// block that fits in the budget is not checked per record, and events
+// are delivered only once the cycle count reaches the earliest due
+// notification (nextDue) or an enabled interrupt is pending. Run
+// normally feeds it predecoded basic blocks from the block cache
+// (bbcache.go): straight-line blocks are decoded once, with adjacent
+// hot pairs fused into superinstructions.
 // Blocks are invalidated when the memory they cover is written, and
 // Core.Freeze publishes them into a shared layer that concurrent clones
 // extend lazily — so a fuzzing or multi-path campaign decodes each block
@@ -118,13 +123,15 @@ type TraceCond struct {
 	FlipTo   uint32
 }
 
+// edgeLoc is the edge-map hash of the instruction at pc, computed once
+// per record at decode time (decoded.loc).
+func edgeLoc(pc uint32) uint32 { return (pc >> 1) * 0x9e3779b1 }
+
 // EdgeIndex returns the EdgeMap slot that executing the control-flow
 // edge from→to would hit. It must mirror the per-instruction update in
-// runBlock: cur = (pc>>1)*K; idx = cur ^ (prev>>1); prev = cur.
+// hitEdge: idx = edgeLoc(to) ^ prev; prev = edgeLoc(to)>>1.
 func EdgeIndex(from, to uint32, mapLen int) uint32 {
-	cur := (to >> 1) * 0x9e3779b1
-	prev := ((from >> 1) * 0x9e3779b1) >> 1
-	return (cur ^ prev) & uint32(mapLen-1)
+	return (edgeLoc(to) ^ edgeLoc(from)>>1) & uint32(mapLen-1)
 }
 
 // HostModel is a peripheral implemented on the host side with full
@@ -245,8 +252,12 @@ type Core struct {
 	Input     smt.Assignment
 
 	notifications []notification
-	ctxStack      []savedCtx
-	zones         []Zone
+	// nextDue is the earliest Due over notifications (^0 when none), the
+	// event horizon runBlock compares Cycles against; reschedule keeps it
+	// current after every change to notifications.
+	nextDue  uint64
+	ctxStack []savedCtx
+	zones    []Zone
 
 	symCounters map[string]int // per-name make_symbolic counters
 
@@ -298,15 +309,22 @@ type Core struct {
 
 	// EdgeMap, when non-nil, collects hashed PC-pair edge coverage
 	// (AFL-style; the length must be a power of two). Unlike the
-	// Coverage set it costs one multiply, one xor and a saturating
-	// increment per retired instruction — cheap enough for fuzzing
-	// throughput. With ProtoStates > 1 the map is split into that many
-	// equal power-of-two banks and each edge lands in the bank selected
-	// by the guest's current protocol state (stateful-fuzzer
-	// state × edge coverage): revisiting an edge in a new protocol
-	// state counts as new coverage.
+	// Coverage set it costs one xor and a saturating increment per
+	// retired instruction (the PC hash is precomputed at decode time) —
+	// cheap enough for fuzzing throughput. With ProtoStates > 1 the map
+	// is split into that many equal power-of-two banks and each edge
+	// lands in the bank selected by the guest's current protocol state
+	// (stateful-fuzzer state × edge coverage): revisiting an edge in a
+	// new protocol state counts as new coverage.
 	EdgeMap []byte
-	prevLoc uint32
+	// EdgeTouched receives the index of every EdgeMap slot whose count
+	// leaves zero, in first-hit order. Counts saturate instead of
+	// wrapping, so on a map that starts all zero each index appears once
+	// and the list names every nonzero slot. The caller installs it (a
+	// reused array at length 0 allocates nothing) and reads it back after
+	// Run.
+	EdgeTouched []uint32
+	prevLoc     uint32
 
 	// ProtoStateAddr, when non-zero, names the guest byte holding the
 	// protocol state (e.g. a TCP session state variable). Writes that
@@ -414,6 +432,9 @@ type Core struct {
 	bb       *bbCache
 	bbAbort  bool
 	runLimit uint64
+	// bookkeeping is CaptureForks || TrackCoverage || TraceDepth > 0,
+	// fixed by Run and Step for the call: it gates runBlock's bookkeep.
+	bookkeeping bool
 
 	// CyclesPer assigns each executed instruction a fixed cycle cost
 	// (paper §3.2: "a simple timing model that assigns each RISC-V
@@ -433,6 +454,7 @@ func New(b *smt.Builder, cfg Config) *Core {
 		Cfg:         cfg,
 		symCounters: map[string]int{},
 		Input:       smt.Assignment{},
+		nextDue:     ^uint64(0),
 	}
 	c.Regs[2] = concolic.Concrete(cfg.StackTop)
 	c.bb = newBBCache(cfg.RamBase, cfg.RamSize)
@@ -508,6 +530,7 @@ func (c *Core) cloneNoMem() *Core {
 	n.ConcreteOnly = false
 	n.SymOrder = nil
 	n.EdgeMap = nil
+	n.EdgeTouched = nil
 	n.prevLoc = 0
 	n.edgeMask = 0
 	n.protoBank = 0
@@ -628,6 +651,7 @@ func (c *Core) Run(maxInstr uint64) {
 		}()
 	}
 	c.runLimit = maxInstr
+	c.bookkeeping = c.needsBookkeeping()
 	for !c.Halted() {
 		var b *bblock
 		if c.ExecHook != nil {
@@ -651,10 +675,17 @@ func (c *Core) Step() {
 		return
 	}
 	n, depth := c.InstrCount, len(c.ctxStack)
+	c.bookkeeping = c.needsBookkeeping()
 	c.stepOne()
 	if c.InstrCount == n && len(c.ctxStack) > depth && !c.Halted() {
 		c.stepOne()
 	}
+}
+
+// needsBookkeeping reports whether any mode that runBlock's bookkeep
+// serves is on.
+func (c *Core) needsBookkeeping() bool {
+	return c.CaptureForks || c.TrackCoverage || c.TraceDepth > 0
 }
 
 // stepOne runs the instruction at PC as a one-record block, or its
@@ -677,9 +708,7 @@ func (c *Core) fetchFault(maxInstr uint64) {
 		c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
 		return
 	}
-	if c.CaptureForks {
-		c.stepUnsafe = false
-	}
+	c.stepUnsafe = false
 	if len(c.ctxStack) == 0 && (c.dispatchNotifications() || c.takeInterrupt()) {
 		return
 	}
@@ -697,6 +726,7 @@ func (c *Core) dispatchNotifications() bool {
 		n := c.notifications[i]
 		if c.Cycles >= n.Due {
 			c.notifications = append(c.notifications[:i], c.notifications[i+1:]...)
+			c.reschedule()
 			if n.HostIdx > 0 {
 				// Host-model callbacks run atomically on the host side,
 				// dispatched through the (possibly cloned) peripheral.
@@ -737,10 +767,22 @@ func (c *Core) NotifyHostModel(m HostModel, event uint32, delay uint64) {
 	for i := range c.notifications {
 		if c.notifications[i].HostIdx == idx+1 && c.notifications[i].HostEvent == event {
 			c.notifications[i].Due = c.Cycles + delay
+			c.reschedule()
 			return
 		}
 	}
 	c.notifications = append(c.notifications, notification{HostIdx: idx + 1, HostEvent: event, Due: c.Cycles + delay})
+	c.reschedule()
+}
+
+// reschedule recomputes nextDue from the pending notifications. Every
+// change to c.notifications calls it, so runBlock can skip event
+// delivery with one compare while no notification is due.
+func (c *Core) reschedule() {
+	c.nextDue = ^uint64(0)
+	for _, n := range c.notifications {
+		c.nextDue = min(c.nextDue, n.Due)
+	}
 }
 
 // TriggerIRQ drives a machine interrupt line (host-side counterpart of
@@ -806,16 +848,21 @@ func (c *Core) AssumeValue(v concolic.Value) { c.assumeVal(v) }
 // AssertValue applies CTE_assert semantics to a concolic condition.
 func (c *Core) AssertValue(v concolic.Value) { c.assertVal(v) }
 
+// mstatusMIE is the global machine interrupt enable bit of mstatus.
+const mstatusMIE = 1 << 3
+
+// irqPending reports whether takeInterrupt would take an interrupt:
+// interrupts are enabled and an enabled line is pending.
+func (c *Core) irqPending() bool {
+	return c.MStatus&mstatusMIE != 0 && c.MIP&c.MIE != 0
+}
+
 // takeInterrupt checks mstatus.MIE and mie/mip and vectors to mtvec.
 func (c *Core) takeInterrupt() bool {
-	const mieBit = 1 << 3
-	if c.MStatus&mieBit == 0 {
+	if !c.irqPending() {
 		return false
 	}
 	pending := c.MIP & c.MIE
-	if pending == 0 {
-		return false
-	}
 	// Priority: external > software > timer (per privileged spec).
 	var cause uint32
 	switch {
@@ -830,8 +877,8 @@ func (c *Core) takeInterrupt() bool {
 	c.MCause = rv32.CauseInterruptFlag | cause
 	// mstatus: MPIE <- MIE, MIE <- 0
 	const mpieBit = 1 << 7
-	c.MStatus = c.MStatus&^mpieBit | (c.MStatus&mieBit)<<4
-	c.MStatus &^= mieBit
+	c.MStatus = c.MStatus&^mpieBit | (c.MStatus&mstatusMIE)<<4
+	c.MStatus &^= mstatusMIE
 	c.PC = c.MTVec &^ 3
 	for _, d := range c.trapDet {
 		if err := d.OnTrap(c, cause); err != nil {
@@ -900,21 +947,11 @@ func (c *Core) waitForInterrupt() {
 	if c.MIP&c.MIE != 0 {
 		return // something is already pending; wfi completes immediately
 	}
-	// Find the earliest notification that could eventually raise an
-	// interrupt and jump time forward.
-	var best uint64
-	found := false
-	for _, n := range c.notifications {
-		if !found || n.Due < best {
-			best = n.Due
-			found = true
-		}
-	}
-	if !found {
+	// Jump time forward to the earliest notification, which could
+	// eventually raise an interrupt.
+	if len(c.notifications) == 0 {
 		c.fail(ErrDeadlock, c.PC, "wfi with no pending notification or interrupt")
 		return
 	}
-	if best > c.Cycles {
-		c.Cycles = best
-	}
+	c.Cycles = max(c.Cycles, c.nextDue)
 }

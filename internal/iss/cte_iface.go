@@ -97,10 +97,12 @@ func (c *Core) ecall() {
 		for i := range c.notifications {
 			if c.notifications[i].Fn == fn {
 				c.notifications[i].Due = c.Cycles + uint64(delay)
+				c.reschedule()
 				return
 			}
 		}
 		c.notifications = append(c.notifications, notification{Fn: fn, Due: c.Cycles + uint64(delay)})
+		c.reschedule()
 
 	case SysReturn:
 		c.cteReturn()
@@ -203,6 +205,7 @@ func (c *Core) ecall() {
 		for i := range c.notifications {
 			if c.notifications[i].Fn == fn {
 				c.notifications = append(c.notifications[:i], c.notifications[i+1:]...)
+				c.reschedule()
 				return
 			}
 		}

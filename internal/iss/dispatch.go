@@ -30,16 +30,19 @@ type decoded struct {
 	imm    int32
 	pc     uint32
 	npc    uint32 // pc + instruction size
+	loc    uint32 // edgeLoc(pc), the edge-map hash of this instruction
 	inst   rv32.Inst
 
 	// Superinstruction (fused pair) fields; only set when fn is a fused
-	// handler. op2/imm2/pc2/npc2/inst2 describe the second instruction,
-	// k1/k are the precomputed results of the constant-load pair.
+	// handler. op2/imm2/pc2/npc2/loc2/inst2 describe the second
+	// instruction, k1/k are the precomputed results of the constant-load
+	// pair.
 	op2   rv32.Op
 	rd2   uint8
 	imm2  int32
 	pc2   uint32
 	npc2  uint32
+	loc2  uint32
 	k1, k uint32
 	inst2 rv32.Inst
 }
@@ -117,7 +120,7 @@ func makeDecoded(pc uint32, inst rv32.Inst) decoded {
 	d := decoded{
 		fn: stepTab[inst.Op], op: inst.Op,
 		rd: inst.Rd, rs1: inst.Rs1, rs2: inst.Rs2,
-		imm: inst.Imm, pc: pc, npc: pc + uint32(inst.Size), inst: inst,
+		imm: inst.Imm, pc: pc, npc: pc + uint32(inst.Size), loc: edgeLoc(pc), inst: inst,
 	}
 	switch inst.Op {
 	case rv32.OpLB:
@@ -134,32 +137,30 @@ func makeDecoded(pc uint32, inst rv32.Inst) decoded {
 	return d
 }
 
-// runBlock executes the records of b in order, each with the full
-// per-instruction structure: budget check, event delivery at peripheral
-// depth 0, edge/coverage/ring bookkeeping, execution, retire
-// accounting. It returns on halt, on a control transfer out of
-// the block (last record), on a context switch, and on bbAbort
-// (peripheral entry or block invalidation).
+// runBlock executes the records of b in order. Each record boundary
+// runs the per-instruction prologue: budget check, event delivery at
+// peripheral depth 0, edge map and the mode-dependent bookkeeping. The
+// prologue is block-granular where that cannot be observed: a block
+// whose retirements all fit in the budget skips the per-record budget
+// test, and event delivery is attempted only when a notification is due
+// (nextDue) or an enabled interrupt is pending. runBlock returns on halt,
+// on a control transfer out of the block (last record), on a context
+// switch, and on bbAbort (peripheral entry or block invalidation).
 func (c *Core) runBlock(b *bblock, maxInstr uint64) {
+	// Each record retires at most its share of b.instrs, so a block that
+	// fits cannot reach the budget at any of its boundaries.
+	budget := maxInstr > 0 && c.InstrCount+b.instrs > maxInstr
 	for i := range b.ops {
 		d := &b.ops[i]
 		c.PC = d.pc
-		if maxInstr > 0 && c.InstrCount >= maxInstr {
+		if budget && c.InstrCount >= maxInstr {
 			c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
 			return
 		}
-		if c.CaptureForks {
-			c.stepUnsafe = false
-		}
-		if len(c.ctxStack) == 0 {
-			if c.dispatchNotifications() {
-				return // context-switched into a peripheral function
-			} else if c.takeInterrupt() {
-				return
-			}
-		}
-		if c.CaptureForks {
-			c.recordPreState()
+		c.stepUnsafe = false // per boundary; only fork capture reads it
+		if len(c.ctxStack) == 0 && (c.Cycles >= c.nextDue || c.irqPending()) &&
+			(c.dispatchNotifications() || c.takeInterrupt()) {
+			return // context-switched into a peripheral function or a handler
 		}
 		if c.protoDirty {
 			c.protoRefresh()
@@ -168,35 +169,65 @@ func (c *Core) runBlock(b *bblock, maxInstr uint64) {
 			if c.edgeMask == 0 {
 				c.initEdgeBank()
 			}
-			cur := (c.PC >> 1) * 0x9e3779b1
-			idx := c.protoBank + (cur^c.prevLoc)&c.edgeMask
-			if c.EdgeMap[idx] != 0xff {
-				c.EdgeMap[idx]++
-			}
-			c.prevLoc = cur >> 1
+			c.hitEdge(d.loc)
 		}
-		if c.TrackCoverage {
-			c.Coverage.Add(c.PC)
-		}
-		if c.TraceDepth > 0 {
-			if len(c.traceRing) < c.TraceDepth {
-				c.traceRing = append(c.traceRing, TraceEntry{PC: c.PC, Inst: d.inst})
-			} else {
-				c.traceRing[c.traceNext] = TraceEntry{PC: c.PC, Inst: d.inst}
-			}
-			c.traceNext = (c.traceNext + 1) % c.TraceDepth
+		if c.bookkeeping {
+			c.bookkeep(d.pc, d.inst)
 		}
 		c.bbAbort = false
-		op := d.fn(c, d)
-		c.InstrCount++
-		if c.CyclesPer != nil {
-			c.Cycles += c.CyclesPer(op)
-		} else {
-			c.Cycles++
-		}
+		c.retire(d.fn(c, d))
 		if c.Halted() || c.bbAbort {
 			return
 		}
+	}
+}
+
+// retire counts one retired instruction and charges its cycles.
+func (c *Core) retire(op rv32.Op) {
+	c.InstrCount++
+	if c.CyclesPer != nil {
+		c.Cycles += c.CyclesPer(op)
+	} else {
+		c.Cycles++
+	}
+}
+
+// hitEdge counts the control-flow edge into the instruction whose
+// decode-time hash is loc (edgeLoc) in the current protocol bank, and
+// lists the slot in EdgeTouched when its count leaves zero. The caller
+// has derived the bank mask (initEdgeBank).
+func (c *Core) hitEdge(loc uint32) {
+	idx := c.protoBank + (loc^c.prevLoc)&c.edgeMask
+	c.prevLoc = loc >> 1
+	v := c.EdgeMap[idx]
+	if v == 0 {
+		c.EdgeTouched = append(c.EdgeTouched, idx)
+	}
+	if v != 0xff {
+		c.EdgeMap[idx] = v + 1
+	}
+}
+
+// bookkeep is the per-instruction work only some modes need: the fork
+// pre-state (CaptureForks), PC coverage (TrackCoverage) and the trace
+// ring (TraceDepth). Run and Step enable it for the whole call through
+// c.bookkeeping, so the fuzz and plain paths pay one test per record.
+// At a fused pair's internal boundary the pre-state it records is never
+// read: a record that pairs emits no trace condition.
+func (c *Core) bookkeep(pc uint32, inst rv32.Inst) {
+	if c.CaptureForks {
+		c.recordPreState()
+	}
+	if c.TrackCoverage {
+		c.Coverage.Add(pc)
+	}
+	if c.TraceDepth > 0 {
+		if len(c.traceRing) < c.TraceDepth {
+			c.traceRing = append(c.traceRing, TraceEntry{PC: pc, Inst: inst})
+		} else {
+			c.traceRing[c.traceNext] = TraceEntry{PC: pc, Inst: inst}
+		}
+		c.traceNext = (c.traceNext + 1) % c.TraceDepth
 	}
 }
 
@@ -212,51 +243,23 @@ func (c *Core) canPair() bool {
 	if c.runLimit > 0 && c.InstrCount+1 >= c.runLimit {
 		return false
 	}
-	if len(c.ctxStack) == 0 {
-		if len(c.notifications) != 0 {
-			return false
-		}
-		const mieBit = 1 << 3
-		if c.MStatus&mieBit != 0 && c.MIP&c.MIE != 0 {
-			return false
-		}
-	}
-	return true
+	return len(c.ctxStack) != 0 || len(c.notifications) == 0 && !c.irqPending()
 }
 
-// pairBoundary performs the full per-instruction bookkeeping at the
-// internal boundary of a fused pair: retire the first instruction and
-// run the prologue (edge map, coverage, trace ring) for the second, so
-// fused execution is bit-identical to two separate steps.
+// pairBoundary performs the per-instruction bookkeeping at the internal
+// boundary of a fused pair: retire the first instruction and run the
+// prologue (edge map, bookkeeping) for the second, so fused execution is
+// bit-identical to two separate steps. Fused pairs never contain stores,
+// so the protocol bank cannot change here, and the edge mask is already
+// derived (the pair's own boundary ran first).
 func (c *Core) pairBoundary(d *decoded) {
-	c.InstrCount++
-	if c.CyclesPer != nil {
-		c.Cycles += c.CyclesPer(d.op)
-	} else {
-		c.Cycles++
-	}
+	c.retire(d.op)
 	c.PC = d.pc2
 	if c.EdgeMap != nil {
-		// Fused pairs never contain stores, so the bank cannot change at
-		// the internal boundary and the mask is already derived (the
-		// pair's own block prologue ran first).
-		cur := (d.pc2 >> 1) * 0x9e3779b1
-		idx := c.protoBank + (cur^c.prevLoc)&c.edgeMask
-		if c.EdgeMap[idx] != 0xff {
-			c.EdgeMap[idx]++
-		}
-		c.prevLoc = cur >> 1
+		c.hitEdge(d.loc2)
 	}
-	if c.TrackCoverage {
-		c.Coverage.Add(d.pc2)
-	}
-	if c.TraceDepth > 0 {
-		if len(c.traceRing) < c.TraceDepth {
-			c.traceRing = append(c.traceRing, TraceEntry{PC: d.pc2, Inst: d.inst2})
-		} else {
-			c.traceRing[c.traceNext] = TraceEntry{PC: d.pc2, Inst: d.inst2}
-		}
-		c.traceNext = (c.traceNext + 1) % c.TraceDepth
+	if c.bookkeeping {
+		c.bookkeep(d.pc2, d.inst2)
 	}
 }
 

@@ -80,17 +80,18 @@ var benchVariants = []struct {
 }
 
 // BenchmarkConcreteExec measures one fuzz-style execution: clone the
-// frozen snapshot, run ConcreteOnly with the edge bitmap enabled. This
-// is the hot loop of the hybrid fuzzer.
+// frozen snapshot, run ConcreteOnly with the edge bitmap enabled, then
+// zero the touched slots as the fuzzer does. This is the hot loop of the
+// hybrid fuzzer.
 func BenchmarkConcreteExec(b *testing.B) {
 	for _, v := range benchVariants {
 		b.Run(v.name, func(b *testing.B) {
 			snap := buildBenchSnapshot(b)
 			edge := make([]byte, 1<<16)
+			var touched []uint32
 			var instrs uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				clear(edge)
 				c := snap.Clone()
 				if v.noCache {
 					c.ExecHook = declineHook
@@ -99,11 +100,16 @@ func BenchmarkConcreteExec(b *testing.B) {
 				c.ConcreteOnly = true
 				c.FuzzInput = benchInput
 				c.EdgeMap = edge
+				c.EdgeTouched = touched[:0]
 				c.Run(0)
 				if c.Err != nil {
 					b.Fatal(c.Err)
 				}
 				instrs += c.InstrCount
+				touched = c.EdgeTouched
+				for _, idx := range touched {
+					edge[idx] = 0
+				}
 			}
 			b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
 		})
