@@ -122,9 +122,10 @@ bench-fork:
 	$(GO) test -run NONE -bench BenchmarkForkVsRestart -benchtime 20x .
 
 # Query-cache model validation (DESIGN.md "Query caching"): validating
-# a 256-condition shared-prefix set directly and as Check's exact hit.
+# a 256-condition shared-prefix set directly and as Check's exact hit,
+# and canonicalizing an 800-condition set for an exact hit.
 bench-qcache:
-	$(GO) test -run NONE -bench BenchmarkValidateModel -benchmem ./internal/qcache
+	$(GO) test -run NONE -bench 'BenchmarkValidateModel|BenchmarkQCacheResolveLarge' -benchmem ./internal/qcache
 
 # CDCL core on the pinned path stream (DESIGN.md "SAT core"): one
 # Check per op, i.e. ns and allocations per query.

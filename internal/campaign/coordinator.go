@@ -359,7 +359,16 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 	}
 	reply := ResultReply{Accepted: true}
 
-	covered := make(map[string]bool, len(res.Records))
+	covered := make(map[string]bool, len(res.Records)+len(res.Rejected))
+	// An input a worker could not import would fail every worker that
+	// leased it: drop it, as if it had run.
+	for _, k := range res.Rejected {
+		if !c.executed[k] {
+			c.executed[k] = true
+			c.stats.Rejected++
+		}
+		covered[k] = true
+	}
 	for _, r := range res.Records {
 		covered[r.Key] = true
 		if c.executed[r.Key] {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -225,5 +226,64 @@ func TestScopedCampaignMetrics(t *testing.T) {
 	snap := ob.Snapshot()
 	if snap.Counters["campaign."+id+".paths"] != 1 {
 		t.Fatalf("scoped paths counter missing: %v", snap.Counters)
+	}
+}
+
+// TestHostileWireInputFailsLease: a leased input whose variables a
+// worker's builder cannot accept (width 0, width above 64, or a width
+// that contradicts an existing variable) fails the lease instead of
+// panicking the worker. The coordinator drops the refused inputs and
+// requeues the others, and the same runner goes on to run them.
+func TestHostileWireInputFailsLease(t *testing.T) {
+	co, _ := newTestCoordinator(t)
+	st, err := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000, StopOnError: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.Spec.ID
+	r, err := NewRunner(st.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := []cte.WireInput{
+		{Vars: []cte.WireVar{{Name: "zero", Width: 0, Val: 1}}, Bound: 1},
+		{Vars: []cte.WireVar{{Name: "wide", Width: 65, Val: 1}}, Bound: 1},
+		{Vars: []cte.WireVar{{Name: "x", Width: 8, Val: 5}}, Bound: 1}, // "x" is 32 bits below
+	}
+	l, _ := co.Lease(id, LeaseRequest{Worker: "a"})
+	co.Result(id, Result{Lease: l.ID,
+		Records:  []PathRecord{{Key: l.Inputs[0].Key()}},
+		Frontier: append([]cte.WireInput{wireInput(1), wireInput(2)}, hostile...),
+	})
+
+	l2, _ := co.Lease(id, LeaseRequest{Worker: "a"})
+	if len(l2.Inputs) != 5 {
+		t.Fatalf("expected 5 leased inputs, got %d", len(l2.Inputs))
+	}
+	res := r.Run(context.Background(), l2)
+	if res.Err == "" || len(res.Records) != 0 || len(res.Rejected) != len(hostile) {
+		t.Fatalf("hostile lease: err=%q records=%d rejected=%v", res.Err, len(res.Records), res.Rejected)
+	}
+	for i, k := range res.Rejected {
+		if k != hostile[i].Key() {
+			t.Errorf("rejected[%d] = %q, want %q", i, k, hostile[i].Key())
+		}
+	}
+	if rr, err := co.Result(id, res); err != nil || !rr.Accepted {
+		t.Fatalf("failed-lease result: %+v err=%v", rr, err)
+	}
+	got, _ := co.Status(id)
+	if got.Stats.Rejected != len(hostile) || got.Stats.Requeued != 2 || got.Pending != 2 {
+		t.Fatalf("after the failed lease: %+v pending=%d", got.Stats, got.Pending)
+	}
+
+	// The worker is alive and runs the requeued valid inputs.
+	l3, _ := co.Lease(id, LeaseRequest{Worker: "a"})
+	if len(l3.Inputs) != 2 {
+		t.Fatalf("re-lease: %d inputs, want the 2 valid ones", len(l3.Inputs))
+	}
+	res = r.Run(context.Background(), l3)
+	if res.Err != "" || len(res.Records) != 2 {
+		t.Fatalf("valid lease after a failed one: err=%q records=%d", res.Err, len(res.Records))
 	}
 }

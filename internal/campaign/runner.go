@@ -120,9 +120,20 @@ func (r *Runner) Run(ctx context.Context, l Lease) Result {
 
 func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 	start := time.Now()
+	res := Result{Lease: l.ID}
 	roots := make([]cte.Input, len(l.Inputs))
 	for i, wi := range l.Inputs {
-		roots[i] = cte.ImportInput(r.b, wi)
+		in, err := cte.ImportInput(r.b, wi)
+		if err != nil {
+			if res.Err == "" {
+				res.Err = fmt.Sprintf("lease %s: input %d: %v", l.ID, i, err)
+			}
+			res.Rejected = append(res.Rejected, wi.Key())
+		}
+		roots[i] = in
+	}
+	if res.Err != "" {
+		return res // a failed lease: the coordinator requeues the rest
 	}
 	cfg := cte.Config{
 		Workers: 1, // one worker: path i is leased input i
@@ -142,7 +153,6 @@ func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 		},
 		Protocol: r.proto,
 	}
-	res := Result{Lease: l.ID}
 	sess := cte.NewSession(r.snap, cfg)
 	idx := 0
 	sess.OnPath = func(_ int, c *iss.Core) {

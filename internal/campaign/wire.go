@@ -202,6 +202,11 @@ type Result struct {
 	QEntries []qcache.WireEntry `json:"qentries,omitempty"`
 	Corpus   [][]byte           `json:"corpus,omitempty"`
 	Stats    ResultStats        `json:"stats"`
+
+	// Err is set when the lease failed: the worker refused inputs it
+	// could not import (Rejected holds their keys) and ran nothing.
+	Err      string   `json:"err,omitempty"`
+	Rejected []string `json:"rejected,omitempty"`
 }
 
 // ResultReply acknowledges a result. Duplicates counts records dropped
@@ -230,6 +235,7 @@ type Stats struct {
 	Expired    int    `json:"expired"`    // leases reclaimed after TTL
 	Stolen     int    `json:"stolen"`     // leases served from a non-preferred shard
 	Requeued   int    `json:"requeued"`   // leased inputs returned unexecuted
+	Rejected   int    `json:"rejected"`   // leased inputs a worker refused as malformed
 }
 
 // Status is the externally visible state of a campaign.

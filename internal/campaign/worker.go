@@ -108,6 +108,10 @@ func workerPass(ctx context.Context, cl *Client, opts WorkerOptions, runners map
 		if _, err := cl.Result(ctx, spec.ID, res); err != nil {
 			return worked, err
 		}
+		if res.Err != "" {
+			opts.Logf("worker %s: failed %s", opts.ID, res.Err)
+			continue
+		}
 		opts.Logf("worker %s: lease %s: %d paths, %d children, %d findings",
 			opts.ID, l.ID, len(res.Records), len(res.Frontier), len(res.Findings))
 	}

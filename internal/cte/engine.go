@@ -191,7 +191,7 @@ type engine struct {
 	// Observability handles (Config.Obs); nil-safe when unwired.
 	obsPaths, obsSat, obsUnsat, obsUnknown *obs.Counter
 	obsPruned, obsFindings                 *obs.Counter
-	obsForks, obsForkRestarts              *obs.Counter
+	obsForks, obsForkRestarts, obsApplyNS  *obs.Counter
 	frontierG, coverG, forkLiveG           *obs.Gauge
 	pathHist, forkSuffixHist               *obs.Histogram
 	tracer                                 *obs.Tracer
@@ -214,6 +214,7 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 		e.obsFindings = m.Counter("cte.findings")
 		e.obsForks = m.Counter("cte.forks")
 		e.obsForkRestarts = m.Counter("cte.fork_restarts")
+		e.obsApplyNS = m.Counter("cte.apply_ns")
 		e.forkSuffixHist = m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS)
 		e.frontierG = m.Gauge("cte.frontier")
 		e.coverG = m.Gauge("cte.cover_pcs")
@@ -305,7 +306,8 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 			// Resume from the divergence checkpoint; a nil fork means
 			// capture was skipped at an unsafe site and the child
 			// restarts from the snapshot instead.
-			if fc := core.Fork(tc.SiteIdx, model, tc.SiteIdx+1); fc != nil {
+			if fc := core.Fork(tc.SiteIdx, tc.SiteIdx+1); fc != nil {
+				e.applyModel(fc, model)
 				ch.Fork = fc
 			} else {
 				res.forkRestarts++
@@ -314,6 +316,18 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 		res.children = append(res.children, ch)
 	}
 	return res
+}
+
+// applyModel installs a forked child's input, counting the time in
+// cte.apply_ns.
+func (e *engine) applyModel(c *iss.Core, model smt.Assignment) {
+	if e.obsApplyNS == nil {
+		c.ApplyModel(model)
+		return
+	}
+	t0 := time.Now()
+	c.ApplyModel(model)
+	e.obsApplyNS.Add(time.Since(t0).Nanoseconds())
 }
 
 // newSolver creates a solver on b with the run's per-query conflict

@@ -47,15 +47,19 @@ func ExportInput(b *smt.Builder, in Input) WireInput {
 }
 
 // ImportInput resolves a wire input against the local builder, minting
-// any variable the local process has not created yet (Var reuses
-// existing names and enforces width agreement).
-func ImportInput(b *smt.Builder, wi WireInput) Input {
+// any variable the local process has not created yet. A wire variable
+// whose width is outside 1..64, or contradicts the local variable of
+// that name, makes the input an error: wire input is untrusted.
+func ImportInput(b *smt.Builder, wi WireInput) (Input, error) {
 	in := Input{Assignment: smt.Assignment{}, Bound: wi.Bound, Gen: wi.Gen}
 	for _, wv := range wi.Vars {
-		v := b.Var(wv.Width, wv.Name)
+		v, err := b.DeclareVar(wv.Width, wv.Name)
+		if err != nil {
+			return Input{}, fmt.Errorf("import input: %w", err)
+		}
 		in.Assignment[int(v.Val)] = wv.Val
 	}
-	return in
+	return in, nil
 }
 
 // InputKey is the canonical dedup key of a pending input — the same

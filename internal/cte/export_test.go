@@ -19,6 +19,34 @@ func semanticRecord(c *iss.Core) string {
 	return fmt.Sprintf("exit=%d err=%v out=%q", c.ExitCode, c.Err, c.Output)
 }
 
+// TestImportInputRejectsHostileWidths: a wire variable of width 0, of a
+// width above 64, or of a width that contradicts the local variable of
+// that name is an error, not a panic, and leaves the local variable as
+// it was.
+func TestImportInputRejectsHostileWidths(t *testing.T) {
+	b := smt.NewBuilder()
+	b.Var(8, "pkt[0]")
+	for _, wv := range []WireVar{
+		{Name: "z", Width: 0, Val: 1},
+		{Name: "big", Width: 65, Val: 1},
+		{Name: "pkt[0]", Width: 32, Val: 7},
+	} {
+		in, err := ImportInput(b, WireInput{Vars: []WireVar{{Name: "ok", Width: 8, Val: 2}, wv}, Bound: 1})
+		if err == nil {
+			t.Errorf("%+v: imported as %+v, want an error", wv, in)
+		}
+	}
+	if id, ok := b.VarID("pkt[0]"); !ok || b.VarWidth(id) != 8 {
+		t.Fatal("a rejected input changed the local variable")
+	}
+	if _, ok := b.VarID("z"); ok {
+		t.Fatal("a rejected width minted a variable")
+	}
+	if _, err := ImportInput(b, WireInput{Vars: []WireVar{{Name: "pkt[0]", Width: 8, Val: 9}}}); err != nil {
+		t.Fatalf("a consistent input must import: %v", err)
+	}
+}
+
 // TestWireInputRoundTrip: exporting a frontier input and importing it
 // into a different builder preserves the assignment (by name), the
 // bound and the dedup key, including zero-valued assignments.
@@ -46,7 +74,10 @@ func TestWireInputRoundTrip(t *testing.T) {
 	b2 := smt.NewBuilder()
 	b2.Var(16, "unrelated")
 	b2.Var(8, "y")
-	got := ImportInput(b2, back)
+	got, err := ImportInput(b2, back)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Bound != 3 || got.Gen != 2 {
 		t.Fatalf("bound/gen lost: %+v", got)
 	}
@@ -104,7 +135,11 @@ func testRootsBatchExecution(t *testing.T, workers int) {
 		snap := snapshot(t, counterSrc) // fresh process state
 		roots := make([]Input, len(batch))
 		for i, wi := range batch {
-			roots[i] = ImportInput(snap.B, wi)
+			in, err := ImportInput(snap.B, wi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots[i] = in
 		}
 		eng := NewSession(snap, Config{Workers: workers, Budget: Budget{MaxPaths: len(roots)},
 			Explore: ExploreConfig{Roots: roots, ExportFrontier: true}})
@@ -148,7 +183,11 @@ func bitstormRoots(t *testing.T) (*iss.Core, []Input) {
 	snap := snapshot(t, bitstormSrc)
 	roots := make([]Input, len(rep.Frontier))
 	for i, in := range rep.Frontier {
-		roots[i] = ImportInput(snap.B, ExportInput(src.B, in))
+		imp, err := ImportInput(snap.B, ExportInput(src.B, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots[i] = imp
 	}
 	return snap, roots
 }

@@ -247,3 +247,24 @@ func TestForkLiveGauge(t *testing.T) {
 		})
 	}
 }
+
+// TestApplyTimeCounted: cte.apply_ns accumulates the time spent
+// installing models into forked children, and stays zero when no child
+// forks.
+func TestApplyTimeCounted(t *testing.T) {
+	for _, fork := range []bool{true, false} {
+		ob := obs.New()
+		rep := NewSession(snapshot(t, bitstormSrc), Config{
+			Fork: ForkConfig{Enabled: fork},
+			Obs:  ob,
+		}).Run(context.Background())
+		forks := ob.Registry().Counter("cte.forks").Value()
+		apply := ob.Registry().Counter("cte.apply_ns").Value()
+		if fork && (forks == 0 || apply <= 0) {
+			t.Errorf("fork run (%d paths): %d forks, apply_ns %d, want both positive", rep.Paths, forks, apply)
+		}
+		if !fork && apply != 0 {
+			t.Errorf("restart run: apply_ns %d, want 0", apply)
+		}
+	}
+}

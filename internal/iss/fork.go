@@ -119,28 +119,28 @@ func (c *Core) cloneForFork() *Core {
 
 // Fork materializes a resumable core from the checkpoint at site: a
 // fresh clone (several children may fork off one site — one per SAT
-// trace condition), with the generational bound and the new input
-// assignment installed and every concrete shadow re-evaluated under the
-// model. Returns nil when no checkpoint was captured for the site (the
-// caller falls back to a snapshot restart).
-func (c *Core) Fork(site int, model smt.Assignment, bound int) *Core {
+// trace condition) with the generational bound installed. The caller
+// then installs the child's input with ApplyModel. Returns nil when no
+// checkpoint was captured for the site (the caller falls back to a
+// snapshot restart).
+func (c *Core) Fork(site int, bound int) *Core {
 	cp := c.forkPoints[site]
 	if cp == nil {
 		return nil
 	}
 	n := cp.cloneForFork()
 	n.Bound = bound
-	n.Input = model
-	n.ApplyModel(model)
 	return n
 }
 
-// ApplyModel re-evaluates the concrete half of every symbolic shadow in
-// the VP under model: registers, saved context registers, memory bytes,
-// host peripheral models (via ModelReconcretizer) and console output
-// bytes printed from symbolic values. Unassigned variables evaluate to
-// zero, matching the Input-map read of a restart run.
+// ApplyModel installs model as the core's input and re-evaluates the
+// concrete half of every symbolic shadow in the VP under it: registers,
+// saved context registers, memory bytes, host peripheral models (via
+// ModelReconcretizer) and console output bytes printed from symbolic
+// values. Unassigned variables evaluate to zero, matching the Input-map
+// read of a restart run.
 func (c *Core) ApplyModel(model smt.Assignment) {
+	c.Input = model
 	ev := smt.NewEvaluator(model)
 	for i := range c.Regs {
 		if s := c.Regs[i].Sym; s != nil {

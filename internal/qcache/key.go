@@ -9,9 +9,10 @@ import (
 
 // Structural hashing of the interned expression DAG. Every *smt.Expr is
 // hashed exactly once per cache (the per-node memo exploits interning:
-// pointer identity implies structural identity within one Builder), so
-// hashing a constraint set is O(new nodes), amortized O(roots) for the
-// concolic pattern of a long shared path-condition prefix.
+// pointer identity implies structural identity within one Builder, and
+// the memo is a slice indexed by the node's dense id), so hashing a
+// constraint set is O(new nodes), amortized O(roots) for the concolic
+// pattern of a long shared path-condition prefix.
 //
 // The hash is a pure function of the expression *structure* — kind,
 // width, operand order, constant values — and, for variables, of the
@@ -47,9 +48,28 @@ func (c *Cache) hashExpr(e *smt.Expr) uint64 {
 	return h
 }
 
+// nodeMemo is the cache's per-node memo, indexed by smt.Expr.ID. The
+// hashed and varsOK flags mark presence explicitly: no hash value is
+// reserved as "absent", so every structural hash stays a legal key.
+type nodeMemo struct {
+	hash   uint64
+	vars   []int
+	hashed bool
+	varsOK bool
+}
+
+// node returns the memo slot of id, growing the table as needed; the
+// caller must hold c.hmu. The pointer is valid until the next growth.
+func (c *Cache) node(id int) *nodeMemo {
+	if id >= len(c.nodes) {
+		c.nodes = append(c.nodes, make([]nodeMemo, id+1-len(c.nodes))...)
+	}
+	return &c.nodes[id]
+}
+
 func (c *Cache) hashLocked(e *smt.Expr) uint64 {
-	if h, ok := c.hashes[e]; ok {
-		return h
+	if id := e.ID(); id < len(c.nodes) && c.nodes[id].hashed {
+		return c.nodes[id].hash
 	}
 	h := uint64(0x51ca7e00)
 	h = mix64(h, uint64(e.Kind))
@@ -65,7 +85,8 @@ func (c *Cache) hashLocked(e *smt.Expr) uint64 {
 		}
 		h = mix64(h, c.hashLocked(k))
 	}
-	c.hashes[e] = h
+	n := c.node(e.ID())
+	n.hash, n.hashed = h, true
 	return h
 }
 
@@ -104,7 +125,8 @@ func setKey(elems []uint64) uint64 {
 // slicing cheap.
 func (c *Cache) varsOf(e *smt.Expr) []int {
 	c.hmu.Lock()
-	if v, ok := c.vars[e]; ok {
+	if id := e.ID(); id < len(c.nodes) && c.nodes[id].varsOK {
+		v := c.nodes[id].vars
 		c.hmu.Unlock()
 		return v
 	}
@@ -113,7 +135,8 @@ func (c *Cache) varsOf(e *smt.Expr) []int {
 	ids := e.Vars(nil, map[*smt.Expr]bool{})
 	sort.Ints(ids)
 	c.hmu.Lock()
-	c.vars[e] = ids
+	n := c.node(e.ID())
+	n.vars, n.varsOK = ids, true
 	c.hmu.Unlock()
 	return ids
 }

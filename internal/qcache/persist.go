@@ -38,24 +38,44 @@ type WireEntry struct {
 	Model map[string]uint64 `json:"m,omitempty"`
 }
 
-// Valid reports whether the entry is structurally well-formed (a sat
-// entry must carry a model; every entry names its constraint elements).
+// Valid reports whether the entry is structurally well-formed: every
+// entry names its constraint elements in strictly increasing order (the
+// canonical form the subset tests rely on), and a sat entry carries a
+// model.
 func (w WireEntry) Valid() bool {
+	for i := 1; i < len(w.Elems); i++ {
+		if w.Elems[i] <= w.Elems[i-1] {
+			return false
+		}
+	}
 	return len(w.Elems) > 0 && (!w.Sat || w.Model != nil)
+}
+
+// wireEntry converts a valid wire entry to a cache entry.
+func wireEntry(w WireEntry) *entry {
+	ent := &entry{key: w.Key, elems: w.Elems, sat: w.Sat}
+	if w.Model != nil {
+		ent.byName.Store(&w.Model)
+	}
+	return ent
 }
 
 // ExportEntries snapshots every cache entry in wire form, sorted by key
 // (deterministic for a given entry set). Entries are immutable once
 // inserted, so the returned slice can be serialized without copying.
 func (c *Cache) ExportEntries() []WireEntry {
-	var out []WireEntry
+	var ents []*entry
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for _, ent := range s.exact {
-			out = append(out, WireEntry{Key: ent.key, Elems: ent.elems, Sat: ent.sat, Model: ent.model})
+			ents = append(ents, ent)
 		}
 		s.mu.Unlock()
+	}
+	out := make([]WireEntry, len(ents))
+	for i, ent := range ents {
+		out[i] = WireEntry{Key: ent.key, Elems: ent.elems, Sat: ent.sat, Model: c.names(ent)}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -71,7 +91,7 @@ func (c *Cache) ImportEntries(ents []WireEntry) int {
 			continue
 		}
 		before := atomic.LoadInt64(&c.stats.Loaded)
-		c.insert(&entry{key: w.Key, elems: w.Elems, sat: w.Sat, model: w.Model}, &c.stats.Loaded)
+		c.insert(wireEntry(w), &c.stats.Loaded)
 		if atomic.LoadInt64(&c.stats.Loaded) != before {
 			n++
 		}
@@ -148,7 +168,7 @@ func (c *Cache) Load(path string) error {
 		if !pe.Valid() {
 			return fmt.Errorf("qcache: %s:%d: malformed entry", path, line)
 		}
-		c.insert(&entry{key: pe.Key, elems: pe.Elems, sat: pe.Sat, model: pe.Model}, &c.stats.Loaded)
+		c.insert(wireEntry(pe), &c.stats.Loaded)
 	}
 	return sc.Err()
 }

@@ -7,8 +7,9 @@
 //
 //   - Canonical keys. A constraint set is keyed by the sorted,
 //     deduplicated structural hashes of its conditions (key.go). Hashing
-//     is memoized per interned DAG node, so a query costs O(roots) after
-//     the first visit. Variables hash by name, making keys stable across
+//     is memoized per interned DAG node, in a slice indexed by the
+//     node's dense id (smt.Expr.ID), so a query costs O(roots) after the
+//     first visit. Variables hash by name, making keys stable across
 //     processes (persist.go).
 //   - Model reuse. Cached sat models (and, during slicing, the incumbent
 //     input) are *tried* against a new set by evaluation before any SAT
@@ -18,14 +19,15 @@
 //   - Validation cost. ValidateModel evaluates the whole set under one
 //     sub-expression memo (an smt.Evaluator), so a shared path-condition
 //     prefix is walked once per validated model rather than once per
-//     condition. Memo storage is pooled and cleared between calls, so
-//     a warmed exact hit allocates nothing per condition; a memo that
-//     grew past a size cap is dropped rather than pooled, keeping every
-//     later clear cheap.
+//     condition. The memo is id-indexed, pooled and reset in O(1) by an
+//     epoch bump, so a warmed exact hit allocates nothing per condition.
+//     An entry keeps its model by variable id, so a hit does not look
+//     up variable names; a loaded entry resolves its names once.
 //   - Unsat subsumption. Any superset of a known-unsat set is unsat.
 //     Unsat entries are indexed under their minimum element hash (which a
 //     superset necessarily contains), so the subset scan is a bounded
-//     per-element probe, not a cache-wide sweep.
+//     per-element probe, each candidate tested by one merge of two
+//     sorted element lists, not a cache-wide sweep.
 //   - Independence slicing. On a miss the set is partitioned into
 //     variable-connectivity groups (slice.go); only the group containing
 //     the flipped branch goes to the SAT solver, the untouched prefix
@@ -84,7 +86,24 @@ type entry struct {
 	key   uint64
 	elems []uint64 // sorted, deduplicated element hashes
 	sat   bool
-	model map[string]uint64 // name-keyed model projection; nil for unsat
+	seq   int // dense insertion index (candidate dedup)
+
+	// A sat entry's model, projected onto the variables of its
+	// conditions, is kept by variable id (byID) and by variable name
+	// (byName, the persistable form). An entry solved in this process
+	// starts with byID and gets byName on its first export; an entry
+	// loaded from a file or a peer starts with byName and gets byID once
+	// every name resolves against the builder. Both stay nil for unsat.
+	byID   atomic.Pointer[idModel]
+	byName atomic.Pointer[map[string]uint64]
+}
+
+// idModel is a cached model keyed by builder variable id: vals[i] is the
+// value of variable ids[i]. The ids are int32 to keep the many models of
+// a long campaign small.
+type idModel struct {
+	ids  []int32
+	vals []uint64
 }
 
 type shard struct {
@@ -111,11 +130,11 @@ type Cache struct {
 	// the correctness property tests hang off.
 	OnAnswer func(conds []*smt.Expr, sat bool, model smt.Assignment, fromCache bool)
 
-	hmu    sync.Mutex
-	hashes map[*smt.Expr]uint64
-	vars   map[*smt.Expr][]int
+	hmu   sync.Mutex
+	nodes []nodeMemo // per-node hash and variable memo, by smt.Expr.ID
 
 	shards [numShards]shard
+	nseq   atomic.Int64 // entries inserted so far (entry.seq source)
 
 	stats Stats // accessed atomically
 
@@ -188,8 +207,6 @@ func New(b *smt.Builder, opt Options) *Cache {
 	c := &Cache{
 		b:       b,
 		maxCand: opt.MaxCandidates,
-		hashes:  map[*smt.Expr]uint64{},
-		vars:    map[*smt.Expr][]int{},
 	}
 	if c.maxCand <= 0 {
 		c.maxCand = 8
@@ -304,7 +321,7 @@ func (c *Cache) resolve(solver *smt.Solver, live []*smt.Expr, hint smt.Assignmen
 		return false, nil, true, false
 	}
 	if sat {
-		c.store(&entry{key: key, elems: elems, sat: true, model: c.project(live, model)})
+		c.storeSat(key, elems, live, model)
 	} else {
 		c.store(&entry{key: key, elems: elems, sat: false})
 	}
@@ -383,7 +400,7 @@ func (c *Cache) checkSliced(solver *smt.Solver, live []*smt.Expr, hint smt.Assig
 			c.store(&entry{key: key, elems: elems, sat: false})
 			return false, nil, false, true
 		}
-		c.store(&entry{key: subKey, elems: subElems, sat: true, model: c.project(sub, m)})
+		c.storeSat(subKey, subElems, sub, m)
 		subModel = m
 	}
 
@@ -398,7 +415,7 @@ func (c *Cache) checkSliced(solver *smt.Solver, live []*smt.Expr, hint smt.Assig
 	if !ValidateModel(live, merged) {
 		return false, nil, false, false
 	}
-	c.store(&entry{key: key, elems: elems, sat: true, model: c.project(live, merged)})
+	c.storeSat(key, elems, live, merged)
 	return true, merged, false, true
 }
 
@@ -411,7 +428,7 @@ func (c *Cache) lookupSet(key uint64, elems []uint64, conds []*smt.Expr) (sat bo
 			c.hit(&c.stats.Hits, c.obsHits, "exact")
 			return false, nil, true
 		}
-		if m := c.hydrate(ent.model); ValidateModel(conds, m) {
+		if m := c.hydrate(ent); ValidateModel(conds, m) {
 			c.hit(&c.stats.Hits, c.obsHits, "exact")
 			return true, m, true
 		}
@@ -425,9 +442,9 @@ func (c *Cache) lookupSet(key uint64, elems []uint64, conds []*smt.Expr) (sat bo
 		return false, nil, true
 	}
 	for _, ent := range c.satCandidates(elems) {
-		if m := c.hydrate(ent.model); ValidateModel(conds, m) {
+		if m := c.hydrate(ent); ValidateModel(conds, m) {
 			c.hit(&c.stats.EvalHits, c.obsEvalHits, "eval")
-			c.store(&entry{key: key, elems: elems, sat: true, model: c.project(conds, m)})
+			c.storeSat(key, elems, conds, m)
 			return true, m, true
 		}
 	}
@@ -443,36 +460,41 @@ func (c *Cache) getExact(key uint64) *entry {
 }
 
 // unsatSubset reports whether some cached unsat set is a subset of elems.
+// An unsat entry is indexed under its minimum element, so an entry found
+// under elems[i] is a subset iff its sorted elements occur, in order, in
+// the sorted tail elems[i:].
 func (c *Cache) unsatSubset(elems []uint64) bool {
-	var have map[uint64]bool
-	for _, e := range elems {
+	for i, e := range elems {
 		s := &c.shards[e%numShards]
 		s.mu.Lock()
 		cands := s.unsatByMin[e]
 		s.mu.Unlock()
-		if len(cands) == 0 {
-			continue
-		}
-		if have == nil {
-			have = make(map[uint64]bool, len(elems))
-			for _, h := range elems {
-				have[h] = true
-			}
-		}
-	scan:
 		for _, u := range cands {
-			if len(u.elems) > len(elems) {
-				continue
+			if sortedSubset(u.elems, elems[i:]) {
+				return true
 			}
-			for _, h := range u.elems {
-				if !have[h] {
-					continue scan
-				}
-			}
-			return true
 		}
 	}
 	return false
+}
+
+// sortedSubset reports whether every element of sub occurs in set; both
+// are sorted and duplicate-free, so one merge pass decides it.
+func sortedSubset(sub, set []uint64) bool {
+	if len(sub) > len(set) {
+		return false
+	}
+	j := 0
+	for _, h := range sub {
+		for j < len(set) && set[j] < h {
+			j++
+		}
+		if j == len(set) || set[j] != h {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // satCandidates gathers up to maxCand distinct cached sat entries sharing
@@ -481,14 +503,14 @@ func (c *Cache) unsatSubset(elems []uint64) bool {
 // validate) are indexed under every element and thus always candidates.
 func (c *Cache) satCandidates(elems []uint64) []*entry {
 	var out []*entry
-	seen := map[*entry]bool{}
+	seen := getMarks()
+	defer putMarks(seen)
 	for _, e := range elems {
 		s := &c.shards[e%numShards]
 		s.mu.Lock()
 		list := s.satByElem[e]
 		for _, ent := range list {
-			if !seen[ent] {
-				seen[ent] = true
+			if seen.add(ent.seq) {
 				out = append(out, ent)
 			}
 		}
@@ -511,6 +533,9 @@ func (c *Cache) insert(ent *entry, counter *int64) {
 		s.mu.Unlock()
 		return
 	}
+	// The sequence number is set before the entry is published, so every
+	// reader that finds the entry under a shard lock sees it.
+	ent.seq = int(c.nseq.Add(1) - 1)
 	s.exact[ent.key] = ent
 	s.mu.Unlock()
 	atomic.AddInt64(counter, 1)
@@ -543,30 +568,72 @@ func (c *Cache) index(ent *entry) {
 	s.mu.Unlock()
 }
 
-// project restricts model to the variables of conds, keyed by name (the
-// persistable, id-stable representation).
-func (c *Cache) project(conds []*smt.Expr, model smt.Assignment) map[string]uint64 {
-	out := map[string]uint64{}
+// storeSat inserts a sat entry whose model is model restricted to the
+// variables of conds.
+func (c *Cache) storeSat(key uint64, elems []uint64, conds []*smt.Expr, model smt.Assignment) {
+	ent := &entry{key: key, elems: elems, sat: true}
+	ent.byID.Store(c.project(conds, model))
+	c.store(ent)
+}
+
+// project restricts model to the variables of conds.
+func (c *Cache) project(conds []*smt.Expr, model smt.Assignment) *idModel {
+	r := &idModel{}
+	seen := getMarks()
+	defer putMarks(seen)
 	for _, e := range conds {
 		for _, v := range c.varsOf(e) {
-			name := c.b.VarName(v)
-			if _, ok := out[name]; !ok {
-				out[name] = model[v]
+			if seen.add(v) {
+				r.ids = append(r.ids, int32(v))
+				r.vals = append(r.vals, model[v])
 			}
 		}
 	}
-	return out
+	return r
 }
 
-// hydrate converts a name-keyed model back to builder variable ids.
-// Names unknown to the builder are skipped: they cannot appear in any
-// condition this builder constructed.
-func (c *Cache) hydrate(m map[string]uint64) smt.Assignment {
-	out := make(smt.Assignment, len(m))
-	for name, v := range m {
-		if id, ok := c.b.VarID(name); ok {
-			out[id] = v
+// names returns ent's model keyed by variable name (nil for unsat). The
+// name form of a local entry is built on first use and kept.
+func (c *Cache) names(ent *entry) map[string]uint64 {
+	if m := ent.byName.Load(); m != nil {
+		return *m
+	}
+	r := ent.byID.Load()
+	if r == nil {
+		return nil
+	}
+	m := make(map[string]uint64, len(r.ids))
+	for i, id := range r.ids {
+		m[c.b.VarName(int(id))] = r.vals[i]
+	}
+	ent.byName.CompareAndSwap(nil, &m)
+	return *ent.byName.Load()
+}
+
+// hydrate returns ent's model as an assignment to builder variable ids.
+// A loaded entry's names are resolved once every name is known to the
+// builder, and the result kept. Until then each lookup resolves again,
+// since the builder may have minted the missing names meanwhile; names
+// still unknown are skipped, as no condition of this builder can
+// mention them.
+func (c *Cache) hydrate(ent *entry) smt.Assignment {
+	r := ent.byID.Load()
+	if r == nil {
+		names := *ent.byName.Load()
+		r = &idModel{ids: make([]int32, 0, len(names)), vals: make([]uint64, 0, len(names))}
+		for name, v := range names {
+			if id, ok := c.b.VarID(name); ok {
+				r.ids = append(r.ids, int32(id))
+				r.vals = append(r.vals, v)
+			}
 		}
+		if len(r.ids) == len(names) {
+			ent.byID.Store(r)
+		}
+	}
+	out := make(smt.Assignment, len(r.ids))
+	for i, id := range r.ids {
+		out[int(id)] = r.vals[i]
 	}
 	return out
 }

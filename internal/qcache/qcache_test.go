@@ -152,6 +152,30 @@ func TestIndependenceSlicing(t *testing.T) {
 	}
 }
 
+// TestSliceGroups: conditions sharing a variable, directly or through a
+// chain, land in one group; groups are ordered by first member and keep
+// their members in order.
+func TestSliceGroups(t *testing.T) {
+	b, c, v := newEnv(Options{})
+	d := b.Var(8, "d")
+	k := func(x uint64) *smt.Expr { return b.Const(8, x) }
+	conds := []*smt.Expr{
+		b.Ult(v[0], k(1)),              // a
+		b.Ult(v[2], k(2)),              // c
+		b.Ult(b.Add(v[0], v[1]), k(3)), // a, b
+		b.Ult(d, k(4)),                 // d
+		b.Ult(v[1], k(9)),              // b
+		b.Eq(v[2], d),                  // c, d
+	}
+	got := fmt.Sprint(c.slice(conds))
+	if want := "[[0 2 4] [1 3 5]]"; got != want {
+		t.Errorf("groups %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(c.slice(conds[:5])), "[[0 2 4] [1] [3]]"; got != want {
+		t.Errorf("groups %s, want %s", got, want)
+	}
+}
+
 func TestSlicedUnsatPropagates(t *testing.T) {
 	b, c, v := newEnv(Options{})
 	flip := b.Ult(v[2], b.Const(8, 0)) // nothing is < 0: folded false? Ult folds to const false.
@@ -428,5 +452,37 @@ func TestResolveLatencyHistograms(t *testing.T) {
 	}
 	if got := snap.Counters["qcache.large_sets"]; got != 1 {
 		t.Errorf("qcache.large_sets = %d, want 1", got)
+	}
+}
+
+// TestHydrateResolvesLateNames: an imported model whose names the
+// builder does not know yet is resolved again on later lookups, so once
+// the builder mints the missing variable the entry serves it in full.
+func TestHydrateResolvesLateNames(t *testing.T) {
+	b1 := smt.NewBuilder()
+	a1, x1 := b1.Var(8, "a"), b1.Var(8, "b")
+	src := New(b1, Options{})
+	if sat, _, _ := src.Check(smt.NewSolver(b1), []*smt.Expr{b1.Eq(a1, b1.Const(8, 1)), b1.Eq(x1, b1.Const(8, 2))}, nil); !sat {
+		t.Fatal("seed query must be sat")
+	}
+
+	b2 := smt.NewBuilder()
+	a2 := b2.Var(8, "a")
+	c := New(b2, Options{})
+	if n := c.ImportEntries(src.ExportEntries()); n == 0 {
+		t.Fatal("nothing imported")
+	}
+	s := smt.NewSolver(b2)
+	// Only "a" resolves: the superset's model answers the subset query.
+	if sat, m, _ := c.Check(s, []*smt.Expr{b2.Eq(a2, b2.Const(8, 1))}, nil); !sat || m[int(a2.Val)] != 1 {
+		t.Fatalf("subset query: sat=%v model=%v", sat, m)
+	}
+	x2 := b2.Var(8, "b")
+	sat, m, _ := c.Check(s, []*smt.Expr{b2.Eq(a2, b2.Const(8, 1)), b2.Eq(x2, b2.Const(8, 2))}, nil)
+	if !sat || m[int(x2.Val)] != 2 {
+		t.Fatalf("full query after minting b: sat=%v model=%v", sat, m)
+	}
+	if s.Stats.Queries != 0 {
+		t.Errorf("the imported entry must answer both queries; the solver ran %d", s.Stats.Queries)
 	}
 }

@@ -8,10 +8,106 @@ import (
 	"testing"
 )
 
-// freshEval is the reference evaluator: evalRec under a memo nobody
-// else has touched, so no pooled storage is involved.
+// freshEval is the reference evaluator: refEvalRec under a map memo
+// nobody else has touched, so no pooled or id-indexed storage is
+// involved.
 func freshEval(e *Expr, a Assignment) uint64 {
-	return evalRec(e, a, map[*Expr]uint64{})
+	return refEvalRec(e, a, map[*Expr]uint64{})
+}
+
+// refEvalRec is the pointer-keyed map-memo evaluator that the id-indexed
+// memo replaced, kept as the oracle for it: same semantics, memoized by
+// node identity, so it cannot confuse nodes of different Builders.
+func refEvalRec(e *Expr, a Assignment, cache map[*Expr]uint64) uint64 {
+	if v, ok := cache[e]; ok {
+		return v
+	}
+	var v uint64
+	switch e.Kind {
+	case KConst:
+		v = e.Val
+	case KVar:
+		v = a[int(e.Val)] & mask(e.Width)
+	case KAdd:
+		v = refEvalRec(e.K0, a, cache) + refEvalRec(e.K1, a, cache)
+	case KSub:
+		v = refEvalRec(e.K0, a, cache) - refEvalRec(e.K1, a, cache)
+	case KMul:
+		v = refEvalRec(e.K0, a, cache) * refEvalRec(e.K1, a, cache)
+	case KUDiv:
+		d := refEvalRec(e.K1, a, cache)
+		if d == 0 {
+			v = mask(e.Width)
+		} else {
+			v = refEvalRec(e.K0, a, cache) / d
+		}
+	case KURem:
+		d := refEvalRec(e.K1, a, cache)
+		if d == 0 {
+			v = refEvalRec(e.K0, a, cache)
+		} else {
+			v = refEvalRec(e.K0, a, cache) % d
+		}
+	case KAnd:
+		v = refEvalRec(e.K0, a, cache) & refEvalRec(e.K1, a, cache)
+	case KOr:
+		v = refEvalRec(e.K0, a, cache) | refEvalRec(e.K1, a, cache)
+	case KXor:
+		v = refEvalRec(e.K0, a, cache) ^ refEvalRec(e.K1, a, cache)
+	case KNot:
+		v = ^refEvalRec(e.K0, a, cache)
+	case KNeg:
+		v = -refEvalRec(e.K0, a, cache)
+	case KShl:
+		s := refEvalRec(e.K1, a, cache)
+		if s >= uint64(e.Width) {
+			v = 0
+		} else {
+			v = refEvalRec(e.K0, a, cache) << s
+		}
+	case KLShr:
+		s := refEvalRec(e.K1, a, cache)
+		if s >= uint64(e.Width) {
+			v = 0
+		} else {
+			v = refEvalRec(e.K0, a, cache) >> s
+		}
+	case KAShr:
+		s := refEvalRec(e.K1, a, cache)
+		if s >= uint64(e.Width) {
+			s = uint64(e.Width) - 1
+		}
+		v = uint64(sext64(refEvalRec(e.K0, a, cache), e.K0.Width) >> s)
+	case KEq:
+		v = b2u(refEvalRec(e.K0, a, cache) == refEvalRec(e.K1, a, cache))
+	case KUlt:
+		v = b2u(refEvalRec(e.K0, a, cache) < refEvalRec(e.K1, a, cache))
+	case KUle:
+		v = b2u(refEvalRec(e.K0, a, cache) <= refEvalRec(e.K1, a, cache))
+	case KSlt:
+		v = b2u(sext64(refEvalRec(e.K0, a, cache), e.K0.Width) < sext64(refEvalRec(e.K1, a, cache), e.K1.Width))
+	case KSle:
+		v = b2u(sext64(refEvalRec(e.K0, a, cache), e.K0.Width) <= sext64(refEvalRec(e.K1, a, cache), e.K1.Width))
+	case KConcat:
+		v = refEvalRec(e.K0, a, cache)<<e.K1.Width | refEvalRec(e.K1, a, cache)
+	case KExtract:
+		v = refEvalRec(e.K0, a, cache) >> (e.Val & 0xff)
+	case KZExt:
+		v = refEvalRec(e.K0, a, cache)
+	case KSExt:
+		v = uint64(sext64(refEvalRec(e.K0, a, cache), e.K0.Width))
+	case KIte:
+		if refEvalRec(e.K0, a, cache) == 1 {
+			v = refEvalRec(e.K1, a, cache)
+		} else {
+			v = refEvalRec(e.K2, a, cache)
+		}
+	default:
+		panic(fmt.Sprintf("smt: eval of %v", e.Kind))
+	}
+	v &= mask(e.Width)
+	cache[e] = v
+	return v
 }
 
 // sharedHolds validates a condition set the way qcache.ValidateModel
@@ -209,24 +305,6 @@ func TestEvaluatorReleaseReuse(t *testing.T) {
 	}
 }
 
-// TestPutMemoDropsOversized: a memo beyond the cap is not recycled, and
-// one within it comes back empty.
-func TestPutMemoDropsOversized(t *testing.T) {
-	big := make(map[*Expr]uint64, maxPooledMemo+1)
-	for i := 0; i <= maxPooledMemo; i++ {
-		big[&Expr{Val: uint64(i)}] = 1
-	}
-	putMemo(big)
-	if len(big) != maxPooledMemo+1 {
-		t.Fatal("oversized memo was cleared, so it was headed back to the pool")
-	}
-	small := map[*Expr]uint64{{}: 1}
-	putMemo(small)
-	if len(small) != 0 {
-		t.Fatal("recycled memo not cleared")
-	}
-}
-
 // TestSharedMemoConcurrent: validation from many goroutines at once, each
 // under its own assignments, matches the sequential reference (run under
 // -race by `make race` to exercise the pooled storage).
@@ -276,5 +354,96 @@ func TestSharedMemoConcurrent(t *testing.T) {
 	}
 	if len(msgs) > 0 {
 		t.Fatal(strings.Join(msgs, "; "))
+	}
+}
+
+// TestIDMemoMatchesMapMemo is the oracle for the id-indexed memo: random
+// DAGs from two Builders, whose node ids collide (the second creates its
+// variables in another order and interns unrelated nodes first), are
+// evaluated by evaluators that alternate on one memo, across a forced
+// epoch wraparound, and every value must equal the map-memo reference.
+func TestIDMemoMatchesMapMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	type side struct {
+		b     *Builder
+		conds []*Expr
+		roots []*Expr
+	}
+	mk := func(names []string, junk int) side {
+		b := NewBuilder()
+		for i := 0; i < junk; i++ {
+			b.Const(16, uint64(i))
+		}
+		vars := make([]*Expr, len(names))
+		for i, n := range names {
+			vars[i] = b.Var(32, n)
+		}
+		s := side{b: b, conds: randomCondSet(rng, b, vars, 24)}
+		for i := 0; i < 24; i++ {
+			s.roots = append(s.roots, randomExpr(rng, b, vars, 5))
+		}
+		return s
+	}
+	sides := []side{mk([]string{"a", "b", "c"}, 0), mk([]string{"c", "a", "b"}, 7)}
+	for _, s := range sides {
+		seen := make([]bool, len(s.b.intern))
+		for _, e := range s.b.intern {
+			if e.ID() >= len(seen) || seen[e.ID()] {
+				t.Fatalf("node ids are not 0..%d: %d", len(seen)-1, e.ID())
+			}
+			seen[e.ID()] = true
+		}
+	}
+
+	m := &memo{}
+	check := func(round int, s side, env Assignment) {
+		t.Helper()
+		m.begin()
+		ev := &Evaluator{a: env, m: m}
+		for _, list := range [][]*Expr{s.conds, s.roots} {
+			for i, e := range list {
+				if got, want := ev.Eval(e), freshEval(e, env); got != want {
+					t.Fatalf("round %d (epoch %d), expr %d: id memo %#x, map memo %#x", round, m.epoch, i, got, want)
+				}
+			}
+		}
+	}
+	envs := make([]Assignment, 8)
+	for i := range envs {
+		envs[i] = randomEnv(rng, 3)
+	}
+	for round := 0; round < 40; round++ {
+		check(round, sides[round%2], envs[round%len(envs)])
+	}
+
+	// Wraparound, on a fresh memo: values stamped at epoch 1 must not
+	// come back to life when the epoch counter wraps around to 1.
+	m = &memo{}
+	check(0, sides[0], envs[0])
+	m.epoch = ^uint32(0) - 1
+	check(1, sides[1], envs[1])
+	if m.epoch != ^uint32(0) {
+		t.Fatalf("epoch %d, want the last one", m.epoch)
+	}
+	check(2, sides[0], envs[2])
+	if m.epoch != 1 {
+		t.Fatalf("epoch %d after wraparound, want 1", m.epoch)
+	}
+
+	// The same through the pool: Eval and NewEvaluator/Release hand one
+	// memo back and forth between the two Builders.
+	for round := 0; round < 40; round++ {
+		s, env := sides[round%2], envs[(round*3)%len(envs)]
+		ev := NewEvaluator(env)
+		for i, e := range s.roots {
+			want := freshEval(e, env)
+			if got := ev.Eval(e); got != want {
+				t.Fatalf("pooled round %d, expr %d: evaluator %#x, want %#x", round, i, got, want)
+			}
+			if got := Eval(sides[1-round%2].roots[i], env); got != freshEval(sides[1-round%2].roots[i], env) {
+				t.Fatalf("pooled round %d, expr %d: Eval on the other builder disagrees", round, i)
+			}
+		}
+		ev.Release()
 	}
 }

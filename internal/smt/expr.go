@@ -78,6 +78,7 @@ func (k Kind) String() string {
 type Expr struct {
 	Kind  Kind
 	Width uint8  // bit width of the result, 1..64
+	id    uint32 // dense intern index within the Builder (see ID)
 	Val   uint64 // constant value, variable id, extract bounds, or ext width
 	K0    *Expr
 	K1    *Expr
@@ -161,10 +162,16 @@ func (b *Builder) mkLocked(kind Kind, width uint8, val uint64, k0, k1, k2 *Expr)
 	if e, ok := b.intern[key]; ok {
 		return e
 	}
-	e := &Expr{Kind: kind, Width: width, Val: val, K0: k0, K1: k1, K2: k2}
+	e := &Expr{Kind: kind, Width: width, id: uint32(len(b.intern)), Val: val, K0: k0, K1: k1, K2: k2}
 	b.intern[key] = e
 	return e
 }
+
+// ID returns the node's dense index within its Builder: the nodes of one
+// Builder are numbered 0, 1, 2, ... in interning order. It keys per-node
+// memos as slice indices. Ids of nodes from different Builders collide,
+// so one memo must only ever hold nodes of one Builder at a time.
+func (e *Expr) ID() int { return int(e.id) }
 
 // mask returns the w-bit mask.
 func mask(w uint8) uint64 {
@@ -216,10 +223,21 @@ func (e *Expr) IsConst() bool { return e.Kind == KConst }
 
 // Var creates (or reuses, by name) a fresh free variable. Creating a
 // variable with a name already in use returns the existing variable; the
-// widths must then agree.
+// widths must then agree. Var panics where DeclareVar returns an error.
 func (b *Builder) Var(width uint8, name string) *Expr {
+	e, err := b.DeclareVar(width, name)
+	if err != nil {
+		panic(err.Error())
+	}
+	return e
+}
+
+// DeclareVar is Var for names and widths that come from outside the
+// process (wire or file input): a width outside 1..64, or one that
+// contradicts the existing variable of that name, is an error.
+func (b *Builder) DeclareVar(width uint8, name string) (*Expr, error) {
 	if width == 0 || width > 64 {
-		panic(fmt.Sprintf("smt: bad var width %d", width))
+		return nil, fmt.Errorf("smt: bad var width %d", width)
 	}
 	// The lock spans the lookup and the registration so concurrent
 	// workers minting the same name agree on one variable id.
@@ -227,15 +245,15 @@ func (b *Builder) Var(width uint8, name string) *Expr {
 	defer b.mu.Unlock()
 	if id, ok := b.varIDs[name]; ok {
 		if b.varWidth[id] != width {
-			panic(fmt.Sprintf("smt: variable %q redeclared with width %d (was %d)", name, width, b.varWidth[id]))
+			return nil, fmt.Errorf("smt: variable %q redeclared with width %d (was %d)", name, width, b.varWidth[id])
 		}
-		return b.mkLocked(KVar, width, uint64(id), nil, nil, nil)
+		return b.mkLocked(KVar, width, uint64(id), nil, nil, nil), nil
 	}
 	id := len(b.varNames)
 	b.varNames = append(b.varNames, name)
 	b.varWidth = append(b.varWidth, width)
 	b.varIDs[name] = id
-	return b.mkLocked(KVar, width, uint64(id), nil, nil, nil)
+	return b.mkLocked(KVar, width, uint64(id), nil, nil, nil), nil
 }
 
 func ckWidth(op string, a, b *Expr) {
