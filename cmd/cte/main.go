@@ -67,7 +67,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a structured JSONL event trace (path/query/cache/fuzz events) to this file")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr at this interval (0 = off)")
 	listenAddr := flag.String("listen", "", "serve live /metrics JSON and /debug/pprof on this address while the run lasts")
-	workers := flag.Int("j", runtime.NumCPU(), "exploration workers (1 = one worker, deterministic path order)")
+	workers := flag.Int("j", runtime.NumCPU(), "exploration workers (1 = one worker, deterministic path order); with -fuzz, the fuzz executors")
 	maxConflicts := flag.Int("max-conflicts", 0, "per-query solver conflict budget; exhausted queries count as unknown (0 = unlimited)")
 	useCache := flag.Bool("cache", true, "enable the SMT query cache (model reuse, unsat subsumption, independence slicing)")
 	cacheDir := flag.String("cache-dir", "", "persist the query cache under this directory so repeated runs warm-start")
@@ -323,10 +323,7 @@ func printReport(b *smt.Builder, elf *relf.File, rep *cte.Report, cover bool) {
 		fmt.Printf("state forking: %d paths resumed from checkpoints, %d fell back to snapshot restarts\n",
 			rep.Forked, rep.ForkRestarts)
 	}
-	if cs := rep.Cache; cs != nil {
-		fmt.Printf("query cache: %d exact, %d eval-reuse, %d subsumed of %d lookups; %d SAT calls (%d sliced), %d entries (%d loaded)\n",
-			cs.Hits, cs.EvalHits, cs.SubsumeHits, cs.Queries, cs.SolverCalls, cs.SliceSolves, cs.Entries, cs.Loaded)
-	}
+	printCacheSummary(rep.Cache)
 	if rep.Workers > 1 {
 		fmt.Printf("workers: %d\n", rep.Workers)
 		for i, ws := range rep.PerWorker {
@@ -437,6 +434,16 @@ func parseNameList(s string) []string {
 	return out
 }
 
+// printCacheSummary prints the query-cache line of a human summary
+// (nothing when the run had no cache).
+func printCacheSummary(cs *qcache.Stats) {
+	if cs == nil {
+		return
+	}
+	fmt.Printf("query cache: %d exact, %d eval-reuse, %d subsumed of %d lookups; %d SAT calls (%d sliced), %d entries (%d loaded)\n",
+		cs.Hits, cs.EvalHits, cs.SubsumeHits, cs.Queries, cs.SolverCalls, cs.SliceSolves, cs.Entries, cs.Loaded)
+}
+
 // printFuzzReport is the human summary of a hybrid fuzzing run.
 func printFuzzReport(elf *relf.File, rep *cte.Report) {
 	st := rep.Fuzz
@@ -449,10 +456,7 @@ func printFuzzReport(elf *relf.File, rep *cte.Report) {
 	fmt.Printf("concolic assist: %d stalls escalated, %d flips solved (%d sat, %d unsat, %d unknown), %d solved inputs fed back\n",
 		st.Escalations, st.FlipsAttempted, rep.SatTCs, rep.UnsatTCs, rep.UnknownTCs, st.Solves)
 	fmt.Printf("solver: %d queries, %.2fs\n", rep.Queries, rep.SolverTime.Seconds())
-	if cs := rep.Cache; cs != nil {
-		fmt.Printf("query cache: %d exact, %d eval-reuse, %d subsumed of %d lookups; %d SAT calls (%d sliced), %d entries (%d loaded)\n",
-			cs.Hits, cs.EvalHits, cs.SubsumeHits, cs.Queries, cs.SolverCalls, cs.SliceSolves, cs.Entries, cs.Loaded)
-	}
+	printCacheSummary(rep.Cache)
 	if st.SkipInitInstrs > 0 {
 		fmt.Printf("skip-init: %d instructions executed once and snapshotted\n", st.SkipInitInstrs)
 	}
@@ -483,10 +487,7 @@ func printBMCReport(b *smt.Builder, elf *relf.File, rep *cte.Report) {
 		br.Exits, br.Truncated, br.Violations, br.Sites)
 	fmt.Printf("solver: %d queries, %.2fs, %d sites unknown (budget-exhausted)\n",
 		br.Queries, br.SolverTime.Seconds(), br.Unknown)
-	if cs := rep.Cache; cs != nil {
-		fmt.Printf("query cache: %d exact, %d eval-reuse, %d subsumed of %d lookups; %d SAT calls (%d sliced), %d entries (%d loaded)\n",
-			cs.Hits, cs.EvalHits, cs.SubsumeHits, cs.Queries, cs.SolverCalls, cs.SliceSolves, cs.Entries, cs.Loaded)
-	}
+	printCacheSummary(rep.Cache)
 	if len(br.Unsupported) > 0 {
 		reasons := make([]string, 0, len(br.Unsupported))
 		for why, n := range br.Unsupported {
@@ -674,7 +675,6 @@ func emitJSON(b *smt.Builder, elf *relf.File, prog string, cfg cte.Config, rep *
 		if rep.WallTime > 0 {
 			rate = float64(st.Execs) / rep.WallTime.Seconds()
 		}
-		jr.TotalInstr = st.TotalInstr
 		jr.Fuzz = &jsonFuzz{
 			Execs:          st.Execs,
 			ExecsPerSec:    rate,

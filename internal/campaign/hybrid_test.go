@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"rvcte/internal/cte"
+	"rvcte/internal/obs"
 )
 
 // TestHybridCampaignTCPIP exercises the hybrid lease path: timeboxed
@@ -81,6 +84,76 @@ func TestHybridCampaignTCPIP(t *testing.T) {
 	}
 	if f.Kind == "" || f.Func == "" {
 		t.Fatalf("finding missing classification: %+v", f)
+	}
+}
+
+// TestHybridLeaseInstr: a hybrid lease reports every instruction its
+// timebox simulated — fuzz executions plus concolic replays, the
+// session's iss.instr change — and the coordinator's campaign total
+// sums the leases.
+func TestHybridLeaseInstr(t *testing.T) {
+	co, err := NewCoordinator("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := co.Create(Spec{
+		Prog: "tcpip", Mode: "hybrid", PktMax: 48,
+		FuzzLeaseMS: 300, LeaseTTLMS: 600_000, Seed: 1,
+		FuzzBatch: 200, StallExecs: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.Spec.ID
+	r, err := NewRunner(st.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The runner resumes a pre-built session wired to o, so the test
+	// can read each lease's change of the ISS counters.
+	o := obs.New()
+	var sum, replayed uint64
+	for lease := 0; lease < 8 && (lease < 2 || replayed == 0); lease++ {
+		qseq, cseq := r.Cursors()
+		l, err := co.Lease(id, LeaseRequest{Worker: "hx", QSeq: qseq, CSeq: cseq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Sync(l)
+		if l.Done {
+			t.Fatalf("campaign done after %d leases", lease)
+		}
+		if r.hyb == nil {
+			cfg := r.hybridConfig(l)
+			cfg.Obs = o
+			r.hyb = cte.NewSession(r.snap, cfg)
+		}
+		before := o.Snapshot().Counters
+		res := r.Run(context.Background(), l)
+		after := o.Snapshot().Counters
+		d := func(name string) int64 { return after[name] - before[name] }
+
+		if res.Stats.Instr == 0 || int64(res.Stats.Instr) != d("iss.instr") {
+			t.Errorf("lease %d: Stats.Instr = %d, simulated %d (replays %d)",
+				lease, res.Stats.Instr, d("iss.instr"), d("hybrid.replayed_instr"))
+		}
+		if int64(res.Stats.Execs) != d("iss.execs") {
+			t.Errorf("lease %d: Stats.Execs = %d, fuzz executions %d", lease, res.Stats.Execs, d("iss.execs"))
+		}
+		replayed += uint64(d("hybrid.replayed_instr"))
+		sum += res.Stats.Instr
+		res.Worker = "hx"
+		if _, err := co.Result(id, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("no lease escalated: the replay share of Stats.Instr went unchecked")
+	}
+	final, _ := co.Status(id)
+	if final.Stats.Instr != sum {
+		t.Errorf("campaign Stats.Instr = %d, leases sum to %d", final.Stats.Instr, sum)
 	}
 }
 

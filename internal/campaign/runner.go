@@ -190,25 +190,7 @@ func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 		// The first lease starts the worker's session; later leases
 		// resume it for another timebox (FuzzLeaseMS is fixed per
 		// campaign, so the first lease's timebox is every lease's).
-		r.hyb = cte.NewSession(r.snap, cte.Config{
-			Mode: cte.ModeHybrid,
-			Budget: cte.Budget{
-				Timeout:              time.Duration(l.FuzzMS) * time.Millisecond,
-				MaxInstrPerRun:       r.spec.MaxInstr,
-				MaxConflictsPerQuery: r.spec.MaxConflicts,
-			},
-			Cache:       cte.CacheConfig{Queries: r.qc},
-			Seed:        leaseSeed(r.spec.Seed, l.ID),
-			StopOnError: r.spec.StopOnError,
-			Detectors:   r.spec.Detectors,
-			Fuzz: cte.FuzzConfig{
-				Seeds:          r.seeds,
-				Batch:          r.spec.FuzzBatch,
-				StallExecs:     r.spec.StallExecs,
-				DryEscalations: r.spec.DryEscalations,
-			},
-			Protocol: r.proto,
-		})
+		r.hyb = cte.NewSession(r.snap, r.hybridConfig(l))
 	}
 	rep := r.hyb.Run(ctx)
 
@@ -231,6 +213,30 @@ func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 	res.Stats.Instr = rep.TotalInstr
 	res.Stats.WallMS = time.Since(start).Milliseconds()
 	return res
+}
+
+// hybridConfig is the Session configuration of a worker's hybrid
+// campaign, started by lease l.
+func (r *Runner) hybridConfig(l Lease) cte.Config {
+	return cte.Config{
+		Mode: cte.ModeHybrid,
+		Budget: cte.Budget{
+			Timeout:              time.Duration(l.FuzzMS) * time.Millisecond,
+			MaxInstrPerRun:       r.spec.MaxInstr,
+			MaxConflictsPerQuery: r.spec.MaxConflicts,
+		},
+		Cache:       cte.CacheConfig{Queries: r.qc},
+		Seed:        leaseSeed(r.spec.Seed, l.ID),
+		StopOnError: r.spec.StopOnError,
+		Detectors:   r.spec.Detectors,
+		Fuzz: cte.FuzzConfig{
+			Seeds:          r.seeds,
+			Batch:          r.spec.FuzzBatch,
+			StallExecs:     r.spec.StallExecs,
+			DryEscalations: r.spec.DryEscalations,
+		},
+		Protocol: r.proto,
+	}
 }
 
 // leaseSeed derives the fuzzing seed of a worker's hybrid session from

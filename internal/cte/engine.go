@@ -112,7 +112,8 @@ type WorkerStats struct {
 // unified result of every engine: concolic runs fill the path-level
 // counters, hybrid runs additionally carry the Fuzz section, BMC runs
 // the BMC section; an observability snapshot rides along when the run
-// was wired.
+// was wired. Session.Run reads the run counters (Paths through Pruned,
+// and the Fuzz section's concolic-assist counters) from its registry.
 type Report struct {
 	Mode       Mode          // which engine produced this report
 	Paths      int           // #paths column (concolic)
@@ -159,9 +160,9 @@ type Report struct {
 	Fuzz *FuzzStats
 	// BMC is the bounded-model-checking section (nil for other modes).
 	BMC *bmc.Report
-	// Obs is the final metric snapshot when the run carried an Obs
-	// bundle (nil otherwise). Its totals agree with the legacy counters
-	// above — the engine-level tests assert it.
+	// Obs is the final snapshot of the caller's Config.Obs registry (nil
+	// when unwired). When no other session shares that registry its
+	// totals equal the run counters above.
 	Obs *obs.Snapshot
 }
 
@@ -188,53 +189,49 @@ type engine struct {
 	// itself, but with several workers the order is scheduling-dependent.
 	OnPath func(path int, core *iss.Core)
 
-	// Observability handles (Config.Obs); nil-safe when unwired.
-	obsPaths, obsSat, obsUnsat, obsUnknown *obs.Counter
-	obsPruned, obsFindings                 *obs.Counter
-	obsForks, obsForkRestarts, obsApplyNS  *obs.Counter
-	frontierG, coverG, forkLiveG           *obs.Gauge
-	pathHist, forkSuffixHist               *obs.Histogram
-	tracer                                 *obs.Tracer
+	// Observability handles on the Session's registry, the store the
+	// Report's run counters are read from.
+	tcs                                   verdicts
+	obsPaths, obsPruned, obsFindings      *obs.Counter
+	obsForks, obsForkRestarts, obsApplyNS *obs.Counter
+	frontierG, coverG, forkLiveG          *obs.Gauge
+	pathHist, forkSuffixHist              *obs.Histogram
+	tracer                                *obs.Tracer
 }
 
 // newEngine creates the concolic engine around a prepared VP snapshot.
 // The snapshot is never mutated; every path runs on a clone (§3.1.1).
 func newEngine(snapshot *iss.Core, cfg Config) *engine {
-	e := &engine{
-		Builder:  snapshot.B,
-		Snapshot: snapshot,
-		Cfg:      cfg,
+	m := cfg.Obs.Registry()
+	return &engine{
+		Builder:         snapshot.B,
+		Snapshot:        snapshot,
+		Cfg:             cfg,
+		tcs:             newVerdicts(m),
+		obsPaths:        m.Counter("cte.paths"),
+		obsPruned:       m.Counter("cte.pruned"),
+		obsFindings:     m.Counter("cte.findings"),
+		obsForks:        m.Counter("cte.forks"),
+		obsForkRestarts: m.Counter("cte.fork_restarts"),
+		obsApplyNS:      m.Counter("cte.apply_ns"),
+		forkSuffixHist:  m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS),
+		frontierG:       m.Gauge("cte.frontier"),
+		coverG:          m.Gauge("cte.cover_pcs"),
+		forkLiveG:       m.Gauge("cte.fork_live"),
+		pathHist:        m.Histogram("cte.path_us", obs.LatencyBoundsUS),
+		tracer:          cfg.Obs.Trace(),
 	}
-	if m := cfg.Obs.Registry(); m != nil {
-		e.obsPaths = m.Counter("cte.paths")
-		e.obsSat = m.Counter("cte.sat_tcs")
-		e.obsUnsat = m.Counter("cte.unsat_tcs")
-		e.obsUnknown = m.Counter("cte.unknown_tcs")
-		e.obsPruned = m.Counter("cte.pruned")
-		e.obsFindings = m.Counter("cte.findings")
-		e.obsForks = m.Counter("cte.forks")
-		e.obsForkRestarts = m.Counter("cte.fork_restarts")
-		e.obsApplyNS = m.Counter("cte.apply_ns")
-		e.forkSuffixHist = m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS)
-		e.frontierG = m.Gauge("cte.frontier")
-		e.coverG = m.Gauge("cte.cover_pcs")
-		e.forkLiveG = m.Gauge("cte.fork_live")
-		e.pathHist = m.Histogram("cte.path_us", obs.LatencyBoundsUS)
-		e.tracer = cfg.Obs.Trace()
-	}
-	return e
 }
 
 // pathResult is everything one executed path contributes back to the
-// shared exploration state. It is produced without touching shared
-// mutable state, so workers can build it outside the run lock.
+// shared exploration state. It is produced without touching the pool's
+// state (only the atomic metric counters), so workers can build it
+// outside the run lock.
 type pathResult struct {
 	core         *iss.Core
-	instrs       uint64
 	children     []Input // sat models, not yet deduped; Score filled by the merger
-	tcs          tcTally
-	forked       bool // this path resumed a checkpoint (suffix-only execution)
-	forkRestarts int  // children that fell back to restart (no safe checkpoint)
+	forked       bool    // this path resumed a checkpoint (suffix-only execution)
+	forkRestarts int     // children that fell back to restart (no safe checkpoint)
 }
 
 // executePath clones the snapshot, runs one input and solves its trace
@@ -269,11 +266,12 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 	// this counts only the re-executed suffix — the saving fork mode buys.
 	startInstr := core.InstrCount
 	core.Run(e.Cfg.Budget.MaxInstrPerRun)
-	res := pathResult{core: core, instrs: core.InstrCount - startInstr, forked: forked}
+	instrs := core.InstrCount - startInstr
+	res := pathResult{core: core, forked: forked}
 	dur := time.Since(pathStart)
 	e.pathHist.ObserveDuration(dur)
 	if forked {
-		e.forkSuffixHist.Observe(int64(res.instrs))
+		e.forkSuffixHist.Observe(int64(instrs))
 	}
 	if e.tracer != nil {
 		status := "ok"
@@ -283,7 +281,7 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 			status = "exit"
 		}
 		e.tracer.Emit(obs.Event{Ev: obs.EvPathEnd, Path: pathID,
-			DurUS: dur.Microseconds(), N: int64(res.instrs), Result: status})
+			DurUS: dur.Microseconds(), N: int64(instrs), Result: status})
 	}
 
 	if e.Cfg.StopOnError {
@@ -293,7 +291,7 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 		}
 	}
 	for _, tc := range core.Trace {
-		model, ok := res.tcs.solve(e.Cfg.Cache.Queries, solver, core.EPC, tc, in.Assignment)
+		model, ok := e.tcs.solve(e.Cfg.Cache.Queries, solver, core.EPC, tc, in.Assignment)
 		if !ok {
 			continue
 		}
@@ -321,18 +319,14 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 // applyModel installs a forked child's input, counting the time in
 // cte.apply_ns.
 func (e *engine) applyModel(c *iss.Core, model smt.Assignment) {
-	if e.obsApplyNS == nil {
-		c.ApplyModel(model)
-		return
-	}
 	t0 := time.Now()
 	c.ApplyModel(model)
 	e.obsApplyNS.Add(time.Since(t0).Nanoseconds())
 }
 
 // newSolver creates a solver on b with the run's per-query conflict
-// budget, wired into the run's observability bundle. Every worker and
-// every flip-solve goroutine owns one.
+// budget, wired into the run's observability bundle. Every concolic
+// worker owns one; a hybrid Session solves its flips on one.
 func newSolver(b *smt.Builder, cfg Config) *smt.Solver {
 	s := smt.NewSolver(b)
 	s.MaxConflictsPerQuery = cfg.Budget.MaxConflictsPerQuery
@@ -340,17 +334,22 @@ func newSolver(b *smt.Builder, cfg Config) *smt.Solver {
 	return s
 }
 
-// tcTally counts trace-condition verdicts.
-type tcTally struct{ sat, unsat, unknown int }
+// verdicts are the cte.sat_tcs, cte.unsat_tcs and cte.unknown_tcs
+// counters of trace-condition verdicts.
+type verdicts struct{ sat, unsat, unknown *obs.Counter }
+
+func newVerdicts(m *obs.Registry) verdicts {
+	return verdicts{m.Counter("cte.sat_tcs"), m.Counter("cte.unsat_tcs"), m.Counter("cte.unknown_tcs")}
+}
 
 // solve decides one trace condition: the path prefix EPC[:tc.EPCLen]
 // conjoined with tc.Cond. The query goes through the query cache qc when
 // one is configured, else straight to solver; hint is the incumbent
 // input, which satisfied the whole prefix and so enables the cache's
 // independence slicing. The verdict — sat, unsat, or unknown when the
-// per-query conflict budget ran out — is counted in t; the model is
+// per-query conflict budget ran out — is counted in v; the model is
 // returned for sat only.
-func (t *tcTally) solve(qc *qcache.Cache, solver *smt.Solver, epc []*smt.Expr, tc iss.TraceCond, hint smt.Assignment) (smt.Assignment, bool) {
+func (v verdicts) solve(qc *qcache.Cache, solver *smt.Solver, epc []*smt.Expr, tc iss.TraceCond, hint smt.Assignment) (smt.Assignment, bool) {
 	conds := make([]*smt.Expr, 0, tc.EPCLen+1)
 	conds = append(conds, epc[:tc.EPCLen]...)
 	conds = append(conds, tc.Cond)
@@ -363,35 +362,14 @@ func (t *tcTally) solve(qc *qcache.Cache, solver *smt.Solver, epc []*smt.Expr, t
 	}
 	switch {
 	case unknown:
-		t.unknown++
+		v.unknown.Inc()
 	case !sat:
-		t.unsat++
+		v.unsat.Inc()
 	default:
-		t.sat++
+		v.sat.Inc()
 		return model, true
 	}
 	return nil, false
-}
-
-// addTCs folds a tally into the report's trace-condition counters.
-func (r *Report) addTCs(t tcTally) {
-	r.SatTCs += t.sat
-	r.UnsatTCs += t.unsat
-	r.UnknownTCs += t.unknown
-}
-
-// addSolverStats adds every solver's query count and solve time to the
-// report totals and, when the report has per-worker rows, to the row of
-// the worker that owned it.
-func addSolverStats(rep *Report, solvers []*smt.Solver) {
-	for i, s := range solvers {
-		rep.Queries += s.Stats.Queries
-		rep.SolverTime += s.Stats.SolverTime
-		if rep.PerWorker != nil {
-			rep.PerWorker[i].Queries = s.Stats.Queries
-			rep.PerWorker[i].SolverTime = s.Stats.SolverTime
-		}
-	}
 }
 
 // findingOf classifies a halted core: a Finding for a hard error, prune

@@ -3,7 +3,6 @@ package cte
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -28,15 +27,16 @@ type hybrid struct {
 	// conjunction — a condition alone is not enough, since it may be
 	// unsat under one prefix and sat under another.
 	attempted map[string]bool
-	fs        *FuzzStats // counters cumulative over the Session's Runs
-	reported  int        // fuzzer findings returned by earlier Runs
-	// The solvers persist too (a fresh solver's history would change
-	// the models of later flips); their counters restart every Run.
-	solvers    []*smt.Solver
-	stoppedDry bool    // the last Run ended on a dry escalation streak
-	rep        *Report // the current Run's
+	reported  int    // fuzzer findings returned by earlier Runs
+	skipped   uint64 // FuzzStats.SkipInitInstrs
+	// The flip solver persists too: a fresh solver's history would
+	// change the models of later flips.
+	solver     *smt.Solver
+	stoppedDry bool // the last Run ended on a dry escalation streak
 
-	// Observability handles (Config.Obs); nil-safe when unwired.
+	// Observability handles on the Session's registry, which holds the
+	// concolic-assist counters of FuzzStats.
+	tcs                                      verdicts
 	obsEsc, obsFlips, obsSolves, obsReplayed *obs.Counter
 	tracer                                   *obs.Tracer
 }
@@ -61,19 +61,20 @@ func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 	snapshot.Freeze()
 	working, skipped := advancePastInput(snapshot)
 
+	m := cfg.Obs.Registry()
 	h := &hybrid{
-		cfg:       cfg,
-		snap:      working,
-		builder:   snapshot.B,
-		attempted: make(map[string]bool),
-		fs:        &FuzzStats{SkipInitInstrs: skipped},
-	}
-	if m := cfg.Obs.Registry(); m != nil {
-		h.obsEsc = m.Counter("hybrid.escalations")
-		h.obsFlips = m.Counter("hybrid.flips_attempted")
-		h.obsSolves = m.Counter("hybrid.solves")
-		h.obsReplayed = m.Counter("hybrid.replayed_instr")
-		h.tracer = cfg.Obs.Trace()
+		cfg:         cfg,
+		snap:        working,
+		builder:     snapshot.B,
+		attempted:   make(map[string]bool),
+		skipped:     skipped,
+		solver:      newSolver(snapshot.B, cfg),
+		tcs:         newVerdicts(m),
+		obsEsc:      m.Counter("hybrid.escalations"),
+		obsFlips:    m.Counter("hybrid.flips_attempted"),
+		obsSolves:   m.Counter("hybrid.solves"),
+		obsReplayed: m.Counter("hybrid.replayed_instr"),
+		tracer:      cfg.Obs.Trace(),
 	}
 	h.fz = fuzz.New(working, fuzz.Options{
 		Seed:           cfg.Seed,
@@ -84,25 +85,20 @@ func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 		Seeds:          cfg.Fuzz.Seeds,
 		Obs:            cfg.Obs,
 	})
-	for i := 0; i < cfg.Workers; i++ {
-		h.solvers = append(h.solvers, newSolver(snapshot.B, cfg))
-	}
 	return h
 }
 
 // run executes one hybrid timebox and reports in the unified Report
 // shape. The budgets (Timeout, MaxExecs, MaxEscalations) count from the
 // start of this run; Findings lists the findings new in this run; the
-// Fuzz section is cumulative over the Session.
+// Fuzz section is cumulative over the Session (Session.Run fills its
+// concolic-assist counters).
 func (h *hybrid) run(ctx context.Context) *Report {
 	cfg := h.cfg
 	start := time.Now()
-	h.rep = &Report{Mode: ModeHybrid, Workers: cfg.Workers}
-	for _, s := range h.solvers {
-		s.Stats = smt.Stats{}
-	}
+	rep := &Report{Mode: ModeHybrid, Workers: cfg.Workers}
 	execs0 := h.fz.Stats().Execs
-	esc0 := h.fs.Escalations
+	esc0 := h.obsEsc.Value()
 	// A Run resumed after a dry stop fuzzes before it escalates again:
 	// the stall that ended the previous Run is still pending, and
 	// escalating straight away would end this one without a batch.
@@ -111,17 +107,17 @@ func (h *hybrid) run(ctx context.Context) *Report {
 	dry := 0
 	for {
 		if ctx.Err() != nil {
-			h.rep.Stopped = "canceled"
+			rep.Stopped = "canceled"
 			break
 		}
 		st := h.fz.Stats()
 		execs := st.Execs - execs0
 		if cfg.Budget.MaxExecs > 0 && execs >= cfg.Budget.MaxExecs {
-			h.rep.Stopped = "exec-budget"
+			rep.Stopped = "exec-budget"
 			break
 		}
 		if cfg.Budget.Timeout > 0 && time.Since(start) > cfg.Budget.Timeout {
-			h.rep.Stopped = "timeout"
+			rep.Stopped = "timeout"
 			break
 		}
 		if !fuzzFirst && h.fz.SinceNewCover() >= cfg.Fuzz.StallExecs {
@@ -129,20 +125,19 @@ func (h *hybrid) run(ctx context.Context) *Report {
 			// A fruitless escalation retries the next entry immediately —
 			// fuzz batches are only worth their cost when there are solved
 			// inputs to execute or coverage is still moving.
-			if cfg.Budget.MaxEscalations > 0 && h.fs.Escalations-esc0 >= cfg.Budget.MaxEscalations {
-				h.rep.Stopped = "escalation-budget"
+			if cfg.Budget.MaxEscalations > 0 && h.obsEsc.Value()-esc0 >= int64(cfg.Budget.MaxEscalations) {
+				rep.Stopped = "escalation-budget"
 				break
 			}
 			data, bound, ok := h.fz.EscalationTarget()
 			if !ok {
 				data = []byte{} // empty corpus: escalate the baseline input
 			}
-			h.fs.Escalations++
 			h.obsEsc.Inc()
 			if h.escalate(ctx, data, bound) == 0 {
 				dry++
 				if dry >= cfg.Fuzz.DryEscalations {
-					h.rep.Stopped = "dry"
+					rep.Stopped = "dry"
 					break
 				}
 				continue
@@ -163,14 +158,14 @@ func (h *hybrid) run(ctx context.Context) *Report {
 				N:     int64(after.Execs - st.Execs), N2: int64(after.Edges)})
 		}
 		if cfg.StopOnError && len(h.fz.Findings()) > h.reported {
-			h.rep.Stopped = "stop-on-error"
+			rep.Stopped = "stop-on-error"
 			break
 		}
 	}
 
 	findings := h.fz.Findings()
 	for _, f := range findings[h.reported:] {
-		h.rep.Findings = append(h.rep.Findings, Finding{
+		rep.Findings = append(rep.Findings, Finding{
 			Err: f.Err, Data: f.Data, Exec: f.Exec,
 			Output: f.Output, Instrs: f.Instrs,
 		})
@@ -180,26 +175,25 @@ func (h *hybrid) run(ctx context.Context) *Report {
 		}
 	}
 	h.reported = len(findings)
-	h.stoppedDry = h.rep.Stopped == "dry"
-	fs := *h.fs
-	fs.Stats = h.fz.Stats()
+	h.stoppedDry = rep.Stopped == "dry"
+	fs := &FuzzStats{Stats: h.fz.Stats(), SkipInitInstrs: h.skipped}
 	for _, e := range h.fz.Corpus() {
 		fs.Corpus = append(fs.Corpus, e.Data)
 	}
-	h.rep.Fuzz = &fs
-	addSolverStats(h.rep, h.solvers)
-	h.rep.WallTime = time.Since(start)
+	rep.Fuzz = fs
+	rep.WallTime = time.Since(start)
 	if cfg.Cache.Queries != nil {
 		st := cfg.Cache.Queries.Stats()
-		h.rep.Cache = &st
+		rep.Cache = &st
 	}
-	return h.rep
+	return rep
 }
 
 // escalate replays one fuzz input concolically (from its generational
 // bound, so already-flipped sites stay quiet), solves the unattempted
-// branch flips along its path across the worker pool, and injects every
-// model back into the fuzzer. Returns the number of injected inputs.
+// branch flips along its path in path order on the Session's solver,
+// and injects each model back into the fuzzer as it is solved. Returns
+// the number of injected inputs.
 func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	escStart := time.Now()
 	c := h.snap.Clone()
@@ -217,7 +211,6 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	c.ObsExecs = nil
 	startInstr := c.InstrCount
 	c.Run(h.cfg.Budget.MaxInstrPerRun)
-	h.fs.ReplayedInstrs += c.InstrCount - startInstr
 	h.obsReplayed.Add(int64(c.InstrCount - startInstr))
 
 	// Flip-target selection. Two filters pick which trace conditions are
@@ -291,70 +284,37 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 		h.attempted[pk.key] = true
 		jobs = append(jobs, c.Trace[pk.trace])
 	}
-	h.fs.FlipsAttempted += len(jobs)
 	h.obsFlips.Add(int64(len(jobs)))
 	if len(jobs) == 0 {
 		return 0
 	}
 
-	models := make([]smt.Assignment, len(jobs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := 0
-	workers := h.cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	tallies := make([]tcTally, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(solver *smt.Solver, tcs *tcTally) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return // unclaimed flips stay unsolved; the driver stops next
-				}
-				mu.Lock()
-				if next >= len(jobs) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				// The incumbent replay satisfied the whole prefix: its
-				// input is the slicing hint, as in the concolic engine.
-				// Each index is written by exactly one worker.
-				models[i], _ = tcs.solve(h.cfg.Cache.Queries, solver, c.EPC, jobs[i], c.Input)
-			}
-		}(h.solvers[w], &tallies[w])
-	}
-	wg.Wait()
-	for _, t := range tallies {
-		h.rep.addTCs(t)
-	}
-	// Flips left unclaimed by a cancellation were never solved: a later
-	// Run of the Session may attempt them again.
-	for _, pk := range picks[next:len(jobs)] {
-		delete(h.attempted, pk.key)
-	}
-
-	// Inject in path order so the campaign stays deterministic at -j 1.
-	// Each solved input carries the flipped site's generation as its
-	// bound (SAGE semantics: re-escalation explores past it only).
+	// Solve and inject in path order, so the campaign stays
+	// deterministic for a fixed seed. The incumbent replay satisfied the
+	// whole prefix: its input is the slicing hint, as in the concolic
+	// engine. Each solved input carries the flipped site's generation as
+	// its bound (SAGE semantics: re-escalation explores past it only).
 	injected := 0
-	for i, m := range models {
-		if m == nil {
+	for i, job := range jobs {
+		if ctx.Err() != nil {
+			// Flips left unsolved by a cancellation: a later Run of the
+			// Session may attempt them again.
+			for _, pk := range picks[i:len(jobs)] {
+				delete(h.attempted, pk.key)
+			}
+			break
+		}
+		m, ok := h.tcs.solve(h.cfg.Cache.Queries, h.solver, c.EPC, job, c.Input)
+		if !ok {
 			continue
 		}
-		h.fz.Inject(solvedInput(data, c.SymOrder, h.builder, m), jobs[i].SiteIdx+1)
+		h.fz.Inject(solvedInput(data, c.SymOrder, h.builder, m), job.SiteIdx+1)
 		injected++
+		h.obsSolves.Inc()
 		if h.tracer != nil {
-			h.tracer.Emit(obs.Event{Ev: obs.EvFlipSolved, PC: jobs[i].FlipTo})
+			h.tracer.Emit(obs.Event{Ev: obs.EvFlipSolved, PC: job.FlipTo})
 		}
 	}
-	h.fs.Solves += injected
-	h.obsSolves.Add(int64(injected))
 	if h.tracer != nil {
 		h.tracer.Emit(obs.Event{Ev: obs.EvEscalation,
 			DurUS: time.Since(escStart).Microseconds(),

@@ -188,9 +188,9 @@ func TestHybridSkipInit(t *testing.T) {
 	}
 }
 
-// TestHybridParallel: a -j 4 campaign (fuzz workers + parallel flip
-// solving) still finds the gated bug; run under -race by the verify
-// target.
+// TestHybridParallel: a -j 4 campaign (four fuzz executors; flips are
+// solved in path order on one solver) still finds the gated bug; run
+// under -race by the verify target.
 func TestHybridParallel(t *testing.T) {
 	rep := NewSession(snapshot(t, magicSrc), Config{Mode: ModeHybrid, Seed: 3, Workers: 4, StopOnError: true, Budget: Budget{MaxExecs: 50_000}, Fuzz: FuzzConfig{Batch: 200}}).Run(context.Background())
 	if len(rep.Findings) != 1 {

@@ -27,6 +27,7 @@ type pool struct {
 	cover    iss.PCSet
 	rep      *Report // rep.Stopped != "" blocks further claims
 	started  int     // paths claimed, bounds MaxPaths
+	merged   int     // paths merged: the next merged path's index
 	inflight int     // claimed but not yet merged
 	deadline time.Time
 }
@@ -82,7 +83,10 @@ func (e *engine) run(ctx context.Context) *Report {
 	rep.Covered = make(map[uint32]struct{}, x.cover.Len())
 	x.cover.Each(func(pc uint32) { rep.Covered[pc] = struct{}{} })
 	rep.WallTime = time.Since(start)
-	addSolverStats(rep, x.solvers)
+	for i, s := range x.solvers {
+		rep.PerWorker[i].Queries = s.Stats.Queries
+		rep.PerWorker[i].SolverTime = s.Stats.SolverTime
+	}
 	e.exportFrontier(x.front, rep)
 	// Inputs left unexplored release their checkpoints with the frontier.
 	e.forkLiveG.Add(-int64(x.front.forks))
@@ -148,16 +152,13 @@ func (x *pool) merge(id int, res pathResult) {
 	e := x.e
 	rep := x.rep
 	core := res.core
-	path := rep.Paths
-	rep.Paths++
+	path := x.merged
+	x.merged++
 	rep.PerWorker[id].Paths++
 	e.obsPaths.Inc()
-	rep.TotalInstr += res.instrs
 	if res.forked {
-		rep.Forked++
 		e.obsForks.Inc()
 	}
-	rep.ForkRestarts += res.forkRestarts
 	e.obsForkRestarts.Add(int64(res.forkRestarts))
 	if e.OnPath != nil {
 		e.OnPath(path, core)
@@ -172,7 +173,6 @@ func (x *pool) merge(id int, res pathResult) {
 	}
 
 	if f, prune := findingOf(core, path); prune {
-		rep.Pruned++
 		e.obsPruned.Inc()
 	} else if f != nil {
 		rep.Findings = append(rep.Findings, *f)
@@ -185,10 +185,6 @@ func (x *pool) merge(id int, res pathResult) {
 		}
 	}
 
-	rep.addTCs(res.tcs)
-	e.obsSat.Add(int64(res.tcs.sat))
-	e.obsUnsat.Add(int64(res.tcs.unsat))
-	e.obsUnknown.Add(int64(res.tcs.unknown))
 	for _, ch := range res.children {
 		key := childKey(e.Builder, ch)
 		if x.seen[key] {

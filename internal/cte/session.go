@@ -138,14 +138,15 @@ type ProtocolConfig struct {
 type Config struct {
 	Mode Mode
 	// Workers sizes the worker pool: exploration workers in concolic
-	// mode, fuzz executors plus flip-solve workers in hybrid mode. 0 or
-	// 1 is one worker, with a deterministic path order; AutoWorkers
-	// picks NumCPU.
+	// mode, fuzz executors in hybrid mode (which solves its branch flips
+	// in path order on one solver). 0 or 1 is one worker, with a
+	// deterministic path order; AutoWorkers picks NumCPU.
 	Workers int
 	Budget  Budget
-	// Obs, when non-nil, wires the whole run — engines, solvers, cache,
-	// fuzzer, ISS — into one observability bundle; the final Report
-	// carries its snapshot.
+	// Obs, when non-nil, receives every metric update of the run —
+	// engines, solvers, cache, fuzzer, ISS — through the Session's own
+	// child registry, and carries the tracer; the final Report carries
+	// the snapshot of its registry.
 	Obs         *obs.Obs
 	Seed        int64 // PRNG seed; runs are reproducible for a fixed seed at Workers <= 1
 	StopOnError bool  // stop at the first finding (paper §4.2.3 workflow)
@@ -196,9 +197,11 @@ type FuzzStats struct {
 // one with NewSession and call Run. The snapshot is never mutated after
 // Run starts; every execution runs on a clone (paper §3.1.1).
 type Session struct {
-	snap *iss.Core
-	cfg  Config
-	err  error // deferred configuration error (unknown detector, ...)
+	snap   *iss.Core
+	cfg    Config        // cfg.Obs is the session bundle on reg
+	caller *obs.Obs      // the Config.Obs the Session was built with
+	reg    *obs.Registry // the session registry: the store of every run counter
+	err    error         // deferred configuration error (unknown detector, ...)
 
 	// OnPath, when set before Run, observes every executed core in
 	// concolic mode (serialized, but scheduling-ordered with
@@ -209,16 +212,23 @@ type Session struct {
 }
 
 // NewSession prepares a run of cfg's Mode over the snapshot, attaching
-// the configured detector set, protocol-state coverage wiring and the
-// ISS counters of cfg.Obs to it (every core of the run is cloned from
-// the snapshot and inherits them). Configuration errors (an unknown
-// detector name) surface as the Report.Stopped of the subsequent Run.
+// the configured detector set and protocol-state coverage wiring to it.
+// The Session's metrics go to a child of cfg.Obs's registry (a fresh
+// root when cfg.Obs is nil), which wires the engines, solvers, cache,
+// fuzzer and the snapshot's ISS counters; every core of the run is
+// cloned from the snapshot and inherits them, so the ISS counters
+// belong to the last Session built on a snapshot. Configuration errors
+// (an unknown detector name) surface as the Report.Stopped of the
+// subsequent Run.
 func NewSession(snapshot *iss.Core, cfg Config) *Session {
+	caller := cfg.Obs
+	reg := caller.Registry().Child()
+	cfg.Obs = &obs.Obs{Metrics: reg, Tracer: caller.Trace()}
 	if cfg.Cache.Queries != nil {
 		cfg.Cache.Queries.SetObs(cfg.Obs)
 	}
 	snapshot.SetObs(cfg.Obs)
-	s := &Session{snap: snapshot, cfg: cfg}
+	s := &Session{snap: snapshot, cfg: cfg, caller: caller, reg: reg}
 	if err := snapshot.AttachDetectorSet(cfg.Detectors); err != nil {
 		s.err = err
 	}
@@ -250,12 +260,18 @@ func (s *Session) AddSeeds(seeds [][]byte) {
 //
 // In hybrid mode a later Run on the same Session resumes the campaign
 // where the previous one stopped: corpus, coverage map, escalation
-// bounds, the attempted-flip set and the solvers carry over. Budget.Timeout,
-// MaxExecs and MaxEscalations apply to each Run, Report.Findings lists
-// the findings new in that Run, and Report.Fuzz is cumulative over the
-// Session. The other modes start afresh on every Run.
+// bounds, the attempted-flip set and the flip solver carry over.
+// Budget.Timeout, MaxExecs and MaxEscalations apply to each Run,
+// Report.Findings lists the findings new in that Run, and Report.Fuzz
+// is cumulative over the Session. The other modes start afresh on
+// every Run.
+//
+// The concolic and hybrid run counters are the change of the Session's
+// registry over the Run, so they stay exact when other sessions share
+// Config.Obs, even concurrently.
 func (s *Session) Run(ctx context.Context) *Report {
 	start := time.Now()
+	before := s.reg.Snapshot().Counters
 	var rep *Report
 	switch {
 	case s.err != nil:
@@ -272,12 +288,40 @@ func (s *Session) Run(ctx context.Context) *Report {
 		eng.OnPath = s.OnPath
 		rep = eng.run(ctx)
 	}
+	if s.cfg.Mode != ModeBMC {
+		countRun(rep, before, s.reg.Snapshot().Counters)
+	}
 	rep.Mode = s.cfg.Mode
 	rep.Detectors = s.snap.DetectorKinds()
-	rep.Obs = s.cfg.Obs.Snapshot()
+	rep.Obs = s.caller.Snapshot()
 	if tr := s.cfg.Obs.Trace(); tr != nil {
 		tr.Emit(obs.Event{Ev: obs.EvRunEnd,
 			DurUS: time.Since(start).Microseconds(), Class: rep.Stopped})
 	}
 	return rep
+}
+
+// countRun fills rep's run counters from the session registry's
+// counters before and after one Run. The Fuzz section's concolic-assist
+// counters are the absolute values: they are cumulative over the
+// Session, like the rest of that section. A BMC Report keeps the
+// counts of its bmc.Report instead.
+func countRun(rep *Report, before, after map[string]int64) {
+	d := func(name string) int64 { return after[name] - before[name] }
+	rep.Paths = int(d("cte.paths"))
+	rep.Queries = int(d("smt.queries"))
+	rep.SolverTime = time.Duration(d("smt.solver_ns"))
+	rep.TotalInstr = uint64(d("iss.instr"))
+	rep.SatTCs = int(d("cte.sat_tcs"))
+	rep.UnsatTCs = int(d("cte.unsat_tcs"))
+	rep.UnknownTCs = int(d("cte.unknown_tcs"))
+	rep.Forked = int(d("cte.forks"))
+	rep.ForkRestarts = int(d("cte.fork_restarts"))
+	rep.Pruned = int(d("cte.pruned"))
+	if fs := rep.Fuzz; fs != nil {
+		fs.Escalations = int(after["hybrid.escalations"])
+		fs.ReplayedInstrs = uint64(after["hybrid.replayed_instr"])
+		fs.FlipsAttempted = int(after["hybrid.flips_attempted"])
+		fs.Solves = int(after["hybrid.solves"])
+	}
 }

@@ -21,6 +21,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,8 +31,11 @@ import (
 
 // Counter is a monotonically increasing atomic counter. All methods are
 // safe on a nil receiver (no-ops), so disabled metrics cost one branch.
+// A counter resolved through a Child registry forwards every update to
+// its parent counter.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
 
 // Inc adds one.
@@ -39,10 +43,9 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
 	}
-	c.v.Add(n)
 }
 
 // Value returns the current count (0 on nil).
@@ -53,25 +56,25 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic last-value metric. Nil-safe like Counter.
+// Gauge is an atomic last-value metric. Nil-safe and forwarding like
+// Counter.
 type Gauge struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Gauge
 }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
+	for ; g != nil; g = g.parent {
+		g.v.Store(v)
 	}
-	g.v.Store(v)
 }
 
 // Add adjusts the gauge by n.
 func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
+	for ; g != nil; g = g.parent {
+		g.v.Add(n)
 	}
-	g.v.Add(n)
 }
 
 // Value returns the current value (0 on nil).
@@ -92,38 +95,30 @@ var LatencyBoundsUS = []int64{
 // Histogram is a bucketed distribution: Observe(v) increments the first
 // bucket whose upper bound is >= v; values above every bound land in the
 // implicit overflow bucket. Bounds are fixed at creation; observations
-// are lock-free atomic increments. Nil-safe like Counter.
+// are lock-free atomic increments. Nil-safe and forwarding like
+// Counter; a parent buckets forwarded values by its own bounds.
 type Histogram struct {
 	bounds  []int64        // ascending upper bounds; len(buckets) == len(bounds)+1
 	buckets []atomic.Int64 // counts per bucket, last is overflow
 	count   atomic.Int64
 	sum     atomic.Int64
+	parent  *Histogram
 }
 
-func newHistogram(bounds []int64) *Histogram {
+func newHistogram(bounds []int64, parent *Histogram) *Histogram {
 	b := append([]int64(nil), bounds...)
 	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
+	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1), parent: parent}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
+	for ; h != nil; h = h.parent {
+		i, _ := slices.BinarySearch(h.bounds, v) // the first bound >= v
+		h.buckets[i].Add(1)
+		h.count.Add(1)
+		h.sum.Add(v)
 	}
-	// Binary search for the first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.buckets[lo].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
 }
 
 // ObserveDuration records d in microseconds (the unit of
@@ -163,6 +158,10 @@ func (h *Histogram) Sum() int64 {
 // process-wide registry: the scoped snapshot shows a campaign its own
 // metrics under local names, while the root /metrics endpoint sees the
 // fully qualified union.
+//
+// Child derives a registry with storage of its own whose handles
+// forward to the parent's: a cte.Session reads its own run's counters
+// from a child while the caller's registry still sees every update.
 type Registry struct {
 	prefix string
 	s      *regState
@@ -170,6 +169,7 @@ type Registry struct {
 
 type regState struct {
 	mu       sync.Mutex
+	parent   *Registry // handles forward to their namesakes here (Child)
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -182,6 +182,18 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}}
+}
+
+// Child returns an empty registry whose every handle also forwards its
+// updates to the handle of the same qualified name in r, so r sees the
+// child's metrics merged into its own while the child's Snapshot shows
+// only the updates made through it. Children compose (a grandchild
+// forwards to both ancestors), r may be a Scoped view, and a nil r
+// yields a fresh root registry.
+func (r *Registry) Child() *Registry {
+	c := NewRegistry()
+	c.s.parent = r
+	return c
 }
 
 // Scoped returns a view of the same registry under prefix (a trailing
@@ -210,7 +222,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.s.mu.Unlock()
 	c := r.s.counters[name]
 	if c == nil {
-		c = &Counter{}
+		c = &Counter{parent: r.s.parent.Counter(name)}
 		r.s.counters[name] = c
 	}
 	return c
@@ -226,7 +238,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.s.mu.Unlock()
 	g := r.s.gauges[name]
 	if g == nil {
-		g = &Gauge{}
+		g = &Gauge{parent: r.s.parent.Gauge(name)}
 		r.s.gauges[name] = g
 	}
 	return g
@@ -243,7 +255,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	defer r.s.mu.Unlock()
 	h := r.s.hists[name]
 	if h == nil {
-		h = newHistogram(bounds)
+		h = newHistogram(bounds, r.s.parent.Histogram(name, bounds))
 		r.s.hists[name] = h
 	}
 	return h
