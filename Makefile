@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native loc examples clean
+.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native loc examples clean
 
 all: verify
 
@@ -89,11 +89,17 @@ stateful-smoke: build
 	$(GO) build -o /tmp/cte-smoke ./cmd/cte
 	/tmp/cte-smoke -prog tcpip-session -pkts 3 -detectors all -fuzz -fuzz-time 180s -dry-escalations 2000 -seed 1; test $$? -eq 1
 
+# Find-fix smoke: the Table 2 example runs the internal/findfix driver
+# in-process and must find six distinct tcpip bugs, then a clean stage
+# (any other outcome exits nonzero).
+findfix-smoke:
+	$(GO) run ./examples/tcpip-fuzz
+
 # The repo's verification recipe (see README.md and
 # .claude/skills/verify/SKILL.md): build, vet, full tests, the benchmark
 # module's tests, race pass, then the end-to-end fuzzing, tracing,
-# campaign, BMC and stateful smokes.
-verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke
+# campaign, BMC, stateful and find-fix smokes.
+verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

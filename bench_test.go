@@ -14,11 +14,13 @@ package rvcte
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"rvcte/internal/cte"
+	"rvcte/internal/findfix"
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
 	"rvcte/internal/nestedvm"
@@ -175,49 +177,24 @@ func TestTable1(t *testing.T) {
 }
 
 // TestTable2 regenerates Table 2: the six FreeRTOS-TCP/IP heap overflow
-// bugs found by the find-fix-rerun workflow, with per-bug statistics.
+// bugs found by the find-fix-rerun workflow, with per-bug statistics,
+// then the clean run of the fully patched stack.
 func TestTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table generation is slow")
 	}
-	fmt.Printf("\n%-5s %9s %9s %8s %9s %12s  %s\n",
-		"Error", "time(s)", "stime(s)", "#paths", "#queries", "#instr", "description")
-	descriptions := map[int]string{
-		1: "malformed IP header length -> memmove with size close to UINT_MAX",
-		2: "buffer overflow (read) in the DNS/NBNS packet parser",
-		3: "buffer overflow (write) in the DNS reply generator",
-		4: "buffer overflow (read) during TCP options checking",
-		5: "NBNS length overflow: large reply filled beyond a smaller input",
-		6: "NBNS reply allocation too small for the complete reply",
+	rows, err := findfix.Run(0, 7, findfix.Local("tcpip",
+		func(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) },
+		func(*smt.Builder, int, uint) cte.Config {
+			return cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: 10000}}
+		}))
+	fmt.Println()
+	findfix.Print(os.Stdout, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	fixed := uint(0)
-	found := map[int]bool{}
-	for stage := 0; stage < 6; stage++ {
-		b := smt.NewBuilder()
-		core, elf, err := guest.NewCore(b, guest.TCPIPProgram(fixed, 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		rep := cte.NewSession(core, cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: 10000}}).Run(context.Background())
-		elapsed := time.Since(start)
-		if len(rep.Findings) == 0 {
-			t.Fatalf("stage %d: no finding in %d paths", stage, rep.Paths)
-		}
-		f := rep.Findings[0]
-		bug := guest.Classify("tcpip", elf, f.Err.Kind, f.Err.PC, fixed)
-		if bug == 0 || found[bug] {
-			t.Fatalf("stage %d: bad classification %d for %v", stage, bug, f.Err)
-		}
-		found[bug] = true
-		fixed |= 1 << (bug - 1)
-		fmt.Printf("%-5d %9.2f %9.2f %8d %9d %12d  %s\n",
-			bug, elapsed.Seconds(), rep.SolverTime.Seconds(), rep.Paths, rep.Queries,
-			rep.TotalInstr, descriptions[bug])
-	}
-	if len(found) != 6 {
-		t.Errorf("only %d of 6 bugs found", len(found))
+	if len(rows) != 7 {
+		t.Errorf("clean after %d bugs, want 6", len(rows)-1)
 	}
 }
 

@@ -8,11 +8,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"rvcte/internal/campaign"
+	"rvcte/internal/findfix"
+	"rvcte/internal/guest"
 	"rvcte/internal/obs"
 )
 
@@ -227,54 +230,51 @@ func runSubmit(ctx context.Context, o campaignOpts) int {
 	return 0
 }
 
+// runFindFix drives internal/findfix with one stop-on-error campaign
+// per stage, starting from the -fix mask. Each campaign's first finding
+// arrives classified by the worker that hit it.
 func runFindFix(ctx context.Context, cl *campaign.Client, o campaignOpts) int {
-	fixes := []string{}
-	if o.fixList != "" {
-		fixes = strings.Split(o.fixList, ",")
+	start, err := guest.ParseFixList(o.fixList, 1, 6)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cte:", err)
+		return 2
 	}
-	bugs := 0
-	for stage := 0; stage < 8; stage++ {
+	rows, err := findfix.Run(start, 8, func(stage int, fixed uint) (findfix.Row, error) {
+		var fixes []string
+		for bug := 1; bug <= 6; bug++ {
+			if fixed&(1<<(bug-1)) != 0 {
+				fixes = append(fixes, strconv.Itoa(bug))
+			}
+		}
 		fixList := strings.Join(fixes, ",")
 		spec := specFor(o, fixList)
 		spec.StopOnError = true
 		st, err := cl.Create(ctx, spec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cte:", err)
-			return 2
+			return findfix.Row{}, err
 		}
-		var first *campaign.WireFinding
+		var row findfix.Row
 		final, err := cl.StreamFindings(ctx, st.Spec.ID, func(f campaign.WireFinding) {
-			if first == nil {
-				first = &f
+			if row.Clean() {
+				row = findfix.Row{Bug: f.Bug, Kind: f.Kind, PC: f.PC, Func: f.Func}
 				printWireFinding(stage, f)
 			}
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cte:", err)
-			return 2
+			return findfix.Row{}, err
 		}
-		if first == nil {
+		if row.Clean() {
 			fmt.Printf("stage %d: clean — %d paths, fixes [%s], campaign %s %s\n",
 				stage, final.Stats.Paths, fixList, st.Spec.ID, final.State)
-			if bugs > 0 {
-				return 1
-			}
-			return 0
 		}
-		if first.Bug == 0 {
-			fmt.Fprintf(os.Stderr, "cte: stage %d finding not classified to a table-2 bug; cannot continue fixing\n", stage)
-			return 2
-		}
-		fix := fmt.Sprintf("%d", first.Bug)
-		for _, f := range fixes {
-			if f == fix {
-				fmt.Fprintf(os.Stderr, "cte: bug %s found again after being fixed; aborting\n", fix)
-				return 2
-			}
-		}
-		fixes = append(fixes, fix)
-		bugs++
+		return row, nil
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cte: find-fix:", err)
+		return 2
 	}
-	fmt.Fprintln(os.Stderr, "cte: find-fix did not converge in 8 stages")
-	return 2
+	if len(rows) > 1 {
+		return 1
+	}
+	return 0
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"rvcte/internal/cte"
+	"rvcte/internal/findfix"
 	"rvcte/internal/fuzz"
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
@@ -229,16 +230,8 @@ func main() {
 	// Stateful guests publish their protocol-state byte; wiring it banks
 	// edge coverage by protocol state and scopes the run to the session
 	// depth the guest was built with.
-	if prg.Proto.StateSym != "" && elf != nil {
-		if addr, ok := elf.Symbol(prg.Proto.StateSym); ok {
-			cfg.Protocol = cte.ProtocolConfig{
-				Packets:   prg.Proto.Pkts,
-				PktMax:    prg.Proto.Caps,
-				StateAddr: addr,
-				States:    prg.Proto.States,
-			}
-		}
-	}
+	cfg.Protocol, err = findfix.Protocol(prg, elf)
+	die(err)
 	if *fuzzMode {
 		cfg.Mode = cte.ModeHybrid
 		cfg.Budget.Timeout = *fuzzTime

@@ -2,73 +2,40 @@
 // mini-RTOS TCP/IP stack: inject one packet with symbolic size and
 // content through the network-card peripheral, run concolic testing
 // until the first heap overflow, "fix" the bug (enable its patch), and
-// re-run — until the stack survives a full bounded sweep. One row is
-// printed per discovered bug, mirroring Table 2.
+// re-run — until the stack survives a full bounded sweep. The
+// internal/findfix driver runs the loop; one row is printed per
+// discovered bug, mirroring Table 2, then the clean sweep's row.
 //
 // Run with: go run ./examples/tcpip-fuzz
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"time"
+	"os"
 
 	"rvcte/internal/cte"
+	"rvcte/internal/findfix"
 	"rvcte/internal/guest"
 	"rvcte/internal/smt"
 )
 
-var bugDescriptions = map[int]string{
-	1: "IP header length underflow -> memmove with size close to UINT_MAX",
-	2: "DNS parser reads non-existing header fields / unbounded name walk",
-	3: "DNS reply generator write overflow (missing length check)",
-	4: "TCP option walking reads beyond the segment",
-	5: "NBNS record length trusted: large reply filled from beyond the input",
-	6: "NBNS reply buffer sized from the packet's UDP length (too small)",
-}
-
 func main() {
 	fmt.Println("testing the TCP/IP stack: one symbolic packet (size N <= 64, symbolic content)")
 	fmt.Println()
-	fmt.Printf("%-4s %-8s %-8s %-8s %-9s %-11s %s\n",
-		"bug", "time(s)", "stime(s)", "#paths", "#queries", "#instr", "description")
-
-	fixed := uint(0)
-	for stage := 0; stage < 6; stage++ {
-		b := smt.NewBuilder()
-		core, elf, err := guest.NewCore(b, guest.TCPIPProgram(fixed, 64))
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		rep := cte.NewSession(core, cte.Config{
-			Budget:      cte.Budget{MaxPaths: 10000},
-			StopOnError: true,
-		}).Run(context.Background())
-		elapsed := time.Since(start)
-		if len(rep.Findings) == 0 {
-			log.Fatalf("stage %d: no error found in %d paths", stage, rep.Paths)
-		}
-		f := rep.Findings[0]
-		bug := guest.Classify("tcpip", elf, f.Err.Kind, f.Err.PC, fixed)
-		if bug == 0 {
-			log.Fatalf("stage %d: unclassified finding %v", stage, f.Err)
-		}
-		fmt.Printf("%-4d %-8.2f %-8.2f %-8d %-9d %-11d %s\n",
-			bug, elapsed.Seconds(), rep.SolverTime.Seconds(),
-			rep.Paths, rep.Queries, rep.TotalInstr, bugDescriptions[bug])
-		fixed |= 1 << (bug - 1)
-	}
-
-	fmt.Println("\nall six bugs found; verifying the fully patched stack ...")
-	b := smt.NewBuilder()
-	core, _, err := guest.NewCore(b, guest.TCPIPProgram(fixed, 64))
+	rows, err := findfix.Run(0, 7, findfix.Local("tcpip",
+		func(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) },
+		func(_ *smt.Builder, i int, _ uint) cte.Config {
+			if i == 6 {
+				return cte.Config{Budget: cte.Budget{MaxPaths: 1000}} // the fully patched stack
+			}
+			return cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: 10000}}
+		}))
+	findfix.Print(os.Stdout, rows)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := cte.NewSession(core, cte.Config{
-		Budget: cte.Budget{MaxPaths: 1000},
-	}).Run(context.Background())
-	fmt.Printf("clean sweep: %d paths, %d findings\n", rep.Paths, len(rep.Findings))
+	if len(rows) != 7 {
+		log.Fatalf("stack explored clean after %d of six bugs", len(rows)-1)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rvcte/internal/cte"
+	"rvcte/internal/findfix"
 	"rvcte/internal/fuzz"
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
@@ -65,15 +66,8 @@ func NewRunner(spec Spec) (*Runner, error) {
 	}
 	// Stateful guests publish their protocol-state symbol; resolving it
 	// here means every worker banks edge coverage identically.
-	if p.Proto.StateSym != "" {
-		if addr, ok := elf.Symbol(p.Proto.StateSym); ok {
-			r.proto = cte.ProtocolConfig{
-				Packets:   p.Proto.Pkts,
-				PktMax:    p.Proto.Caps,
-				StateAddr: addr,
-				States:    p.Proto.States,
-			}
-		}
+	if r.proto, err = findfix.Protocol(p, elf); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -28,7 +28,6 @@ const (
 	tIdent
 	tNum
 	tStr
-	tChar
 	tPunct
 )
 

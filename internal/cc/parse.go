@@ -74,9 +74,6 @@ func (t *Type) String() string {
 
 func (t *Type) isInt() bool { return t.Kind == TyInt }
 func (t *Type) isPtr() bool { return t.Kind == TyPtr }
-func (t *Type) isScalar() bool {
-	return t.Kind == TyInt || t.Kind == TyPtr || t.Kind == TyFunc
-}
 
 // sizeOf returns the storage size; arrays and structs are as declared.
 func (t *Type) sizeOf() int {

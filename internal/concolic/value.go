@@ -47,10 +47,6 @@ func (o Ops) sym(v Value) *smt.Expr {
 	return o.B.Const(32, uint64(v.C))
 }
 
-// SymOrNil returns v's symbolic part or nil (exported for the ISS's
-// branch handling).
-func (v Value) SymOrNil() *smt.Expr { return v.Sym }
-
 func (o Ops) bin(a, b Value, cf func(x, y uint32) uint32, sf func(x, y *smt.Expr) *smt.Expr) Value {
 	c := cf(a.C, b.C)
 	if a.Sym == nil && b.Sym == nil {

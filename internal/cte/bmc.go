@@ -18,8 +18,6 @@ type BMCConfig struct {
 	// budget resolves through, so the two engines are depth-aligned by
 	// default.
 	K int
-	// MaxStates caps the merged-state pool (0 = bmc default).
-	MaxStates int
 	// NoReplay skips the concrete confirmation replay of findings.
 	NoReplay bool
 }
@@ -43,7 +41,6 @@ func bmcConfig(snap *iss.Core, cfg Config) bmc.Config {
 		K:            bmcDepth(snap, cfg),
 		Cache:        cfg.Cache.Queries,
 		MaxConflicts: cfg.Budget.MaxConflictsPerQuery,
-		MaxStates:    cfg.BMC.MaxStates,
 		NoReplay:     cfg.BMC.NoReplay,
 		Obs:          cfg.Obs,
 	}

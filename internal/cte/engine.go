@@ -138,8 +138,7 @@ type Report struct {
 	// campaign coordinator's sharded frontier.
 	Frontier []Input
 	// Stopped says why the run ended: "exhausted" | "path-budget" |
-	// "exec-budget" | "timeout" | "stop-on-error" | "canceled" | "dry" |
-	// "escalation-budget".
+	// "exec-budget" | "timeout" | "stop-on-error" | "canceled" | "dry".
 	Stopped string
 	// Covered holds every PC executed on any path (when
 	// Explore.TrackCoverage or the Coverage strategy is active).

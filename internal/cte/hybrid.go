@@ -12,6 +12,9 @@ import (
 	"rvcte/internal/smt"
 )
 
+// maxFlipsPerEscalation bounds the branch flips one escalation solves.
+const maxFlipsPerEscalation = 64
+
 // hybrid is the driver state of one hybrid Session. It outlives a Run:
 // a later Run continues the campaign with the corpus, coverage map,
 // per-entry escalation bounds and attempted-flip set of the earlier
@@ -51,9 +54,6 @@ func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 	if cfg.Fuzz.StallExecs == 0 {
 		cfg.Fuzz.StallExecs = uint64(cfg.Fuzz.Batch)
 	}
-	if cfg.Fuzz.MaxFlipsPerEscalation <= 0 {
-		cfg.Fuzz.MaxFlipsPerEscalation = 64
-	}
 	if cfg.Fuzz.DryEscalations <= 0 {
 		cfg.Fuzz.DryEscalations = 3
 	}
@@ -80,7 +80,6 @@ func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 		Seed:           cfg.Seed,
 		Workers:        cfg.Workers,
 		MaxInstrPerRun: cfg.Budget.MaxInstrPerRun,
-		MapBits:        cfg.Fuzz.MapBits,
 		States:         cfg.Protocol.States,
 		Seeds:          cfg.Fuzz.Seeds,
 		Obs:            cfg.Obs,
@@ -89,16 +88,15 @@ func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 }
 
 // run executes one hybrid timebox and reports in the unified Report
-// shape. The budgets (Timeout, MaxExecs, MaxEscalations) count from the
-// start of this run; Findings lists the findings new in this run; the
-// Fuzz section is cumulative over the Session (Session.Run fills its
-// concolic-assist counters).
+// shape. The budgets (Timeout, MaxExecs) count from the start of this
+// run; Findings lists the findings new in this run; the Fuzz section is
+// cumulative over the Session (Session.Run fills its concolic-assist
+// counters).
 func (h *hybrid) run(ctx context.Context) *Report {
 	cfg := h.cfg
 	start := time.Now()
 	rep := &Report{Mode: ModeHybrid, Workers: cfg.Workers}
 	execs0 := h.fz.Stats().Execs
-	esc0 := h.obsEsc.Value()
 	// A Run resumed after a dry stop fuzzes before it escalates again:
 	// the stall that ended the previous Run is still pending, and
 	// escalating straight away would end this one without a batch.
@@ -125,10 +123,6 @@ func (h *hybrid) run(ctx context.Context) *Report {
 			// A fruitless escalation retries the next entry immediately —
 			// fuzz batches are only worth their cost when there are solved
 			// inputs to execute or coverage is still moving.
-			if cfg.Budget.MaxEscalations > 0 && h.obsEsc.Value()-esc0 >= int64(cfg.Budget.MaxEscalations) {
-				rep.Stopped = "escalation-budget"
-				break
-			}
 			data, bound, ok := h.fz.EscalationTarget()
 			if !ok {
 				data = []byte{} // empty corpus: escalate the baseline input
@@ -278,7 +272,7 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	})
 	var jobs []iss.TraceCond
 	for _, pk := range picks {
-		if len(jobs) >= h.cfg.Fuzz.MaxFlipsPerEscalation {
+		if len(jobs) >= maxFlipsPerEscalation {
 			break
 		}
 		h.attempted[pk.key] = true

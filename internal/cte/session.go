@@ -49,7 +49,6 @@ type Budget struct {
 	// exceeding it counts as an unknown TC instead of blocking the run.
 	MaxConflictsPerQuery int
 	MaxExecs             uint64 // hybrid: concrete-execution budget
-	MaxEscalations       int    // hybrid: concolic escalation budget
 }
 
 // ExploreConfig tunes the concolic engine's search. The other modes
@@ -78,12 +77,9 @@ type FuzzConfig struct {
 	// coverage that triggers a concolic escalation (default Batch).
 	Batch      int
 	StallExecs uint64
-	MapBits    int // edge map size per protocol-state bank (log2; default 16)
-	// MaxFlipsPerEscalation bounds the branch flips solved per
-	// escalation (default 64). DryEscalations stops the run after this
-	// many consecutive fruitless escalations (default 3).
-	MaxFlipsPerEscalation int
-	DryEscalations        int
+	// DryEscalations stops the run after this many consecutive
+	// fruitless escalations (default 3).
+	DryEscalations int
 	// Seeds are initial corpus inputs (e.g. a persisted corpus dir).
 	Seeds [][]byte
 }
@@ -127,10 +123,6 @@ type ProtocolConfig struct {
 	// States is the number of protocol states; edge coverage gets one
 	// bank per state.
 	States int
-	// Probe, when set, observes every protocol-state change at the
-	// next instruction boundary — the inter-packet guest-state probe
-	// (diagnostics, campaign progress displays).
-	Probe func(core *iss.Core, state uint32)
 }
 
 // Config is the unified configuration of a Session: mode, budgets and
@@ -235,7 +227,6 @@ func NewSession(snapshot *iss.Core, cfg Config) *Session {
 	if cfg.Protocol.StateAddr != 0 {
 		snapshot.ProtoStateAddr = cfg.Protocol.StateAddr
 		snapshot.ProtoStates = cfg.Protocol.States
-		snapshot.ProtoProbe = cfg.Protocol.Probe
 	}
 	return s
 }
@@ -261,10 +252,9 @@ func (s *Session) AddSeeds(seeds [][]byte) {
 // In hybrid mode a later Run on the same Session resumes the campaign
 // where the previous one stopped: corpus, coverage map, escalation
 // bounds, the attempted-flip set and the flip solver carry over.
-// Budget.Timeout, MaxExecs and MaxEscalations apply to each Run,
-// Report.Findings lists the findings new in that Run, and Report.Fuzz
-// is cumulative over the Session. The other modes start afresh on
-// every Run.
+// Budget.Timeout and MaxExecs apply to each Run, Report.Findings lists
+// the findings new in that Run, and Report.Fuzz is cumulative over the
+// Session. The other modes start afresh on every Run.
 //
 // The concolic and hybrid run counters are the change of the Session's
 // registry over the Run, so they stay exact when other sessions share

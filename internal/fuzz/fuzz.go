@@ -23,7 +23,6 @@ package fuzz
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -499,17 +498,4 @@ func (f *Fuzzer) Stats() Stats {
 	s.MaxDemand = f.maxDemand
 	s.Edges = f.edgeEntries
 	return s
-}
-
-// SortedFindings returns findings sorted by (kind, pc) for stable
-// reporting independent of discovery order.
-func SortedFindings(fs []Finding) []Finding {
-	out := append([]Finding(nil), fs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Err.Kind != out[j].Err.Kind {
-			return out[i].Err.Kind < out[j].Err.Kind
-		}
-		return out[i].Err.PC < out[j].Err.PC
-	})
-	return out
 }

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"slices"
 	"strings"
 
 	"rvcte/internal/iss"
@@ -24,49 +25,59 @@ func LocateFunc(elf *relf.File, pc uint32) string {
 	return best
 }
 
-// ClassRule maps one finding shape to a seeded bug index. Rules are
+// classRule maps one finding shape to a seeded bug index. Rules are
 // matched in order, first match wins. A rule matches when the finding's
-// error kind is in Kinds (empty = any kind), the faulting PC lies in
-// function Func (empty = any function), and — when NotFixed is nonzero
-// — bug NotFixed is not in the fixed bitmask. Bug is the seeded bug
-// index the rule classifies to.
-type ClassRule struct {
-	Kinds    []iss.ErrKind
-	Func     string
-	WriteBug int // overrides Bug for write-kind findings (0 = no override)
-	NotFixed int // rule applies only while bug NotFixed is unfixed
-	Bug      int
+// error kind is in Kinds (empty = any kind) and the faulting PC lies in
+// function Func (empty = any function). Bug is the seeded bug index the
+// rule classifies to.
+type classRule struct {
+	Kinds []iss.ErrKind
+	Func  string
+	Bug   int
 }
+
+var (
+	heapKinds = []iss.ErrKind{iss.ErrProtectedRead, iss.ErrProtectedWrite}
+	heapRead  = []iss.ErrKind{iss.ErrProtectedRead}
+	heapWrite = []iss.ErrKind{iss.ErrProtectedWrite}
+)
 
 // classifiers is the per-guest rule table, keyed by the short guest
 // name used on the campaign wire ("tcpip", "tcpip-session", ...).
-var classifiers = map[string][]ClassRule{}
-
-// RegisterClassifier installs the classification rules for a guest.
-// Later registrations for the same guest replace earlier ones.
-func RegisterClassifier(guest string, rules []ClassRule) {
-	classifiers[guest] = rules
-}
-
-// RegisteredClassifiers returns the guest names with classification
-// rules installed, sorted.
-func RegisteredClassifiers() []string {
-	names := make([]string, 0, len(classifiers))
-	for n := range classifiers {
-		names = append(names, n)
-	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j-1] > names[j]; j-- {
-			names[j-1], names[j] = names[j], names[j-1]
-		}
-	}
-	return names
+var classifiers = map[string][]classRule{
+	// The mtcp single-packet stack (Table 2 numbering). The DNS and
+	// NBNS handlers each host a read bug and a write bug, told apart by
+	// the access kind: the blind label walk reads (bug 2), the reply
+	// copy writes (bug 3); the trusted record length reads (bug 5), the
+	// undersized reply buffer is written (bug 6). Unguarded rd16 reads
+	// exist only in the DNS path (NBNS and TCP check sizes first).
+	"tcpip": {
+		{Kinds: heapKinds, Func: "memmove", Bug: 1},
+		{Kinds: heapKinds, Func: "prvProcessIPPacket", Bug: 1},
+		{Kinds: heapKinds, Func: "rd16", Bug: 2},
+		{Kinds: heapRead, Func: "prvProcessDNS", Bug: 2},
+		{Kinds: heapWrite, Func: "prvProcessDNS", Bug: 3},
+		{Kinds: heapKinds, Func: "prvProcessTCP", Bug: 4},
+		{Kinds: heapRead, Func: "prvProcessNBNS", Bug: 5},
+		{Kinds: heapWrite, Func: "prvProcessNBNS", Bug: 6},
+	},
+	// The stateful session guest: each deep bug maps 1:1 onto a
+	// detector kind, so the error kind alone classifies it.
+	"tcpip-session": {
+		// Bug 7 shows as a UAF (DATA stats touch after RST freed the
+		// block) or as a double free (second RST on the dangling
+		// pointer) — both are the missing NULL-out, both need 3 packets.
+		{Kinds: []iss.ErrKind{iss.ErrUseAfterFree, iss.ErrDoubleFree}, Bug: 7},
+		{Kinds: []iss.ErrKind{iss.ErrStackSmash}, Bug: 8},
+		{Kinds: []iss.ErrKind{iss.ErrIRQReentrancy}, Bug: 9},
+	},
 }
 
 // Classify maps a finding in the named guest to its seeded bug index
-// (Table 2 numbering for tcpip; 7..9 for the session guest), given
-// which bugs are already fixed (bitmask, bit i = bug i+1 fixed).
-// Returns 0 for guests without rules or findings matching no rule.
+// (Table 2 numbering for tcpip; 7..9 for the session guest). Returns 0
+// for guests without rules or findings matching no rule. No rule reads
+// the fixed-bug mask (bit i = bug i+1 fixed): the label depends on the
+// finding alone, so a fix that misses its bug shows as a repeat.
 func Classify(guest string, elf *relf.File, kind iss.ErrKind, pc uint32, fixed uint) int {
 	rules := classifiers[guest]
 	if len(rules) == 0 {
@@ -77,56 +88,9 @@ func Classify(guest string, elf *relf.File, kind iss.ErrKind, pc uint32, fixed u
 		fn = LocateFunc(elf, pc)
 	}
 	for _, r := range rules {
-		if len(r.Kinds) > 0 {
-			hit := false
-			for _, k := range r.Kinds {
-				if k == kind {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
+		if (len(r.Kinds) == 0 || slices.Contains(r.Kinds, kind)) && (r.Func == "" || r.Func == fn) {
+			return r.Bug
 		}
-		if r.Func != "" && r.Func != fn {
-			continue
-		}
-		if r.NotFixed != 0 && fixed&(1<<(r.NotFixed-1)) != 0 {
-			continue
-		}
-		if r.WriteBug != 0 && kind == iss.ErrProtectedWrite {
-			return r.WriteBug
-		}
-		return r.Bug
 	}
 	return 0
-}
-
-func init() {
-	heapKinds := []iss.ErrKind{iss.ErrProtectedRead, iss.ErrProtectedWrite}
-	// The mtcp single-packet stack (Table 2 numbering). Ordered: the
-	// DNS function hosts both the blind label walk (bug 2) and the
-	// reply copy (bug 3) — once bug 2 is fixed, remaining DNS faults
-	// are bug 3. Unguarded rd16 reads exist only in the DNS path
-	// (NBNS and TCP check sizes first).
-	RegisterClassifier("tcpip", []ClassRule{
-		{Kinds: heapKinds, Func: "memmove", Bug: 1},
-		{Kinds: heapKinds, Func: "prvProcessIPPacket", Bug: 1},
-		{Kinds: heapKinds, Func: "rd16", Bug: 2},
-		{Kinds: heapKinds, Func: "prvProcessDNS", NotFixed: 2, Bug: 2},
-		{Kinds: heapKinds, Func: "prvProcessDNS", Bug: 3},
-		{Kinds: heapKinds, Func: "prvProcessTCP", Bug: 4},
-		{Kinds: heapKinds, Func: "prvProcessNBNS", Bug: 5, WriteBug: 6},
-	})
-	// The stateful session guest: each deep bug maps 1:1 onto a
-	// detector kind, so the error kind alone classifies it.
-	RegisterClassifier("tcpip-session", []ClassRule{
-		// Bug 7 shows as a UAF (DATA stats touch after RST freed the
-		// block) or as a double free (second RST on the dangling
-		// pointer) — both are the missing NULL-out, both need 3 packets.
-		{Kinds: []iss.ErrKind{iss.ErrUseAfterFree, iss.ErrDoubleFree}, Bug: 7},
-		{Kinds: []iss.ErrKind{iss.ErrStackSmash}, Bug: 8},
-		{Kinds: []iss.ErrKind{iss.ErrIRQReentrancy}, Bug: 9},
-	})
 }

@@ -9,8 +9,8 @@ import (
 
 // TestClassifyTCPIPFinding pins the finding→bug mapping for all six
 // seeded mtcp overflow sites (Table 2 numbering), including the
-// fix-dependent disambiguation inside prvProcessDNS and the kind-based
-// split inside prvProcessNBNS.
+// kind-based splits inside prvProcessDNS and prvProcessNBNS, which do
+// not depend on the fixed-bug mask.
 func TestClassifyTCPIPFinding(t *testing.T) {
 	_, elf, err := NewCore(smt.NewBuilder(), TCPIPProgram(0, 64))
 	if err != nil {
@@ -36,6 +36,8 @@ func TestClassifyTCPIPFinding(t *testing.T) {
 		{"bug2 via rd16", "rd16", iss.ErrProtectedRead, 0, 2},
 		{"bug2 in prvProcessDNS", "prvProcessDNS", iss.ErrProtectedRead, 0, 2},
 		{"bug3 in prvProcessDNS once bug2 fixed", "prvProcessDNS", iss.ErrProtectedWrite, 1 << 1, 3},
+		{"bug3 DNS write while bug2 unfixed", "prvProcessDNS", iss.ErrProtectedWrite, 0, 3},
+		{"bug2 DNS read after bug2 fixed", "prvProcessDNS", iss.ErrProtectedRead, 0b10, 2},
 		{"bug4 in prvProcessTCP", "prvProcessTCP", iss.ErrProtectedRead, 0, 4},
 		{"bug5 NBNS read", "prvProcessNBNS", iss.ErrProtectedRead, 0, 5},
 		{"bug6 NBNS write", "prvProcessNBNS", iss.ErrProtectedWrite, 0, 6},

@@ -330,11 +330,9 @@ type Core struct {
 	// protocol state (e.g. a TCP session state variable). Writes that
 	// cover the address re-read it at the next instruction boundary:
 	// the edge map switches to the bank for the new state (clamped to
-	// ProtoStates-1) and ProtoProbe, when set, observes the transition —
-	// the inter-packet guest-state probe of multi-packet campaigns.
+	// ProtoStates-1).
 	ProtoStateAddr uint32
 	ProtoStates    int
-	ProtoProbe     func(c *Core, state uint32)
 	protoBank      uint32
 	protoDirty     bool
 	edgeMask       uint32 // per-bank index mask; 0 = not yet derived
@@ -845,9 +843,6 @@ func (c *Core) nextFuzzWord() uint32 {
 // (non-zero = true).
 func (c *Core) AssumeValue(v concolic.Value) { c.assumeVal(v) }
 
-// AssertValue applies CTE_assert semantics to a concolic condition.
-func (c *Core) AssertValue(v concolic.Value) { c.assertVal(v) }
-
 // mstatusMIE is the global machine interrupt enable bit of mstatus.
 const mstatusMIE = 1 << 3
 
@@ -917,7 +912,7 @@ func (c *Core) initEdgeBank() {
 }
 
 // protoRefresh re-reads the protocol-state byte after a write covered
-// it: fires the inter-packet probe and switches the edge-map bank.
+// it and switches the edge-map bank.
 func (c *Core) protoRefresh() {
 	c.protoDirty = false
 	if c.ProtoStateAddr == 0 {
@@ -927,9 +922,6 @@ func (c *Core) protoRefresh() {
 	st := uint32(b)
 	if c.ProtoStates > 1 && st >= uint32(c.ProtoStates) {
 		st = uint32(c.ProtoStates) - 1
-	}
-	if c.ProtoProbe != nil {
-		c.ProtoProbe(c, st)
 	}
 	if c.EdgeMap != nil && c.ProtoStates > 1 && c.edgeMask != 0 {
 		bank := st * (c.edgeMask + 1)

@@ -136,12 +136,6 @@ func (c *Core) SetDetectors(ds ...Detector) {
 	c.deriveDetectors()
 }
 
-// AttachDetector appends one detector to the current set.
-func (c *Core) AttachDetector(d Detector) {
-	c.detectors = append(c.detectors, d)
-	c.deriveDetectors()
-}
-
 // AttachDetectorSet resolves names through the registry and replaces
 // the detector set. The name "all" expands to every registered kind;
 // nil keeps the current set unchanged.

@@ -170,12 +170,3 @@ func (c *Core) ApplyModel(model smt.Assignment) {
 	}
 	ev.Release()
 }
-
-// TakeForkPoints detaches and returns the checkpoints captured during
-// the last run (site index → rewound core). The engine harvests them
-// once per executed path.
-func (c *Core) TakeForkPoints() map[int]*Core {
-	fp := c.forkPoints
-	c.forkPoints = nil
-	return fp
-}

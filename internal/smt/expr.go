@@ -623,10 +623,9 @@ func (b *Builder) Sle(x, y *Expr) *Expr {
 	return b.mk(KSle, 1, 0, x, y, nil)
 }
 
-// Ugt / Uge / Sgt / Sge are the flipped comparison helpers.
+// Ugt / Uge / Sge are the flipped comparison helpers.
 func (b *Builder) Ugt(x, y *Expr) *Expr { return b.Ult(y, x) }
 func (b *Builder) Uge(x, y *Expr) *Expr { return b.Ule(y, x) }
-func (b *Builder) Sgt(x, y *Expr) *Expr { return b.Slt(y, x) }
 func (b *Builder) Sge(x, y *Expr) *Expr { return b.Sle(y, x) }
 
 // Concat returns hi ++ lo (hi occupies the upper bits).
@@ -781,9 +780,6 @@ func (b *Builder) Ite(c, t, f *Expr) *Expr {
 	}
 	return b.mk(KIte, t.Width, 0, c, t, f)
 }
-
-// Implies returns !a || b for width-1 operands.
-func (b *Builder) Implies(a, c *Expr) *Expr { return b.Or(b.Not(a), c) }
 
 // String renders the expression in an SMT-LIB-flavoured prefix syntax.
 // Shared subtrees are rendered repeatedly; this is a debugging aid, not a
