@@ -185,7 +185,7 @@ func TestTable2(t *testing.T) {
 	}
 	rows, err := findfix.Run(0, 7, findfix.Local("tcpip",
 		func(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) },
-		func(*smt.Builder, int, uint) cte.Config {
+		func(*smt.Builder, int) cte.Config {
 			return cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: 10000}}
 		}))
 	fmt.Println()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -256,7 +257,8 @@ func runFindFix(ctx context.Context, cl *campaign.Client, o campaignOpts) int {
 		var row findfix.Row
 		final, err := cl.StreamFindings(ctx, st.Spec.ID, func(f campaign.WireFinding) {
 			if row.Clean() {
-				row = findfix.Row{Bug: f.Bug, Kind: f.Kind, PC: f.PC, Func: f.Func}
+				// A finding without a kind still ends the stage unclean.
+				row = findfix.Row{Bug: f.Bug, Kind: cmp.Or(f.Kind, "unknown"), PC: f.PC, Func: f.Func}
 				printWireFinding(stage, f)
 			}
 		})

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"rvcte/internal/campaign"
 )
 
 // TestCampaignFlagValidation pins the mode matrix as subprocess runs:
@@ -143,4 +149,25 @@ func TestCampaignFlagValidation(t *testing.T) {
 			t.Errorf("exit %v want 2 (stderr: %s)", err, eb.String())
 		}
 	})
+}
+
+// TestFindFixRejectsKindlessFinding: a streamed finding without a kind
+// (only a faulty worker sends one) still ends its stage, so the client
+// rejects it as unclassified (exit 2) instead of reporting a clean stage.
+func TestFindFixRejectsKindlessFinding(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"spec":{"id":"c1","prog":"tcpip"},"state":"running"}`)
+	})
+	mux.HandleFunc("GET /campaigns/c1/findings", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, `{"pc":4096,"msg":"no kind"}`)
+	})
+	mux.HandleFunc("GET /campaigns/c1", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"spec":{"id":"c1","prog":"tcpip"},"state":"done"}`)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	if code := runFindFix(context.Background(), campaign.NewClient(ts.URL), campaignOpts{prog: "tcpip"}); code != 2 {
+		t.Fatalf("exit %d want 2", code)
+	}
 }

@@ -25,7 +25,7 @@ func main() {
 	fmt.Println()
 	rows, err := findfix.Run(0, 7, findfix.Local("tcpip",
 		func(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) },
-		func(_ *smt.Builder, i int, _ uint) cte.Config {
+		func(_ *smt.Builder, i int) cte.Config {
 			if i == 6 {
 				return cte.Config{Budget: cte.Budget{MaxPaths: 1000}} // the fully patched stack
 			}

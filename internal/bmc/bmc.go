@@ -35,6 +35,10 @@ import (
 	"rvcte/internal/smt"
 )
 
+// maxStates is a safety valve on the merged-state pool: exceeding it
+// stops the unrolling with Stopped = "state-budget".
+const maxStates = 4096
+
 // Config tunes one bounded unrolling.
 type Config struct {
 	// K is the depth bound in retired instructions per path (matches
@@ -46,9 +50,6 @@ type Config struct {
 	// MaxConflicts bounds each solver query (0 = unlimited); exhausted
 	// queries leave the bug site "unknown" instead of blocking.
 	MaxConflicts int
-	// MaxStates is a safety valve on the merged-state pool (0 = 4096).
-	// Exceeding it stops the unrolling with Stopped = "state-budget".
-	MaxStates int
 	// NoReplay skips the concrete confirmation replay of each finding's
 	// model through the concolic ISS.
 	NoReplay bool
@@ -201,9 +202,6 @@ func New(snap *iss.Core, cfg Config) (*Executor, error) {
 	if n := snap.PendingHostWork(); n != 0 {
 		return nil, fmt.Errorf("bmc: snapshot has %d pending notifications/peripheral contexts; BMC models the synchronous subset only", n)
 	}
-	if cfg.MaxStates <= 0 {
-		cfg.MaxStates = 4096
-	}
 	x := &Executor{
 		b:     snap.B,
 		ops:   concolic.Ops{B: snap.B},
@@ -293,7 +291,7 @@ func (x *Executor) Run(ctx context.Context) *Report {
 			stopped = "canceled"
 			break
 		}
-		if live > x.cfg.MaxStates {
+		if live > maxStates {
 			stopped = "state-budget"
 			break
 		}

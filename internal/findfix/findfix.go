@@ -73,9 +73,9 @@ func Run(fixed uint, maxStages int, stage Stage) ([]Row, error) {
 
 // Local returns the in-process stage for the named guest (the
 // guest.Classify rule set): stage i builds prog(fixed) on a fresh
-// Builder, runs one cte.Session with cfg(b, i, fixed), its Protocol set
+// Builder, runs one cte.Session with cfg(b, i), its Protocol set
 // from the program's ProtoSpec, and classifies the first finding.
-func Local(name string, prog func(fixed uint) guest.Program, cfg func(b *smt.Builder, i int, fixed uint) cte.Config) Stage {
+func Local(name string, prog func(fixed uint) guest.Program, cfg func(b *smt.Builder, i int) cte.Config) Stage {
 	return func(i int, fixed uint) (Row, error) {
 		b := smt.NewBuilder()
 		p := prog(fixed)
@@ -83,7 +83,7 @@ func Local(name string, prog func(fixed uint) guest.Program, cfg func(b *smt.Bui
 		if err != nil {
 			return Row{}, err
 		}
-		c := cfg(b, i, fixed)
+		c := cfg(b, i)
 		if c.Protocol, err = Protocol(p, elf); err != nil {
 			return Row{}, err
 		}

@@ -7,13 +7,13 @@ import (
 )
 
 // TestStateBankedMapSizing: Options.States splits the virgin map into
-// next-pow2 protocol-state banks, each of the configured MapBits size.
+// next-pow2 protocol-state banks, each of 2^mapBits slots.
 func TestStateBankedMapSizing(t *testing.T) {
 	for _, tc := range []struct{ states, banks int }{
 		{0, 1}, {1, 1}, {3, 4}, {4, 4},
 	} {
-		f := New(gateSnapshot(t), Options{Seed: 1, MapBits: 10, States: tc.states})
-		if want := tc.banks << 10; len(f.virgin) != want {
+		f := New(gateSnapshot(t), Options{Seed: 1, States: tc.states})
+		if want := tc.banks << mapBits; len(f.virgin) != want {
 			t.Errorf("States=%d: virgin map %d bytes want %d", tc.states, len(f.virgin), want)
 		}
 	}
@@ -24,7 +24,7 @@ func TestStateBankedMapSizing(t *testing.T) {
 // only in a non-zero bank must still count as covered, and bank
 // boundaries must not alias distinct edges.
 func TestEdgeCoveredAcrossBanks(t *testing.T) {
-	f := New(gateSnapshot(t), Options{Seed: 1, MapBits: 10, States: 4})
+	f := New(gateSnapshot(t), Options{Seed: 1, States: 4})
 	bankLen := len(f.virgin) / iss.EdgeBanks(4)
 	from, to := uint32(0x80000004), uint32(0x80000010)
 	idx := int(iss.EdgeIndex(from, to, bankLen))

@@ -30,6 +30,9 @@ import (
 	"rvcte/internal/obs"
 )
 
+// mapBits is log2 of the per-bank edge map size (64 KiB).
+const mapBits = 16
+
 // Options configures a Fuzzer.
 type Options struct {
 	Seed    int64 // PRNG seed; runs are reproducible for a fixed seed at Workers=1
@@ -37,7 +40,6 @@ type Options struct {
 	// MaxInstrPerRun bounds one execution (0 = the snapshot's own
 	// Cfg.MaxInstr); runs that exhaust it are not findings.
 	MaxInstrPerRun uint64
-	MapBits        int // log2 of the per-bank edge map size (default 16 → 64 KiB)
 	// States is the number of protocol-state coverage banks (stateful
 	// multi-packet guests; see iss.Core.ProtoStates). The edge map gets
 	// one bank per state — rounded up to a power of two — so the same
@@ -137,9 +139,6 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	if opt.MapBits <= 0 {
-		opt.MapBits = 16
-	}
 	if opt.MaxLen <= 0 {
 		opt.MaxLen = 4096
 	}
@@ -147,7 +146,7 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 		opt.DetBytes = 64
 	}
 	snap.Freeze()
-	mapLen := iss.EdgeBanks(opt.States) << opt.MapBits
+	mapLen := iss.EdgeBanks(opt.States) << mapBits
 	f := &Fuzzer{
 		snap:    snap,
 		opt:     opt,

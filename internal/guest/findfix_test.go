@@ -32,7 +32,7 @@ func tcpipConcolicFindFix() ([]findfix.Row, error) {
 	concolicOnce.Do(func() {
 		budgets := []int{400, 1200, 2500, 4000, 6000, 9000, 600}
 		concolicRows, concolicErr = findfix.Run(0, len(budgets), findfix.Local("tcpip", tcpip64,
-			func(_ *smt.Builder, i int, _ uint) cte.Config {
+			func(_ *smt.Builder, i int) cte.Config {
 				return cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: budgets[i]}}
 			}))
 	})
@@ -125,7 +125,7 @@ func TestTCPIPHybridFindFixRerun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage exploration is slow")
 	}
-	rows, err := findfix.Run(0, 7, findfix.Local("tcpip", tcpip64, func(b *smt.Builder, i int, _ uint) cte.Config {
+	rows, err := findfix.Run(0, 7, findfix.Local("tcpip", tcpip64, func(b *smt.Builder, i int) cte.Config {
 		cfg := tcpipHybridOptions(b)
 		if i == 6 {
 			cfg.Budget.MaxExecs = 20_000 // bounded clean sweep of the patched stack
@@ -154,7 +154,7 @@ func TestSessionDeepBugsConcolic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage exploration is slow")
 	}
-	rows, err := findfix.Run(0, 4, findfix.Local("tcpip-session", session3, func(b *smt.Builder, i int, _ uint) cte.Config {
+	rows, err := findfix.Run(0, 4, findfix.Local("tcpip-session", session3, func(b *smt.Builder, i int) cte.Config {
 		maxPaths := 30_000
 		if i == 3 {
 			maxPaths = 4_000 // bounded clean sweep of the patched guest
@@ -185,7 +185,7 @@ func TestSessionDeepBugsHybrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage fuzzing is slow")
 	}
-	rows, err := findfix.Run(0, 4, findfix.Local("tcpip-session", session3, func(b *smt.Builder, i int, _ uint) cte.Config {
+	rows, err := findfix.Run(0, 4, findfix.Local("tcpip-session", session3, func(b *smt.Builder, i int) cte.Config {
 		budget := cte.Budget{MaxExecs: 400_000, MaxInstrPerRun: 2_000_000}
 		if i == 3 {
 			budget.MaxExecs = 60_000 // bounded clean sweep of the patched guest
