@@ -26,7 +26,8 @@ type Runner struct {
 	snap  *iss.Core
 	elf   *relf.File
 	qc    *qcache.Cache
-	qsent map[uint64]bool    // qcache keys already exchanged with the coordinator
+	qrecv map[uint64]bool    // qcache keys received from the coordinator
+	qcur  int                // export cursor: local cache entries already exchanged
 	qseq  int                // sync cursor into the coordinator's entry list
 	cseq  int                // sync cursor into the coordinator's corpus
 	seeds [][]byte           // synced corpus (hybrid seeds)
@@ -61,7 +62,7 @@ func NewRunner(spec Spec) (*Runner, error) {
 		snap:  snap,
 		elf:   elf,
 		qc:    qcache.New(b, qcache.Options{}),
-		qsent: map[uint64]bool{},
+		qrecv: map[uint64]bool{},
 		fixed: fixed,
 	}
 	// Stateful guests publish their protocol-state symbol; resolving it
@@ -80,7 +81,7 @@ func (r *Runner) Cursors() (qseq, cseq int) { return r.qseq, r.cseq }
 // coordinator count as already-exchanged, so they are not echoed back.
 func (r *Runner) Sync(l Lease) {
 	for _, e := range l.QEntries {
-		r.qsent[e.Key] = true
+		r.qrecv[e.Key] = true
 	}
 	r.qc.ImportEntries(l.QEntries)
 	if l.QSeq > r.qseq {
@@ -245,12 +246,15 @@ func leaseSeed(seed int64, leaseID string) int64 {
 }
 
 // qcacheDelta exports the cache entries not yet exchanged with the
-// coordinator and marks them sent.
+// coordinator: those inserted since the previous delta, less the ones
+// received from it. A key enters the cache once, so every entry before
+// the cursor was sent or received already.
 func (r *Runner) qcacheDelta() []qcache.WireEntry {
+	ents, cur := r.qc.ExportSince(r.qcur)
+	r.qcur = cur
 	var delta []qcache.WireEntry
-	for _, e := range r.qc.ExportEntries() {
-		if !r.qsent[e.Key] {
-			r.qsent[e.Key] = true
+	for _, e := range ents {
+		if !r.qrecv[e.Key] {
 			delta = append(delta, e)
 		}
 	}

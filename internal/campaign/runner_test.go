@@ -1,0 +1,88 @@
+package campaign
+
+import (
+	"context"
+	"testing"
+)
+
+// TestQCacheDeltaMatchesFullFilter: the export cursor ships, lease by
+// lease, exactly the key set of the full-cache filter it replaced —
+// every local cache entry whose key was neither sent nor received
+// before. Two runners alternate leases over storm-s, so each lease's
+// delta mixes its own solves with entries the peer published.
+func TestQCacheDeltaMatchesFullFilter(t *testing.T) {
+	co, _ := newTestCoordinator(t)
+	st, err := co.Create(Spec{Prog: "storm-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.Spec.ID
+	type worker struct {
+		name  string
+		r     *Runner
+		known map[uint64]bool // the full filter's sent-or-received keys
+	}
+	var ws []*worker
+	for _, name := range []string{"a", "b"} {
+		r, err := NewRunner(st.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, &worker{name: name, r: r, known: map[uint64]bool{}})
+	}
+	leases, shipped, received := 0, 0, 0
+	for turn := 0; turn < 200; turn++ {
+		w := ws[turn%2]
+		qseq, cseq := w.r.Cursors()
+		l, err := co.Lease(id, LeaseRequest{Worker: w.name, QSeq: qseq, CSeq: cseq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.r.Sync(l)
+		for _, e := range l.QEntries {
+			w.known[e.Key] = true
+		}
+		received += len(l.QEntries)
+		if l.Done {
+			break
+		}
+		if l.ID == "" {
+			continue
+		}
+		res := w.r.Run(context.Background(), l)
+		want := map[uint64]bool{}
+		for _, e := range w.r.qc.ExportEntries() {
+			if !w.known[e.Key] {
+				w.known[e.Key] = true
+				want[e.Key] = true
+			}
+		}
+		got := map[uint64]bool{}
+		for _, e := range res.QEntries {
+			if got[e.Key] {
+				t.Fatalf("lease %d: key %#x shipped twice", leases, e.Key)
+			}
+			got[e.Key] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("lease %d (%s): shipped %d keys, full filter %d", leases, w.name, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("lease %d (%s): key %#x missing from the delta", leases, w.name, k)
+			}
+		}
+		shipped += len(got)
+		leases++
+		if _, err := co.Result(id, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := co.Status(id); got.State != StateDone {
+		t.Fatalf("campaign not done after %d leases: %s", leases, got.State)
+	}
+	if leases < 4 || shipped == 0 || received == 0 {
+		t.Fatalf("too little exchange to compare: %d leases, %d keys shipped, %d received", leases, shipped, received)
+	}
+	t.Logf("%d leases, %d keys shipped, %d received", leases, shipped, received)
+}

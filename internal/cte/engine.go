@@ -70,12 +70,14 @@ type Input struct {
 	Bound      int
 	Gen        int     // generation (parent's Gen+1)
 	Score      float64 // coverage score inherited from the parent path
-	// Fork, when non-nil, is a resumable VP checkpointed at this input's
-	// divergence point with Assignment already substituted (iss fork.go):
-	// executing the input resumes the checkpoint instead of re-running
-	// the path prefix from the snapshot. nil means restart-from-snapshot
-	// (the root input, fork mode off, or capture was unsafe at the site).
-	Fork *iss.Core
+	// Fork, when non-nil, is the checkpoint of this input's divergence
+	// site (iss fork.go), shared read-only by every sibling at that site:
+	// executing the input resumes a clone of it with Assignment applied
+	// instead of re-running the path prefix from the snapshot. The clone
+	// and the reconcretization happen only when a worker claims the
+	// input. nil means restart-from-snapshot (the root input, fork mode
+	// off, or capture was unsafe at the site).
+	Fork *iss.Checkpoint
 }
 
 // Finding is an error uncovered during exploration. Concolic findings
@@ -233,15 +235,19 @@ type pathResult struct {
 	forkRestarts int     // children that fell back to restart (no safe checkpoint)
 }
 
-// executePath clones the snapshot, runs one input and solves its trace
-// conditions with the given solver. Only the (frozen) snapshot and the
+// executePath clones the snapshot, or resumes the input's checkpoint,
+// runs one input and solves its trace conditions with the given solver.
+// Only the (frozen) snapshot, the read-only checkpoints and the
 // internally-locked builder are shared; the caller merges the result
 // under its own synchronization. pathID is the claim-order index used
 // for trace events (it matches Report path indices only at Workers<=1).
 func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResult {
-	core := in.Fork
-	forked := core != nil
-	if !forked {
+	var core *iss.Core
+	forked := in.Fork != nil
+	if forked {
+		core = in.Fork.Resume(in.Bound)
+		e.applyModel(core, in.Assignment)
+	} else {
 		core = e.Snapshot.Clone()
 		core.Input = in.Assignment
 		core.Bound = in.Bound
@@ -300,13 +306,10 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 			Gen:        in.Gen + 1,
 		}
 		if e.Cfg.Fork.Enabled {
-			// Resume from the divergence checkpoint; a nil fork means
-			// capture was skipped at an unsafe site and the child
+			// The child will resume the site's checkpoint; a nil one
+			// means capture was skipped at an unsafe site and the child
 			// restarts from the snapshot instead.
-			if fc := core.Fork(tc.SiteIdx, tc.SiteIdx+1); fc != nil {
-				e.applyModel(fc, model)
-				ch.Fork = fc
-			} else {
+			if ch.Fork = core.Checkpoint(tc.SiteIdx); ch.Fork == nil {
 				res.forkRestarts++
 			}
 		}
@@ -315,8 +318,8 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 	return res
 }
 
-// applyModel installs a forked child's input, counting the time in
-// cte.apply_ns.
+// applyModel installs a claimed forked child's input into its resumed
+// core, counting the time in cte.apply_ns.
 func (e *engine) applyModel(c *iss.Core, model smt.Assignment) {
 	t0 := time.Now()
 	c.ApplyModel(model)

@@ -268,3 +268,130 @@ func TestApplyTimeCounted(t *testing.T) {
 		}
 	}
 }
+
+// ladderSrc registers four heap blocks whose sizes are symbolic bytes.
+// Each registration emits a ladder of alternative-size trace conditions
+// at one site (size > N, > N+7, > N+31, ...), so several SAT children
+// share one divergence site and its checkpoint.
+const ladderSrc = `
+_start:
+	la a0, buf
+	li a1, 4
+	la a2, name
+	li a7, 1
+	ecall            # make_symbolic(buf, 4, "s")
+	la s0, buf
+	li s1, 0
+	li s2, 4
+loop:
+	add t4, s0, s1
+	lbu a1, 0(t4)
+	la a0, heap
+	li a2, 0
+	li a7, 8
+	ecall            # register_protected_memory(heap, s[i], 0)
+	addi s1, s1, 1
+	bltu s1, s2, loop
+	li a0, 0
+	li a7, 0
+	ecall
+.data
+buf: .space 4
+name: .asciz "s"
+heap: .space 16
+`
+
+// TestForkConcurrentResume: with two workers, siblings queued at one
+// ladder site resume the same checkpoint from different goroutines,
+// which must only read it (this test runs under make race). The
+// one-worker fork run must still equal the restart run path by path.
+func TestForkConcurrentResume(t *testing.T) {
+	forkRecs, forkRep := describePaths(t, ladderSrc, Config{Fork: ForkConfig{Enabled: true}})
+	restRecs, restRep := describePaths(t, ladderSrc, Config{})
+	if !forkRep.Exhausted || !restRep.Exhausted {
+		t.Fatalf("one worker: fork stopped=%s, restart stopped=%s", forkRep.Stopped, restRep.Stopped)
+	}
+	if len(forkRecs) != len(restRecs) {
+		t.Fatalf("one worker: fork %d paths, restart %d", len(forkRecs), len(restRecs))
+	}
+	for i := range forkRecs {
+		if forkRecs[i] != restRecs[i] {
+			t.Errorf("one worker, path %d diverges:\n fork:    %s\n restart: %s", i, forkRecs[i], restRecs[i])
+		}
+	}
+
+	// Whether two resumes of one checkpoint overlap depends on
+	// scheduling, so the two-worker run repeats.
+	for range 8 {
+		rep := NewSession(snapshot(t, ladderSrc), Config{Workers: 2, Fork: ForkConfig{Enabled: true}}).Run(context.Background())
+		if !rep.Exhausted || len(rep.Findings) != 0 {
+			t.Fatalf("two workers: stopped=%s findings=%d", rep.Stopped, len(rep.Findings))
+		}
+		if rep.Forked == 0 || rep.Forked+rep.ForkRestarts != rep.Paths-1 {
+			t.Errorf("two workers: forked %d + restarts %d, paths %d", rep.Forked, rep.ForkRestarts, rep.Paths)
+		}
+	}
+}
+
+// TestForkQueuedChildrenShareCheckpoints is the memory shape of lazy
+// fork children after a path-budget stop: every queued forked child
+// references the checkpoint its parent captured at the child's site, so
+// the queue holds at most one checkpoint per divergence site and fewer
+// checkpoints than forked children. It counts references, not heap
+// bytes, so it is deterministic.
+func TestForkQueuedChildrenShareCheckpoints(t *testing.T) {
+	type site struct{ path, idx int }
+	sess := NewSession(snapshot(t, ladderSrc), Config{
+		Budget: Budget{MaxPaths: 4},
+		Fork:   ForkConfig{Enabled: true},
+	})
+	eng := newEngine(sess.snap, sess.cfg)
+	captured := map[*iss.Checkpoint]site{}
+	eng.OnPath = func(path int, c *iss.Core) {
+		for _, tc := range c.Trace {
+			if cp := c.Checkpoint(tc.SiteIdx); cp != nil {
+				captured[cp] = site{path, tc.SiteIdx}
+			}
+		}
+	}
+	x := eng.newPool(context.Background())
+	x.explore()
+
+	queued := x.front.list[x.front.head:]
+	forked := 0
+	perSite := map[site]map[*iss.Checkpoint]bool{}
+	for _, in := range queued {
+		if in.Fork == nil {
+			continue
+		}
+		forked++
+		s, ok := captured[in.Fork]
+		if !ok {
+			t.Fatalf("queued child (bound %d) references no checkpoint an executed path captured", in.Bound)
+		}
+		if s.idx != in.Bound-1 {
+			t.Errorf("queued child with bound %d references the checkpoint of site %d", in.Bound, s.idx)
+		}
+		if perSite[s] == nil {
+			perSite[s] = map[*iss.Checkpoint]bool{}
+		}
+		perSite[s][in.Fork] = true
+	}
+	distinct := 0
+	for s, cps := range perSite {
+		if len(cps) > 1 {
+			t.Errorf("site %d of path %d: %d checkpoints queued, want one", s.idx, s.path, len(cps))
+		}
+		distinct += len(cps)
+	}
+	if forked != x.front.forks {
+		t.Errorf("%d queued forked children, frontier counts %d", forked, x.front.forks)
+	}
+	if distinct == 0 || distinct >= forked {
+		t.Errorf("%d queued forked children hold %d distinct checkpoints, want fewer (and some)", forked, distinct)
+	}
+	if rep := x.finish(); rep.Stopped != "path-budget" {
+		t.Fatalf("stopped=%s, want path-budget", rep.Stopped)
+	}
+	t.Logf("%d queued children, %d forked, %d distinct checkpoints", len(queued), forked, distinct)
+}

@@ -27,8 +27,10 @@ type frontier struct {
 	pq  covQueue // Coverage
 	seq int      // insertion counter for stable Coverage tie-breaks
 
-	// forks counts the queued inputs holding a Fork checkpoint; forkLive
-	// (nil-safe) mirrors every change of it into the cte.fork_live gauge.
+	// forks counts the queued inputs holding a Fork checkpoint reference
+	// (siblings at one site count once each but share one checkpoint);
+	// forkLive (nil-safe) mirrors every change of it into the
+	// cte.fork_live gauge.
 	forks    int
 	forkLive *obs.Gauge
 }

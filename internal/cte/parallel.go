@@ -29,44 +29,58 @@ type pool struct {
 	started  int     // paths claimed, bounds MaxPaths
 	merged   int     // paths merged: the next merged path's index
 	inflight int     // claimed but not yet merged
+	start    time.Time
 	deadline time.Time
 }
 
 // run explores until the queue is exhausted, a budget is hit or ctx
 // ends, on the configured number of workers. Each worker claims an
-// input, clones the frozen snapshot, executes the path on its own core,
-// solves the trace conditions on its own solver and merges the result
-// under the run lock before it claims the next input. With one worker
-// that makes the path order fully deterministic; with more, path order
-// depends on scheduling, but the explored path set, dedup and findings
-// do not (paths are independent by construction, §3.1.1). Workers check
-// ctx at claim time, so the run winds down within one path execution of
-// ctx ending and still returns a complete Report of the work done.
+// input, clones the frozen snapshot (or resumes the input's checkpoint),
+// executes the path on its own core, solves the trace conditions on its
+// own solver and merges the result under the run lock before it claims
+// the next input. With one worker that makes the path order fully
+// deterministic; with more, path order depends on scheduling, but the
+// explored path set, dedup and findings do not (paths are independent by
+// construction, §3.1.1). Workers check ctx at claim time, so the run
+// winds down within one path execution of ctx ending and still returns a
+// complete Report of the work done.
 func (e *engine) run(ctx context.Context) *Report {
+	x := e.newPool(ctx)
+	x.explore()
+	return x.finish()
+}
+
+// newPool freezes the snapshot and seeds a pool with the configured
+// number of workers.
+func (e *engine) newPool(ctx context.Context) *pool {
 	// Freeze the snapshot's copy-on-write pages once, up front: Clone
 	// then never mutates shared state, making concurrent clones safe.
 	e.Snapshot.Freeze()
-	start := time.Now()
 	workers := e.Cfg.effectiveWorkers()
 	x := &pool{
 		e:     e,
 		ctx:   ctx,
+		start: time.Now(),
 		front: newFrontier(e.Cfg.Explore.Strategy, rand.New(rand.NewSource(e.Cfg.Seed+1))),
 		seen:  map[string]bool{},
 		rep:   &Report{Workers: workers, PerWorker: make([]WorkerStats, workers)},
 	}
 	x.cond = sync.NewCond(&x.mu)
 	if e.Cfg.Budget.Timeout > 0 {
-		x.deadline = start.Add(e.Cfg.Budget.Timeout)
+		x.deadline = x.start.Add(e.Cfg.Budget.Timeout)
 	}
 	for i := 0; i < workers; i++ {
 		x.solvers = append(x.solvers, newSolver(e.Builder, e.Cfg))
 	}
 	x.front.forkLive = e.forkLiveG
 	e.seedFrontier(x.front, x.seen)
+	return x
+}
 
+// explore runs the workers until the run ends.
+func (x *pool) explore() {
 	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
+	for id := range x.solvers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -74,7 +88,12 @@ func (e *engine) run(ctx context.Context) *Report {
 		}()
 	}
 	wg.Wait()
+}
 
+// finish completes the report of an explored pool, exporting or
+// dropping the inputs left in its frontier.
+func (x *pool) finish() *Report {
+	e := x.e
 	rep := x.rep
 	rep.Exhausted = rep.Stopped == "" && x.front.len() == 0
 	if rep.Exhausted {
@@ -82,7 +101,7 @@ func (e *engine) run(ctx context.Context) *Report {
 	}
 	rep.Covered = make(map[uint32]struct{}, x.cover.Len())
 	x.cover.Each(func(pc uint32) { rep.Covered[pc] = struct{}{} })
-	rep.WallTime = time.Since(start)
+	rep.WallTime = time.Since(x.start)
 	for i, s := range x.solvers {
 		rep.PerWorker[i].Queries = s.Stats.Queries
 		rep.PerWorker[i].SolverTime = s.Stats.SolverTime

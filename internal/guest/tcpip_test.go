@@ -60,6 +60,54 @@ func TestTCPIPAllFixed(t *testing.T) {
 	t.Logf("all-fixed sweep: %v", rep)
 }
 
+// TestTCPIPAllFixedDNSOverread replays a 40-byte packet on the fully
+// patched stack: a UDP datagram to port 53 whose DNS payload is exactly
+// the 12-byte header. FIX_BUG2 rejects payloads below 12 bytes, but the
+// label loop reads p[12] before any bounds test, one byte past the
+// packet buffer, which the guest's network task allocates with exactly
+// N bytes. The heap guard checks only the concrete size, so exploration
+// reaches this overread only when the solver happens to pick N=40.
+// Repairing FIX_BUG2
+// (ROADMAP.md, the symbolic-size heap guard item) makes this replay run
+// clean and flips this test.
+func TestTCPIPAllFixedDNSOverread(t *testing.T) {
+	b := smt.NewBuilder()
+	core, elf, err := NewCore(b, TCPIPProgram(0x3f, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]uint64{
+		"N[0]":   40,                                   // N = 40, little-endian; N[1..3] stay zero
+		"pkt[0]": 0x45, "pkt[2]": 0x00, "pkt[3]": 0x28, // IPv4, IHL 5, length 40
+		"pkt[9]":  17,                    // UDP
+		"pkt[22]": 0x00, "pkt[23]": 0x35, // destination port 53
+		"pkt[24]": 0x00, "pkt[25]": 0x14, // UDP length 20: a 12-byte payload
+		"pkt[32]": 0x20, "pkt[33]": 0x01,
+	}
+	in := smt.Assignment{}
+	for name, v := range vals {
+		x, err := b.DeclareVar(8, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[int(x.Val)] = v
+	}
+	core.Input = in
+	core.Run(0)
+	if core.Err == nil {
+		t.Fatalf("replay ran clean (exit %d after %d instructions)", core.ExitCode, core.InstrCount)
+	}
+	if fn := LocateFunc(elf, core.Err.PC); core.Err.Kind != iss.ErrProtectedRead || fn != "prvProcessDNS" {
+		t.Fatalf("replay: %v in %s, want a heap buffer overflow (read) in prvProcessDNS", core.Err, fn)
+	}
+	if core.InstrCount != 9410 {
+		t.Errorf("replay hit the overread after %d instructions, want 9410", core.InstrCount)
+	}
+	if bug := Classify("tcpip", elf, core.Err.Kind, core.Err.PC, 0x3f); bug != 2 {
+		t.Errorf("classified as bug %d, want 2", bug)
+	}
+}
+
 // TestTCPIPSinglePath sanity-checks plain execution (no exploration):
 // the zero packet is dropped by the driver's minimum-size check.
 func TestTCPIPSinglePath(t *testing.T) {

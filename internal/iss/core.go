@@ -385,21 +385,21 @@ type Core struct {
 	// CaptureForks enables checkpointing at trace-condition emission sites
 	// (fork.go): whenever a TC is emitted, a copy-on-write clone of the VP
 	// as of the start of the current instruction is stashed in forkPoints,
-	// keyed by site index. The engine later resumes one of these clones
-	// with a new solver model substituted (Fork), skipping re-execution of
-	// the path prefix. Off by default — capture costs one Clone per TC
-	// site.
+	// keyed by site index. The engine later resumes a clone of one of
+	// these checkpoints with a new solver model substituted (Checkpoint,
+	// Resume), skipping re-execution of the path prefix. Off by default —
+	// capture costs one Clone per TC site.
 	CaptureForks bool
 	// ForkMinPrefix skips checkpoint capture while InstrCount is below
 	// the bound: on short prefixes a snapshot restart re-executes less
 	// work than a capture costs, so those children fall back to restarts
 	// (which are bit-identical by construction). Zero captures always.
 	ForkMinPrefix uint64
-	forkPoints    map[int]*Core
+	forkPoints    map[int]*Checkpoint
 	// capMemo is the memory snapshot of the most recent checkpoint,
 	// reusable by the next capture as long as no memory write happened in
 	// between (noteMemWrite clears it). Checkpoint cores never execute —
-	// Fork always clones them first — so sharing one Memory between
+	// Resume always clones them first — so sharing one Memory between
 	// consecutive checkpoints is read-only and saves the dominant cost of
 	// capture (the page-table copy) on branch-dense code.
 	capMemo *concolic.Memory

@@ -10,7 +10,9 @@ import (
 // point — the instruction that emitted a trace condition — and resumes
 // a copy-on-write clone of that checkpoint with the new model
 // substituted into the symbolic shadow state. The suffix after the
-// divergence is the only part that executes again.
+// divergence is the only part that executes again. The engine queues a
+// child with a reference to its site's Checkpoint and resumes it only
+// when a worker claims the child.
 //
 // A checkpoint must look exactly like the state a restart run would be
 // in when it reaches the divergence instruction under the new model:
@@ -66,6 +68,15 @@ func (c *Core) recordPreState() {
 	c.preRingNext = c.traceNext
 }
 
+// Checkpoint is the VP captured at one divergence site, rewound to the
+// start of the divergence instruction. It is read-only once captured:
+// it never executes, and every SAT child at its site resumes its own
+// clone of it (Resume), so siblings share one checkpoint and a queued
+// child costs a pointer instead of a machine.
+type Checkpoint struct {
+	core *Core
+}
+
 // captureFork stashes a checkpoint of the VP rewound to the start of
 // the current instruction, keyed by TC site. Ladders emit several TCs
 // at one site; the first capture wins (they share the divergence
@@ -78,7 +89,7 @@ func (c *Core) captureFork(site int) {
 		return
 	}
 	if c.forkPoints == nil {
-		c.forkPoints = make(map[int]*Core)
+		c.forkPoints = make(map[int]*Checkpoint)
 	} else if _, ok := c.forkPoints[site]; ok {
 		return
 	}
@@ -86,10 +97,9 @@ func (c *Core) captureFork(site int) {
 	if memo := c.capMemo; memo != nil {
 		// No memory write since the previous checkpoint: share its memory
 		// snapshot instead of paying another page-table clone. Checkpoint
-		// cores are never executed directly (Fork clones them first), so
+		// cores are never executed directly (Resume clones them first), so
 		// the shared Memory is only ever read or re-cloned. This memo is
-		// only valid here — Fork's own clones execute and must never
-		// share.
+		// only valid here — resumed clones execute and must never share.
 		n = c.cloneNoMem()
 		n.Mem = memo
 		n.Coverage = c.Coverage.Clone()
@@ -105,7 +115,7 @@ func (c *Core) captureFork(site int) {
 	// suffix's trace conditions from the resumed core and re-bases them
 	// on the inherited EPC prefix.
 	n.Trace = nil
-	c.forkPoints[site] = n
+	c.forkPoints[site] = &Checkpoint{core: n}
 }
 
 // cloneForFork is Clone plus the prefix coverage: Clone resets Coverage
@@ -117,18 +127,26 @@ func (c *Core) cloneForFork() *Core {
 	return n
 }
 
-// Fork materializes a resumable core from the checkpoint at site: a
-// fresh clone (several children may fork off one site — one per SAT
-// trace condition) with the generational bound installed. The caller
-// then installs the child's input with ApplyModel. Returns nil when no
-// checkpoint was captured for the site (the caller falls back to a
-// snapshot restart).
-func (c *Core) Fork(site int, bound int) *Core {
-	cp := c.forkPoints[site]
-	if cp == nil {
-		return nil
-	}
-	n := cp.cloneForFork()
+// Checkpoint returns the checkpoint captured at site during the last
+// run, or nil when capture was skipped there (the caller falls back to
+// a snapshot restart).
+func (c *Core) Checkpoint(site int) *Checkpoint {
+	return c.forkPoints[site]
+}
+
+// Resume materializes a resumable core from the checkpoint: a fresh
+// copy-on-write clone with the generational bound installed. The caller
+// then installs the child's input with ApplyModel.
+//
+// Resume only reads the checkpoint, so any number of goroutines may
+// resume one checkpoint at once (the caller's handoff of the checkpoint
+// must synchronize, as the engine's run lock does). Every page of a
+// checkpoint's memory is already shared and its write TLB is empty, so
+// Memory.Clone writes nothing; the remaining state is copied field by
+// field, and detectors, host models and the block cache clone from it
+// without mutating it.
+func (cp *Checkpoint) Resume(bound int) *Core {
+	n := cp.core.cloneForFork()
 	n.Bound = bound
 	return n
 }

@@ -64,21 +64,26 @@ func wireEntry(w WireEntry) *entry {
 // (deterministic for a given entry set). Entries are immutable once
 // inserted, so the returned slice can be serialized without copying.
 func (c *Cache) ExportEntries() []WireEntry {
-	var ents []*entry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, ent := range s.exact {
-			ents = append(ents, ent)
-		}
-		s.mu.Unlock()
-	}
+	out, _ := c.ExportSince(0)
+	return out
+}
+
+// ExportSince returns, in wire form and sorted by key, the entries
+// inserted after the first cursor ones, and the cursor that follows the
+// last entry returned. Cursor 0 exports every entry; a caller that
+// passes back the returned cursor sees each entry once, at a cost
+// proportional to the new entries only.
+func (c *Cache) ExportSince(cursor int) ([]WireEntry, int) {
+	c.lmu.Lock()
+	n := len(c.log)
+	ents := c.log[min(cursor, n):n]
+	c.lmu.Unlock()
 	out := make([]WireEntry, len(ents))
 	for i, ent := range ents {
 		out[i] = WireEntry{Key: ent.key, Elems: ent.elems, Sat: ent.sat, Model: c.names(ent)}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return out, n
 }
 
 // ImportEntries merges wire entries into the cache (first writer of a

@@ -57,13 +57,13 @@ const (
 	largeSetThreshold = 256
 )
 
-// Options tunes a cache.
-type Options struct {
-	// MaxCandidates bounds how many cached models are tried (via
-	// ValidateModel) per lookup before falling back to the solver. 0 selects
-	// the default of 8.
-	MaxCandidates int
-}
+// Options tunes a cache. It has no fields left; New keeps the
+// parameter for its existing callers.
+type Options struct{}
+
+// maxCandidates bounds how many cached models are tried (via
+// ValidateModel) per lookup before falling back to the solver.
+const maxCandidates = 8
 
 // Stats is a snapshot of the cache counters. Hits+EvalHits+SubsumeHits
 // is the number of Check calls answered without any SAT query;
@@ -119,8 +119,7 @@ type shard struct {
 
 // Cache is a concurrency-safe SMT query cache bound to one Builder.
 type Cache struct {
-	b       *smt.Builder
-	maxCand int
+	b *smt.Builder
 
 	// OnAnswer, when set before first use, observes every non-trivial
 	// Check answer: the canonicalized conditions, the verdict, the model
@@ -134,7 +133,11 @@ type Cache struct {
 	nodes []nodeMemo // per-node hash and variable memo, by smt.Expr.ID
 
 	shards [numShards]shard
-	nseq   atomic.Int64 // entries inserted so far (entry.seq source)
+	// log holds every inserted entry in insertion order, so entry.seq is
+	// its index; ExportSince ships a suffix of it. Guarded by lmu, which
+	// insert takes under a shard lock and nothing holds while taking one.
+	lmu sync.Mutex
+	log []*entry
 
 	stats Stats // accessed atomically
 
@@ -203,14 +206,8 @@ func (c *Cache) hit(counter *int64, obsCounter *obs.Counter, class string) {
 }
 
 // New creates an empty cache for expressions of b.
-func New(b *smt.Builder, opt Options) *Cache {
-	c := &Cache{
-		b:       b,
-		maxCand: opt.MaxCandidates,
-	}
-	if c.maxCand <= 0 {
-		c.maxCand = 8
-	}
+func New(b *smt.Builder, _ Options) *Cache {
+	c := &Cache{b: b}
 	for i := range c.shards {
 		c.shards[i] = shard{
 			exact:      map[uint64]*entry{},
@@ -497,10 +494,11 @@ func sortedSubset(sub, set []uint64) bool {
 	return true
 }
 
-// satCandidates gathers up to maxCand distinct cached sat entries sharing
-// at least one element with elems. Entries indexed under more elements
-// are found earlier; supersets of elems (whose models are guaranteed to
-// validate) are indexed under every element and thus always candidates.
+// satCandidates gathers up to maxCandidates distinct cached sat entries
+// sharing at least one element with elems. Entries indexed under more
+// elements are found earlier; supersets of elems (whose models are
+// guaranteed to validate) are indexed under every element and thus
+// always candidates.
 func (c *Cache) satCandidates(elems []uint64) []*entry {
 	var out []*entry
 	seen := getMarks()
@@ -515,8 +513,8 @@ func (c *Cache) satCandidates(elems []uint64) []*entry {
 			}
 		}
 		s.mu.Unlock()
-		if len(out) >= c.maxCand {
-			out = out[:c.maxCand]
+		if len(out) >= maxCandidates {
+			out = out[:maxCandidates]
 			break
 		}
 	}
@@ -535,7 +533,10 @@ func (c *Cache) insert(ent *entry, counter *int64) {
 	}
 	// The sequence number is set before the entry is published, so every
 	// reader that finds the entry under a shard lock sees it.
-	ent.seq = int(c.nseq.Add(1) - 1)
+	c.lmu.Lock()
+	ent.seq = len(c.log)
+	c.log = append(c.log, ent)
+	c.lmu.Unlock()
 	s.exact[ent.key] = ent
 	s.mu.Unlock()
 	atomic.AddInt64(counter, 1)
