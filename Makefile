@@ -98,8 +98,8 @@ findfix-smoke:
 # The repo's verification recipe (see README.md and
 # .claude/skills/verify/SKILL.md): build, vet, full tests, the benchmark
 # module's tests, race pass, then the end-to-end fuzzing, tracing,
-# campaign, BMC, stateful and find-fix smokes.
-verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke
+# campaign, BMC, stateful and find-fix smokes, and the examples.
+verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke examples
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -162,6 +162,7 @@ loc:
 	@printf 'main module:  '; find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 	@printf 'bench module: '; find bench -path bench/.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
+# Every example checks its own outcome and exits nonzero on a surprise.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/heap-guard

@@ -100,14 +100,9 @@ func main() {
 	if *progName == "tcpip-session" && !flagWasSet("pkt-max") {
 		*pktMax = 0
 	}
-	for _, d := range parseNameList(*detectors) {
-		if d == "all" {
-			continue
-		}
-		if _, err := iss.NewDetector(d); err != nil {
-			fmt.Fprintln(os.Stderr, "cte:", err)
-			os.Exit(2)
-		}
+	if err := iss.CheckDetectors(parseNameList(*detectors)); err != nil {
+		fmt.Fprintln(os.Stderr, "cte:", err)
+		os.Exit(2)
 	}
 
 	copts := campaignOpts{

@@ -2,8 +2,9 @@
 // pvPortMalloc/vPortFree wrappers surround every allocation with
 // protected zones that the VP monitors on every load and store. Three
 // buggy programs are executed: an off-by-one write, an out-of-bounds
-// read driven by a symbolic index (found by exploration), and a double
-// free.
+// write driven by a symbolic index (found by exploration), and a double
+// free, plus an in-bounds program that must stay clean. Any other
+// outcome exits nonzero.
 //
 // Run with: go run ./examples/heap-guard
 package main
@@ -15,6 +16,7 @@ import (
 
 	"rvcte/internal/cte"
 	"rvcte/internal/guest"
+	"rvcte/internal/iss"
 	"rvcte/internal/smt"
 )
 
@@ -36,7 +38,9 @@ void guarded_free(void *pv) {
 }
 `
 
-func run(name, src string) {
+// run executes one concrete program and exits nonzero unless it fails
+// with the want kind (ErrNone: it must exit without an error).
+func run(name, src string, want iss.ErrKind) {
 	b := smt.NewBuilder()
 	core, _, err := guest.NewCore(b, guest.Program{
 		Name:    name,
@@ -48,8 +52,14 @@ func run(name, src string) {
 	core.Run(0)
 	if core.Err != nil {
 		fmt.Printf("%-18s CAUGHT: %v\n", name+":", core.Err)
-	} else {
-		fmt.Printf("%-18s completed without error (exit %d)\n", name+":", core.ExitCode)
+		if core.Err.Kind != want {
+			log.Fatalf("%s: want %v", name, want)
+		}
+		return
+	}
+	fmt.Printf("%-18s completed without error (exit %d)\n", name+":", core.ExitCode)
+	if want != iss.ErrNone || !core.Exited {
+		log.Fatalf("%s: want %v", name, want)
 	}
 }
 
@@ -62,7 +72,7 @@ int main(void) {
     for (i = 0; i <= 16; i++) buf[i] = (unsigned char)i;  /* <= is the bug */
     guarded_free(buf);
     return 0;
-}`)
+}`, iss.ErrProtectedWrite)
 
 	fmt.Println("\n== double free ==")
 	run("double-free", `
@@ -71,7 +81,7 @@ int main(void) {
     guarded_free(p);
     guarded_free(p);
     return 0;
-}`)
+}`, iss.ErrDoubleFree)
 
 	fmt.Println("\n== in-bounds program stays clean ==")
 	run("clean", `
@@ -83,7 +93,7 @@ int main(void) {
     for (i = 0; i < 16; i++) sum += buf[i];
     guarded_free(buf);
     return (int)sum;
-}`)
+}`, iss.ErrNone)
 
 	fmt.Println("\n== symbolic index: exploration finds the overflowing input ==")
 	b := smt.NewBuilder()
@@ -111,10 +121,12 @@ int main(void) {
 		StopOnError: true,
 	}).Run(context.Background())
 	if len(rep.Findings) == 0 {
-		fmt.Println("no overflow found (unexpected)")
-		return
+		log.Fatalf("no overflow found after %d paths", rep.Paths)
 	}
 	f := rep.Findings[0]
 	fmt.Printf("CAUGHT: %v with input idx=%d (after %d paths)\n",
 		f.Err, b.Value(f.Input, "idx[0]"), rep.Paths)
+	if f.Err.Kind != iss.ErrProtectedWrite {
+		log.Fatalf("symbolic-index: want %v", iss.ErrProtectedWrite)
+	}
 }

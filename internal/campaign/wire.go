@@ -97,13 +97,8 @@ func (s *Spec) normalize() error {
 	if err != nil {
 		return err
 	}
-	for _, d := range s.Detectors {
-		if d == "all" {
-			continue
-		}
-		if _, derr := iss.NewDetector(d); derr != nil {
-			return fmt.Errorf("campaign: %v", derr)
-		}
+	if err := iss.CheckDetectors(s.Detectors); err != nil {
+		return fmt.Errorf("campaign: %v", err)
 	}
 	return nil
 }

@@ -144,7 +144,7 @@ type Config struct {
 	StopOnError bool  // stop at the first finding (paper §4.2.3 workflow)
 	// Detectors names the iss bug-detector set attached to the
 	// snapshot before the run ("heap-guard", "heap-uaf", ..., or "all").
-	// nil keeps the snapshot's current set (iss.DefaultDetectors for a
+	// nil keeps the snapshot's current set (heap-guard alone for a
 	// fresh core).
 	Detectors []string
 

@@ -30,8 +30,15 @@ import (
 	"rvcte/internal/obs"
 )
 
-// mapBits is log2 of the per-bank edge map size (64 KiB).
-const mapBits = 16
+const (
+	// mapBits is log2 of the per-bank edge map size (64 KiB).
+	mapBits = 16
+	// maxLen caps the length of a mutated input.
+	maxLen = 4096
+	// detBytes bounds the deterministic stages to an input prefix so one
+	// long entry cannot monopolize the schedule.
+	detBytes = 64
+)
 
 // Options configures a Fuzzer.
 type Options struct {
@@ -46,10 +53,6 @@ type Options struct {
 	// edge reached in different protocol states counts as new coverage.
 	// 0 or 1 keeps the single flat map.
 	States int
-	MaxLen int // mutation length cap (default 4096)
-	// DetBytes bounds the deterministic stages to an input prefix so one
-	// long entry cannot monopolize the schedule (default 64).
-	DetBytes int
 	// Seeds are initial inputs queued behind the built-in empty baseline
 	// (e.g. a corpus directory loaded by the CLI). They run exactly as
 	// given and join the corpus if they add coverage.
@@ -139,12 +142,6 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	if opt.MaxLen <= 0 {
-		opt.MaxLen = 4096
-	}
-	if opt.DetBytes <= 0 {
-		opt.DetBytes = 64
-	}
 	snap.Freeze()
 	mapLen := iss.EdgeBanks(opt.States) << mapBits
 	f := &Fuzzer{
@@ -189,15 +186,6 @@ func (f *Fuzzer) RunBatch(n int) { f.RunBatchContext(context.Background(), n) }
 // execution per worker after ctx is done. The schedule at Workers=1 is
 // unchanged for an uncancelled context.
 func (f *Fuzzer) RunBatchContext(ctx context.Context, n int) {
-	if f.opt.Workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			f.step(f.ws[0])
-		}
-		return
-	}
 	remaining := int64(n)
 	var wg sync.WaitGroup
 	for _, ws := range f.ws {
@@ -272,22 +260,22 @@ func (f *Fuzzer) pickLocked(rng *rand.Rand) queued {
 		base = append(append([]byte(nil), base...), make([]byte, f.maxDemand-len(base))...)
 	}
 	detLen := len(base)
-	if detLen > f.opt.DetBytes {
-		detLen = f.opt.DetBytes
+	if detLen > detBytes {
+		detLen = detBytes
 	}
 	if e.DetPos >= 0 && e.DetPos >= detCount(detLen) {
 		e.DetPos = -1 // deterministic schedule exhausted
 	}
 	if e.DetPos >= 0 {
-		out := detMutate(base, e.DetPos, f.opt.DetBytes)
+		out := detMutate(base, e.DetPos, detBytes)
 		e.DetPos++
 		return queued{data: out}
 	}
 	if len(f.corpus) > 1 && rng.Intn(4) == 0 {
 		other := f.corpus[rng.Intn(len(f.corpus))]
-		return queued{data: splice(rng, base, other.Data, f.opt.MaxLen)}
+		return queued{data: splice(rng, base, other.Data, maxLen)}
 	}
-	return queued{data: havoc(rng, base, f.opt.MaxLen)}
+	return queued{data: havoc(rng, base, maxLen)}
 }
 
 // weightedPickLocked draws a corpus entry proportionally to its energy.

@@ -17,7 +17,7 @@ var (
 // first detLen bytes of a fresh corpus entry: walking bit flips, byte
 // sets to interesting values, and byte-level arithmetic — the classic
 // afl deterministic stages, bounded so one entry cannot monopolize the
-// fuzzer (DetBytes in Options).
+// fuzzer (detBytes).
 const (
 	detArithMax = 16 // +/- 1..detArithMax
 )

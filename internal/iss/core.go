@@ -337,13 +337,15 @@ type Core struct {
 	protoDirty     bool
 	edgeMask       uint32 // per-bank index mask; 0 = not yet derived
 
-	// Pluggable bug detectors (detect.go) with per-event dispatch
-	// slices derived by deriveDetectors.
-	detectors []Detector
-	accessDet []AccessDetector
-	heapDet   []HeapDetector
-	trapDet   []TrapDetector
-	canaryDet []CanaryDetector
+	// Bug detectors (detect.go): the attached kinds in check order,
+	// shared by clones (AttachDetectorSet replaces the slice, never
+	// mutates it), and their per-path state: the heap-uaf quarantine,
+	// the stack-canary armed regions and the irq-reentrancy active
+	// causes.
+	dets      []detKind
+	freed     []addrRange
+	armed     []addrRange
+	irqActive []uint32
 
 	// TraceDepth keeps a ring buffer of the last N executed
 	// instructions for error diagnosis (0 disables).
@@ -457,7 +459,7 @@ func New(b *smt.Builder, cfg Config) *Core {
 	c.Regs[2] = concolic.Concrete(cfg.StackTop)
 	c.bb = newBBCache(cfg.RamBase, cfg.RamSize)
 	c.Mem.OnWrite = c.noteMemWrite
-	c.SetDetectors(DefaultDetectors()...)
+	c.dets = defaultDets
 	return c
 }
 
@@ -533,9 +535,10 @@ func (c *Core) cloneNoMem() *Core {
 	n.edgeMask = 0
 	n.protoBank = 0
 	n.protoDirty = false
-	// Detector state (UAF quarantines, armed canaries, active IRQ
-	// causes) is per-path and forks with the clone.
-	c.cloneDetectorsInto(n)
+	// Detector state is per-path and forks with the clone.
+	n.freed = append([]addrRange(nil), c.freed...)
+	n.armed = append([]addrRange(nil), c.armed...)
+	n.irqActive = append([]uint32(nil), c.irqActive...)
 	// The clone shares the immutable frozen block layer (if any) and
 	// rebuilds its private layer lazily; it invalidates against its own
 	// memory writes through its own hook.
@@ -875,13 +878,8 @@ func (c *Core) takeInterrupt() bool {
 	c.MStatus = c.MStatus&^mpieBit | (c.MStatus&mstatusMIE)<<4
 	c.MStatus &^= mstatusMIE
 	c.PC = c.MTVec &^ 3
-	for _, d := range c.trapDet {
-		if err := d.OnTrap(c, cause); err != nil {
-			if c.Err == nil {
-				c.Err = err
-			}
-			break
-		}
+	if err := c.detectTrap(cause); err != nil && c.Err == nil {
+		c.Err = err
 	}
 	return true
 }

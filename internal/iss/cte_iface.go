@@ -154,15 +154,13 @@ func (c *Core) ecall() {
 		c.zones = append(c.zones,
 			Zone{Start: addr - zone, Size: zone, Block: addr},
 			Zone{Start: addr + size, Size: zone, Block: addr})
-		for _, d := range c.heapDet {
-			d.OnProtect(c, addr, size)
-		}
+		c.detectProtect(addr, size)
 
 	case SysFreeProtect:
 		addr := c.concretize(a0, "free addr")
 		// Derive the block size from its post-guard zone (Start ==
 		// block+size) before removal, then strip both guard zones and
-		// let the heap detectors classify the event: heap-guard raises
+		// let the detectors classify the event: heap-guard raises
 		// free(NULL)/double-free/bad-free, heap-uaf quarantines the
 		// freed range.
 		var size uint32
@@ -179,13 +177,8 @@ func (c *Core) ecall() {
 			kept = append(kept, z)
 		}
 		c.zones = kept
-		for _, d := range c.heapDet {
-			if err := d.OnUnprotect(c, addr, size, removed); err != nil {
-				if c.Err == nil {
-					c.Err = err
-				}
-				return
-			}
+		if err := c.detectUnprotect(addr, size, removed); err != nil && c.Err == nil {
+			c.Err = err
 		}
 
 	case SysPutChar:
@@ -220,15 +213,11 @@ func (c *Core) ecall() {
 	case SysCanaryArm:
 		addr := c.concretize(a0, "canary addr")
 		size := c.concretize(a1, "canary size")
-		for _, d := range c.canaryDet {
-			d.Arm(c, addr, size)
-		}
+		c.armCanary(addr, size)
 
 	case SysCanaryDisarm:
 		addr := c.concretize(a0, "canary addr")
-		for _, d := range c.canaryDet {
-			d.Disarm(c, addr)
-		}
+		c.disarmCanary(addr)
 
 	default:
 		c.fail(ErrIllegalInstr, c.PC, fmt.Sprintf("unknown ecall %d", code))

@@ -541,9 +541,7 @@ func stepMRET(c *Core, d *decoded) rv32.Op {
 	c.MStatus = c.MStatus&^mieBit | (c.MStatus&mpieBit)>>4
 	c.MStatus |= mpieBit
 	c.PC = c.MEPC
-	for _, det := range c.trapDet {
-		det.OnMRet(c)
-	}
+	c.detectMRet()
 	return d.op
 }
 

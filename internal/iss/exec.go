@@ -205,9 +205,9 @@ func (c *Core) extendLoaded(v concolic.Value, size int, signed bool) concolic.Va
 }
 
 // checkAccess runs the generic runtime checks: null dereference and
-// alignment inline, then every attached access detector (detect.go —
-// the stock set scans the protected heap guard zones). Returns true
-// when the path has failed.
+// alignment inline, then the access checks of the attached detectors
+// (detect.go; the stock set scans the protected heap guard zones).
+// Returns true when the path has failed.
 func (c *Core) checkAccess(addr uint32, size int, isWrite bool) bool {
 	if addr < 0x100 {
 		c.fail(ErrNullDeref, addr, "")
@@ -217,13 +217,11 @@ func (c *Core) checkAccess(addr uint32, size int, isWrite bool) bool {
 		c.fail(ErrMisaligned, addr, fmt.Sprintf("%d-byte access", size))
 		return true
 	}
-	for _, d := range c.accessDet {
-		if err := d.OnAccess(c, addr, size, isWrite); err != nil {
-			if c.Err == nil {
-				c.Err = err
-			}
-			return true
+	if err := c.detectAccess(addr, size, isWrite); err != nil {
+		if c.Err == nil {
+			c.Err = err
 		}
+		return true
 	}
 	return false
 }

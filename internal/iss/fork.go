@@ -143,8 +143,8 @@ func (c *Core) Checkpoint(site int) *Checkpoint {
 // must synchronize, as the engine's run lock does). Every page of a
 // checkpoint's memory is already shared and its write TLB is empty, so
 // Memory.Clone writes nothing; the remaining state is copied field by
-// field, and detectors, host models and the block cache clone from it
-// without mutating it.
+// field, and detector state, host models and the block cache clone
+// from it without mutating it.
 func (cp *Checkpoint) Resume(bound int) *Core {
 	n := cp.core.cloneForFork()
 	n.Bound = bound
