@@ -116,10 +116,9 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # Block-cache ablation microbenchmarks (EXPERIMENTS.md "Block cache
-# ablation"): each benchmark runs three variants, the cached fused blocks
-# (bb), the cache without superinstruction fusion (bb-nofuse), and the
-# one-record path of a core with a declining ExecHook, which decodes
-# every instruction as it steps (nocache).
+# ablation"): each benchmark runs two variants, the cached blocks (bb)
+# and the one-record path of a core with a declining ExecHook, which
+# decodes every instruction as it steps (nocache).
 bench-iss:
 	$(GO) test -run NONE -bench 'BenchmarkConcreteExec|BenchmarkConcolicExec' -benchmem ./internal/iss
 

@@ -32,7 +32,7 @@ func TestHybridCampaignTCPIP(t *testing.T) {
 	st, err := co.Create(Spec{
 		Prog: "tcpip", Mode: "hybrid",
 		FuzzLeaseMS: leaseMS, LeaseTTLMS: 600_000, StopOnError: true, Seed: 1,
-		FuzzBatch: 200, StallExecs: 200,
+		FuzzBatch: 200,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestHybridLeaseInstr(t *testing.T) {
 	st, err := co.Create(Spec{
 		Prog: "tcpip", Mode: "hybrid", PktMax: 48,
 		FuzzLeaseMS: 300, LeaseTTLMS: 600_000, Seed: 1,
-		FuzzBatch: 200, StallExecs: 200,
+		FuzzBatch: 200,
 	})
 	if err != nil {
 		t.Fatal(err)

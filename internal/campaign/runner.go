@@ -227,7 +227,6 @@ func (r *Runner) hybridConfig(l Lease) cte.Config {
 		Fuzz: cte.FuzzConfig{
 			Seeds:          r.seeds,
 			Batch:          r.spec.FuzzBatch,
-			StallExecs:     r.spec.StallExecs,
 			DryEscalations: r.spec.DryEscalations,
 		},
 		Protocol: r.proto,

@@ -34,7 +34,7 @@ func TestSessionCampaignDeepBug(t *testing.T) {
 		Prog: "tcpip-session", Pkts: 3, Detectors: []string{"all"},
 		Mode:        "hybrid",
 		FuzzLeaseMS: leaseMS, LeaseTTLMS: 600_000, StopOnError: true, Seed: 1,
-		FuzzBatch: 200, StallExecs: 200, DryEscalations: 2000,
+		FuzzBatch: 200, DryEscalations: 2000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,7 @@ type Spec struct {
 
 	FuzzLeaseMS int64  `json:"fuzz_lease_ms,omitempty"` // hybrid: timebox per lease (default 5s)
 	MaxExecs    uint64 `json:"max_execs,omitempty"`     // hybrid: total execution budget
-	FuzzBatch   int    `json:"fuzz_batch,omitempty"`    // hybrid: execs between stall checks
-	StallExecs  uint64 `json:"stall_execs,omitempty"`   // hybrid: stall window before escalation
+	FuzzBatch   int    `json:"fuzz_batch,omitempty"`    // hybrid: execs between stall checks, and the stall window
 	// DryEscalations ends a hybrid lease after this many consecutive
 	// escalations without new coverage (0 = engine default). Stateful
 	// session guests need hundreds: their state-banked coverage map

@@ -21,8 +21,6 @@ package cte
 import (
 	"fmt"
 	"runtime"
-	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -192,12 +190,12 @@ type engine struct {
 
 	// Observability handles on the Session's registry, the store the
 	// Report's run counters are read from.
-	tcs                                   verdicts
-	obsPaths, obsPruned, obsFindings      *obs.Counter
-	obsForks, obsForkRestarts, obsApplyNS *obs.Counter
-	frontierG, coverG, forkLiveG          *obs.Gauge
-	pathHist, forkSuffixHist              *obs.Histogram
-	tracer                                *obs.Tracer
+	tcs                                                    verdicts
+	obsPaths, obsPruned, obsFindings                       *obs.Counter
+	obsForks, obsForkCaptures, obsForkRestarts, obsApplyNS *obs.Counter
+	frontierG, coverG, forkLiveG                           *obs.Gauge
+	pathHist, forkSuffixHist                               *obs.Histogram
+	tracer                                                 *obs.Tracer
 }
 
 // newEngine creates the concolic engine around a prepared VP snapshot.
@@ -213,6 +211,7 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 		obsPruned:       m.Counter("cte.pruned"),
 		obsFindings:     m.Counter("cte.findings"),
 		obsForks:        m.Counter("cte.forks"),
+		obsForkCaptures: m.Counter("cte.fork_captures"),
 		obsForkRestarts: m.Counter("cte.fork_restarts"),
 		obsApplyNS:      m.Counter("cte.apply_ns"),
 		forkSuffixHist:  m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS),
@@ -272,6 +271,7 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 	startInstr := core.InstrCount
 	core.Run(e.Cfg.Budget.MaxInstrPerRun)
 	instrs := core.InstrCount - startInstr
+	e.obsForkCaptures.Add(int64(core.Checkpoints()))
 	res := pathResult{core: core, forked: forked}
 	dur := time.Since(pathStart)
 	e.pathHist.ObserveDuration(dur)
@@ -398,16 +398,6 @@ func findingOf(core *iss.Core, path int) (f *Finding, prune bool) {
 	}, false
 }
 
-// childKey is the (bound, assignment) dedup key of a pending input:
-// "<bound>|" followed by the DescribeInput rendering.
-func childKey(b *smt.Builder, in Input) string {
-	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(in.Bound))
-	sb.WriteByte('|')
-	writeInput(&sb, b, in.Assignment)
-	return sb.String()
-}
-
 // seedFrontier fills a fresh frontier from Explore.Roots (dedup-seeded
 // so a later child identical to a root is dropped), or with the default
 // empty-assignment root when no explicit roots were configured.
@@ -418,7 +408,7 @@ func (e *engine) seedFrontier(front *frontier, seen map[string]bool) {
 	}
 	for _, r := range e.Cfg.Explore.Roots {
 		if seen != nil {
-			seen[childKey(e.Builder, r)] = true
+			seen[InputKey(e.Builder, r)] = true
 		}
 		front.push(r)
 	}
@@ -452,36 +442,9 @@ func (e *engine) recordFinding(f *Finding) {
 }
 
 // DescribeInput renders an input assignment with variable names, sorted,
-// for stable test output and tool display.
+// for stable test output and tool display: "{name=value, ...}".
 func DescribeInput(b *smt.Builder, in smt.Assignment) string {
 	var sb strings.Builder
-	writeInput(&sb, b, in)
+	writeVars(&sb, namedVars(b, in))
 	return sb.String()
-}
-
-// writeInput appends "{name=value, ...}" for the variables of in that b
-// knows, sorted by name; values are decimal.
-func writeInput(sb *strings.Builder, b *smt.Builder, in smt.Assignment) {
-	type kv struct {
-		name string
-		val  uint64
-	}
-	items := make([]kv, 0, len(in))
-	for id, v := range in {
-		if name, ok := b.LookupName(id); ok {
-			items = append(items, kv{name, v})
-		}
-	}
-	slices.SortFunc(items, func(x, y kv) int { return strings.Compare(x.name, y.name) })
-	var num [20]byte
-	sb.WriteByte('{')
-	for i, it := range items {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(it.name)
-		sb.WriteByte('=')
-		sb.Write(strconv.AppendUint(num[:0], it.val, 10))
-	}
-	sb.WriteByte('}')
 }

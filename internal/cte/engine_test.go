@@ -261,8 +261,8 @@ func TestDescribeInputGolden(t *testing.T) {
 		if got := DescribeInput(b, c.in); got != c.describe {
 			t.Errorf("case %d: DescribeInput = %q\nwant %q", i, got, c.describe)
 		}
-		if got := childKey(b, Input{Assignment: c.in, Bound: c.bound}); got != c.wantChild {
-			t.Errorf("case %d: childKey = %q\nwant %q", i, got, c.wantChild)
+		if got := InputKey(b, Input{Assignment: c.in, Bound: c.bound}); got != c.wantChild {
+			t.Errorf("case %d: InputKey = %q\nwant %q", i, got, c.wantChild)
 		}
 	}
 }

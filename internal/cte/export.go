@@ -2,7 +2,9 @@ package cte
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"rvcte/internal/smt"
 )
@@ -34,7 +36,7 @@ type WireInput struct {
 
 // ExportInput serializes in for transfer to another process. Variables
 // are sorted by name, so the wire form of a given input is canonical
-// (WireKey depends on it).
+// (WireInput.Key depends on it).
 func ExportInput(b *smt.Builder, in Input) WireInput {
 	wi := WireInput{Bound: in.Bound, Gen: in.Gen}
 	for id, v := range in.Assignment {
@@ -42,7 +44,7 @@ func ExportInput(b *smt.Builder, in Input) WireInput {
 			wi.Vars = append(wi.Vars, WireVar{Name: b.VarName(id), Width: b.VarWidth(id), Val: v})
 		}
 	}
-	sort.Slice(wi.Vars, func(i, j int) bool { return wi.Vars[i].Name < wi.Vars[j].Name })
+	sortVars(wi.Vars)
 	return wi
 }
 
@@ -62,22 +64,59 @@ func ImportInput(b *smt.Builder, wi WireInput) (Input, error) {
 	return in, nil
 }
 
-// InputKey is the canonical dedup key of a pending input — the same
-// (bound, sorted name=value assignment) key the engines dedup children
-// by. Two processes agree on it for semantically identical inputs.
+// InputKey is the canonical dedup key of a pending input, the key the
+// engines dedup children by: "<bound>|{name=value, ...}" over the
+// variables b knows, sorted by name. Two processes agree on it for
+// semantically identical inputs.
 func InputKey(b *smt.Builder, in Input) string {
-	return childKey(b, in)
+	return renderKey(in.Bound, namedVars(b, in.Assignment))
 }
 
 // Key is the wire-side InputKey: computing it from the wire form yields
 // exactly the key the exporting engine used, without needing a builder.
 func (wi WireInput) Key() string {
-	s := fmt.Sprintf("%d|{", wi.Bound)
-	for i, wv := range wi.Vars {
-		if i > 0 {
-			s += ", "
+	return renderKey(wi.Bound, wi.Vars)
+}
+
+// namedVars returns the variables of in that b knows as name/value
+// pairs (Width unset), sorted by name.
+func namedVars(b *smt.Builder, in smt.Assignment) []WireVar {
+	vars := make([]WireVar, 0, len(in))
+	for id, v := range in {
+		if name, ok := b.LookupName(id); ok {
+			vars = append(vars, WireVar{Name: name, Val: v})
 		}
-		s += fmt.Sprintf("%s=%d", wv.Name, wv.Val)
 	}
-	return s + "}"
+	sortVars(vars)
+	return vars
+}
+
+func sortVars(vars []WireVar) {
+	slices.SortFunc(vars, func(x, y WireVar) int { return strings.Compare(x.Name, y.Name) })
+}
+
+// renderKey is the one rendering of the canonical input key,
+// "<bound>|" followed by writeVars over vars (sorted by name).
+func renderKey(bound int, vars []WireVar) string {
+	var sb strings.Builder
+	sb.WriteString(strconv.Itoa(bound))
+	sb.WriteByte('|')
+	writeVars(&sb, vars)
+	return sb.String()
+}
+
+// writeVars appends "{name=value, ...}" for vars in order; values are
+// decimal.
+func writeVars(sb *strings.Builder, vars []WireVar) {
+	var num [20]byte
+	sb.WriteByte('{')
+	for i, v := range vars {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(v.Name)
+		sb.WriteByte('=')
+		sb.Write(strconv.AppendUint(num[:0], v.Val, 10))
+	}
+	sb.WriteByte('}')
 }

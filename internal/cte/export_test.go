@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -89,6 +90,68 @@ func TestWireInputRoundTrip(t *testing.T) {
 	}
 	if id, ok := b2.VarID("y"); !ok || got.Assignment[id] != 0 {
 		t.Fatalf("zero-valued y lost: %v", got.Assignment)
+	}
+}
+
+// TestInputKeyRandom: over seeded random inputs of 1–200 variables the
+// wire key of an exported input equals the engine key, renders the
+// "<bound>|{name=value, ...}" format byte for byte, and survives import
+// into a fresh builder that knows none of the variables.
+func TestInputKeyRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 200; trial++ {
+		b := smt.NewBuilder()
+		n := 1 + rng.Intn(200)
+		in := Input{Assignment: smt.Assignment{}, Bound: rng.Intn(50) - 1, Gen: rng.Intn(5)}
+		want := map[string]uint64{}
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("pkt[%d]", rng.Intn(4*n))
+			if rng.Intn(4) == 0 {
+				name = fmt.Sprintf("s%d.state", rng.Intn(4*n))
+			}
+			if _, dup := b.VarID(name); dup {
+				continue
+			}
+			width := uint8(1 + rng.Intn(64))
+			v := b.Var(width, name)
+			if rng.Intn(8) == 0 {
+				continue // known to the builder, absent from the input
+			}
+			val := rng.Uint64() >> (64 - width)
+			in.Assignment[int(v.Val)] = val
+			want[name] = val
+		}
+
+		names := make([]string, 0, len(want))
+		for name := range want {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		ref := fmt.Sprintf("%d|{", in.Bound)
+		for i, name := range names {
+			if i > 0 {
+				ref += ", "
+			}
+			ref += fmt.Sprintf("%s=%d", name, want[name])
+		}
+		ref += "}"
+
+		key := InputKey(b, in)
+		if key != ref {
+			t.Fatalf("trial %d: InputKey = %q\nwant %q", trial, key, ref)
+		}
+		wi := ExportInput(b, in)
+		if got := wi.Key(); got != key {
+			t.Fatalf("trial %d: wire key %q != engine key %q", trial, got, key)
+		}
+		fresh := smt.NewBuilder()
+		back, err := ImportInput(fresh, wi)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got := InputKey(fresh, back); got != key {
+			t.Fatalf("trial %d: imported key %q != %q", trial, got, key)
+		}
 	}
 }
 

@@ -269,6 +269,45 @@ func TestApplyTimeCounted(t *testing.T) {
 	}
 }
 
+// TestForkCapturesCounted: cte.fork_captures sums the checkpoints every
+// executed path captured. It is nonzero with forking on, matches the
+// distinct checkpoints found at the executed paths' trace-condition
+// sites, and is zero with forking off or with MinPrefix above every
+// path's length.
+func TestForkCapturesCounted(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fork ForkConfig
+	}{
+		{"fork", ForkConfig{Enabled: true}},
+		{"restart", ForkConfig{}},
+		{"min-prefix", ForkConfig{Enabled: true, MinPrefix: 1 << 40}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ob := obs.New()
+			sess := NewSession(snapshot(t, ladderSrc), Config{Fork: c.fork, Obs: ob})
+			seen := 0
+			sess.OnPath = func(_ int, core *iss.Core) {
+				cps := map[*iss.Checkpoint]bool{}
+				for _, tc := range core.Trace {
+					if cp := core.Checkpoint(tc.SiteIdx); cp != nil {
+						cps[cp] = true
+					}
+				}
+				seen += len(cps)
+			}
+			rep := sess.Run(context.Background())
+			got := ob.Registry().Counter("cte.fork_captures").Value()
+			if got != int64(seen) {
+				t.Errorf("cte.fork_captures %d, %d checkpoints at the paths' sites", got, seen)
+			}
+			if want := c.name == "fork"; (got > 0) != want {
+				t.Errorf("%d paths: cte.fork_captures %d, want nonzero %v", rep.Paths, got, want)
+			}
+		})
+	}
+}
+
 // ladderSrc registers four heap blocks whose sizes are symbolic bytes.
 // Each registration emits a ladder of alternative-size trace conditions
 // at one site (size > N, > N+7, > N+31, ...), so several SAT children

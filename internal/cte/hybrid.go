@@ -51,9 +51,6 @@ func newHybrid(snapshot *iss.Core, cfg Config) *hybrid {
 	if cfg.Fuzz.Batch <= 0 {
 		cfg.Fuzz.Batch = 500
 	}
-	if cfg.Fuzz.StallExecs == 0 {
-		cfg.Fuzz.StallExecs = uint64(cfg.Fuzz.Batch)
-	}
 	if cfg.Fuzz.DryEscalations <= 0 {
 		cfg.Fuzz.DryEscalations = 3
 	}
@@ -118,7 +115,7 @@ func (h *hybrid) run(ctx context.Context) *Report {
 			rep.Stopped = "timeout"
 			break
 		}
-		if !fuzzFirst && h.fz.SinceNewCover() >= cfg.Fuzz.StallExecs {
+		if !fuzzFirst && h.fz.SinceNewCover() >= uint64(cfg.Fuzz.Batch) {
 			// Coverage stalled: escalate the most deserving corpus entry.
 			// A fruitless escalation retries the next entry immediately —
 			// fuzz batches are only worth their cost when there are solved

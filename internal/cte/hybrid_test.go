@@ -202,7 +202,7 @@ func TestHybridParallel(t *testing.T) {
 // immediately; after DryEscalations fruitless escalations the run ends
 // on its own.
 func TestHybridDryTermination(t *testing.T) {
-	rep := NewSession(snapshot(t, twoPathSrc), Config{Mode: ModeHybrid, Seed: 4, Fuzz: FuzzConfig{Batch: 100, StallExecs: 100, DryEscalations: 2}}).Run(context.Background())
+	rep := NewSession(snapshot(t, twoPathSrc), Config{Mode: ModeHybrid, Seed: 4, Fuzz: FuzzConfig{Batch: 100, DryEscalations: 2}}).Run(context.Background())
 	if rep.Stopped != "dry" {
 		t.Errorf("stopped = %q want dry", rep.Stopped)
 	}

@@ -205,7 +205,7 @@ func (x *pool) merge(id int, res pathResult) {
 	}
 
 	for _, ch := range res.children {
-		key := childKey(e.Builder, ch)
+		key := InputKey(e.Builder, ch)
 		if x.seen[key] {
 			continue
 		}

@@ -73,10 +73,9 @@ type ExploreConfig struct {
 // defaults. The other modes ignore it.
 type FuzzConfig struct {
 	// Batch is the number of concrete executions between stall checks
-	// (default 500). StallExecs is the number of executions without new
-	// coverage that triggers a concolic escalation (default Batch).
-	Batch      int
-	StallExecs uint64
+	// (default 500), and also the stall window: that many executions
+	// without new coverage trigger a concolic escalation.
+	Batch int
 	// DryEscalations stops the run after this many consecutive
 	// fruitless escalations (default 3).
 	DryEscalations int

@@ -106,8 +106,7 @@ func tcpipHybridOptions(b *smt.Builder) cte.Config {
 		StopOnError: true,
 		Budget:      cte.Budget{MaxExecs: 150_000, MaxInstrPerRun: 2_000_000},
 		Fuzz: cte.FuzzConfig{
-			Batch:      200,
-			StallExecs: 200,
+			Batch: 200,
 			// The corpus grows into the hundreds on this stack; give the
 			// escalation rotation a full sweep before declaring exhaustion.
 			DryEscalations: 500,
@@ -199,7 +198,6 @@ func TestSessionDeepBugsHybrid(t *testing.T) {
 			Budget:      budget,
 			Fuzz: cte.FuzzConfig{
 				Batch:          200,
-				StallExecs:     200,
 				DryEscalations: 2000,
 			},
 		}

@@ -56,8 +56,7 @@ const (
 type bblock struct {
 	start, end uint32
 	ops        []decoded
-	instrs     uint64 // instructions the block retires when run whole (a fused record counts 2)
-	dead       bool   // invalidated; still present in stale page lists
+	dead       bool // invalidated; still present in stale page lists
 }
 
 // blockTable is the translation cache shared by every clone of a frozen
@@ -497,10 +496,6 @@ func (c *Core) decodeBlock(start uint32) *bblock {
 		return nil
 	}
 	b.end = pc
-	b.instrs = uint64(len(b.ops))
-	if !c.NoFusion {
-		fuseBlock(b)
-	}
 	return b
 }
 
@@ -515,7 +510,7 @@ func (c *Core) decodeOne(pc uint32) *bblock {
 	}
 	b := c.bb.one
 	if b == nil {
-		b = &bblock{ops: make([]decoded, 1), instrs: 1}
+		b = &bblock{ops: make([]decoded, 1)}
 		c.bb.one = b
 	}
 	d := &b.ops[0]
@@ -525,60 +520,4 @@ func (c *Core) decodeOne(pc uint32) *bblock {
 	}
 	b.start, b.end = pc, d.npc
 	return b
-}
-
-// fuseBlock runs the superinstruction pass: adjacent hot pairs
-// (lui+addi, auipc+addi, compare+branch) collapse into one record whose
-// handler retires both instructions, preserving exact per-instruction
-// bookkeeping (see pairBoundary) and unfusing itself at runtime whenever
-// pairing could be observed (pending events, budget edge, symbolic
-// compare operands).
-func fuseBlock(b *bblock) {
-	out := make([]decoded, 0, len(b.ops))
-	for i := 0; i < len(b.ops); i++ {
-		d := b.ops[i]
-		if i+1 < len(b.ops) {
-			if f, ok := tryFuse(&d, &b.ops[i+1]); ok {
-				out = append(out, f)
-				i++
-				continue
-			}
-		}
-		out = append(out, d)
-	}
-	b.ops = out
-}
-
-func tryFuse(a, b *decoded) (decoded, bool) {
-	switch a.op {
-	case rv32.OpLUI, rv32.OpAUIPC:
-		// lui/auipc rd, hi ; addi rd2, rd, lo  →  one constant load.
-		if b.op != rv32.OpADDI || b.rs1 != a.rd || a.rd == 0 {
-			return decoded{}, false
-		}
-		f := *a
-		f.fn = stepFusedLI
-		f.k1 = uint32(a.imm)
-		if a.op == rv32.OpAUIPC {
-			f.k1 = a.pc + uint32(a.imm)
-		}
-		f.k = f.k1 + uint32(b.imm)
-		f.op2, f.rd2 = b.op, b.rd
-		f.imm2, f.pc2, f.npc2, f.loc2, f.inst2 = b.imm, b.pc, b.npc, b.loc, b.inst
-		return f, true
-
-	case rv32.OpSLT, rv32.OpSLTU, rv32.OpSLTI, rv32.OpSLTIU:
-		// slt* rd, ... ; beqz/bnez rd  →  one compare-and-branch. Only
-		// the concrete case is fused at runtime (symbolic compares must
-		// keep the per-instruction EPC/TC structure, see stepFusedCmpBr).
-		if (b.op != rv32.OpBEQ && b.op != rv32.OpBNE) || b.rs2 != 0 || b.rs1 != a.rd || a.rd == 0 {
-			return decoded{}, false
-		}
-		f := *a
-		f.fn = stepFusedCmpBr
-		f.op2 = b.op
-		f.imm2, f.pc2, f.npc2, f.loc2, f.inst2 = b.imm, b.pc, b.npc, b.loc, b.inst
-		return f, true
-	}
-	return decoded{}, false
 }

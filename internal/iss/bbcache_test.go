@@ -50,7 +50,7 @@ func TestSMCInvalidatesCachedBlock(t *testing.T) {
 }
 
 // declineHook is an ExecHook that runs every instruction natively: it
-// selects the uncached one-record path (decode per step, no fusion).
+// selects the uncached one-record path (decode per step).
 func declineHook(*Core, rv32.Inst) bool { return false }
 
 func TestSMCWithoutCacheMatches(t *testing.T) {
@@ -136,10 +136,10 @@ func TestCloneSMCConcurrent(t *testing.T) {
 	}
 }
 
-// equivGuest mixes fusible pairs (lui+addi via li, auipc+addi via la,
-// slt+bnez), symbolic data, loads/stores and branches so the
-// equivalence check covers the fused, unfused and one-record execution
-// paths on the same trace.
+// equivGuest mixes constant loads (lui+addi via li, auipc+addi via la),
+// compares feeding branches (slt+bnez), symbolic data, loads/stores and
+// branches so the equivalence check covers the cached and one-record
+// execution paths on the same trace.
 const equivGuest = `
 _start:
 	la a0, buf
@@ -173,11 +173,10 @@ name: .asciz "x"
 `
 
 // TestCacheEquivalence runs the same concolic execution with the cache
-// on, the cache on without fusion, and on the uncached one-record path
-// (one instruction decoded per step, no fusion, no cross-instruction
-// state), and requires bit-identical architectural results: registers,
-// counters, exit state, console output, trace conditions and edge
-// coverage.
+// on and on the uncached one-record path (one instruction decoded per
+// step, no cross-instruction state), and requires bit-identical
+// architectural results: registers, counters, exit state, console
+// output, trace conditions and edge coverage.
 func TestCacheEquivalence(t *testing.T) {
 	img, err := asm.Assemble(equivGuest, ramBase)
 	if err != nil {
@@ -185,51 +184,45 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 	input := []byte{3, 200, 7, 250, 1, 2, 3, 4}
 
-	exec := func(oneRecord, noFusion bool) *Core {
+	exec := func(oneRecord bool) *Core {
 		c := New(smt.NewBuilder(), Config{RamBase: ramBase, RamSize: ramSize, MaxInstr: 1_000_000})
 		c.LoadImage(img.Origin, img.Bytes, img.Entry())
 		if oneRecord {
 			c.ExecHook = declineHook
 		}
-		c.NoFusion = noFusion
 		c.FuzzInput = input
 		c.EdgeMap = make([]byte, 1<<16)
 		c.Run(0)
 		return c
 	}
 
-	ref := exec(true, false)
-	for _, v := range []struct {
-		name     string
-		noFusion bool
-	}{{"cache+fusion", false}, {"cache-nofuse", true}} {
-		got := exec(false, v.noFusion)
-		if got.Exited != ref.Exited || got.ExitCode != ref.ExitCode {
-			t.Fatalf("%s: exit (%v,%d) want (%v,%d)", v.name, got.Exited, got.ExitCode, ref.Exited, ref.ExitCode)
+	ref := exec(true)
+	got := exec(false)
+	if got.Exited != ref.Exited || got.ExitCode != ref.ExitCode {
+		t.Fatalf("exit (%v,%d) want (%v,%d)", got.Exited, got.ExitCode, ref.Exited, ref.ExitCode)
+	}
+	if got.InstrCount != ref.InstrCount || got.Cycles != ref.Cycles {
+		t.Errorf("instr/cycles %d/%d want %d/%d", got.InstrCount, got.Cycles, ref.InstrCount, ref.Cycles)
+	}
+	for r := 0; r < 32; r++ {
+		if got.Regs[r].C != ref.Regs[r].C {
+			t.Errorf("x%d = %#x want %#x", r, got.Regs[r].C, ref.Regs[r].C)
 		}
-		if got.InstrCount != ref.InstrCount || got.Cycles != ref.Cycles {
-			t.Errorf("%s: instr/cycles %d/%d want %d/%d", v.name, got.InstrCount, got.Cycles, ref.InstrCount, ref.Cycles)
+	}
+	if !bytes.Equal(got.Output, ref.Output) {
+		t.Errorf("output %q want %q", got.Output, ref.Output)
+	}
+	if len(got.Trace) != len(ref.Trace) {
+		t.Fatalf("%d trace conditions want %d", len(got.Trace), len(ref.Trace))
+	}
+	for i := range ref.Trace {
+		g, r := got.Trace[i], ref.Trace[i]
+		if g.EPCLen != r.EPCLen || g.SiteIdx != r.SiteIdx || g.FlipFrom != r.FlipFrom || g.FlipTo != r.FlipTo {
+			t.Errorf("trace[%d] = %+v want %+v", i, g, r)
 		}
-		for r := 0; r < 32; r++ {
-			if got.Regs[r].C != ref.Regs[r].C {
-				t.Errorf("%s: x%d = %#x want %#x", v.name, r, got.Regs[r].C, ref.Regs[r].C)
-			}
-		}
-		if !bytes.Equal(got.Output, ref.Output) {
-			t.Errorf("%s: output %q want %q", v.name, got.Output, ref.Output)
-		}
-		if len(got.Trace) != len(ref.Trace) {
-			t.Fatalf("%s: %d trace conditions want %d", v.name, len(got.Trace), len(ref.Trace))
-		}
-		for i := range ref.Trace {
-			g, r := got.Trace[i], ref.Trace[i]
-			if g.EPCLen != r.EPCLen || g.SiteIdx != r.SiteIdx || g.FlipFrom != r.FlipFrom || g.FlipTo != r.FlipTo {
-				t.Errorf("%s: trace[%d] = %+v want %+v", v.name, i, g, r)
-			}
-		}
-		if !bytes.Equal(got.EdgeMap, ref.EdgeMap) {
-			t.Errorf("%s: edge coverage bitmap differs from the one-record path", v.name)
-		}
+	}
+	if !bytes.Equal(got.EdgeMap, ref.EdgeMap) {
+		t.Error("edge coverage bitmap differs from the one-record path")
 	}
 }
 

@@ -35,7 +35,8 @@ const alarmBase = 0x40000000
 // CTE_notify appending and resetting, CTE_cancel_notify, the host
 // model's append and reset, delivery of guest and host notifications,
 // interrupts raised by both, and wfi jumping time to the earliest due
-// notification. The loop body has fusable lui+addi and slt+beqz pairs.
+// notification. The loop body has lui+addi constant loads and slt+beqz
+// compare-and-branch pairs.
 const eventsSrc = `
 _start:
 	la t0, handler
@@ -119,15 +120,15 @@ func eventsCore(t *testing.T) *iss.Core {
 
 // TestBudgetMatchesSteps checks the block-granular prologue against the
 // one-record path. For every budget k of each range, Run(k) on a clone
-// of the frozen snapshot (cached, fused blocks, whose budget test runs
-// only in blocks that may reach k) must end where stepping one record
-// at a time ends once k instructions have retired: same InstrCount,
+// of the frozen snapshot (cached blocks, whose budget test runs only in
+// blocks that may reach k) must end where stepping one record at a time
+// ends once k instructions have retired: same InstrCount,
 // Cycles, PC, context depth, output, edge map and touched list, and an
 // ErrLimit at that PC unless the guest halted first (then the same
 // error). After every step and every run the cached event horizon must
 // equal the earliest pending Due. The guests take notifications, host
 // callbacks and interrupts (the FreeRTOS sensor guest and eventsSrc) or
-// none but fuse many pairs (storm-s).
+// none but branch densely (storm-s).
 func TestBudgetMatchesSteps(t *testing.T) {
 	storm, _ := guest.BenchProgram("storm-s")
 	for _, g := range []struct {

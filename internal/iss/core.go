@@ -19,16 +19,15 @@
 // are delivered only once the cycle count reaches the earliest due
 // notification (nextDue) or an enabled interrupt is pending. Run
 // normally feeds it predecoded basic blocks from the block cache
-// (bbcache.go): straight-line blocks are decoded once, with adjacent
-// hot pairs fused into superinstructions.
-// Blocks are invalidated when the memory they cover is written, and
-// Core.Freeze publishes them into a shared layer that concurrent clones
-// extend lazily — so a fuzzing or multi-path campaign decodes each block
-// once, not once per execution. Step, and Run on a core with an
-// ExecHook, decode one instruction per step into a one-record block
-// instead; a no-op ExecHook is the uncached ablation point and
-// Core.NoFusion the unfused one. Results (registers, counters, EPC,
-// trace conditions, edge coverage) are bit-identical across the three.
+// (bbcache.go): straight-line blocks are decoded once, one record per
+// instruction. Blocks are invalidated when the memory they cover is
+// written, and Core.Freeze publishes them into a shared layer that
+// concurrent clones extend lazily — so a fuzzing or multi-path campaign
+// decodes each block once, not once per execution. Step, and Run on a
+// core with an ExecHook, decode one instruction per step into a
+// one-record block instead; a no-op ExecHook is the uncached ablation
+// point. Results (registers, counters, EPC, trace conditions, edge
+// coverage) are bit-identical across the two.
 //
 // Both the concolic re-execution mode (FuzzInput replay) and the
 // fuzzer's ConcreteOnly fast path — which skips all symbolic shadow
@@ -379,11 +378,6 @@ type Core struct {
 	ObsBBMisses *obs.Counter
 	ObsBBInval  *obs.Counter
 
-	// NoFusion keeps the block cache but disables the superinstruction
-	// pass that fuses hot adjacent pairs (lui+addi, auipc+addi,
-	// compare+branch).
-	NoFusion bool
-
 	// CaptureForks enables checkpointing at trace-condition emission sites
 	// (fork.go): whenever a TC is emitted, a copy-on-write clone of the VP
 	// as of the start of the current instruction is stashed in forkPoints,
@@ -427,11 +421,9 @@ type Core struct {
 
 	// bb is the per-core translation cache (bbcache.go). bbAbort asks the
 	// block runner to stop after the current record (peripheral context
-	// switch, block invalidation, runtime unfusing); runLimit mirrors
-	// Run's effective budget for the fused-pair feasibility check.
-	bb       *bbCache
-	bbAbort  bool
-	runLimit uint64
+	// switch, block invalidation).
+	bb      *bbCache
+	bbAbort bool
 	// bookkeeping is CaptureForks || TrackCoverage || TraceDepth > 0,
 	// fixed by Run and Step for the call: it gates runBlock's bookkeep.
 	bookkeeping bool
@@ -651,7 +643,6 @@ func (c *Core) Run(maxInstr uint64) {
 			c.ObsBBInval.Add(int64(c.bb.invals - i0))
 		}()
 	}
-	c.runLimit = maxInstr
 	c.bookkeeping = c.needsBookkeeping()
 	for !c.Halted() {
 		var b *bblock

@@ -32,26 +32,10 @@ type decoded struct {
 	npc    uint32 // pc + instruction size
 	loc    uint32 // edgeLoc(pc), the edge-map hash of this instruction
 	inst   rv32.Inst
-
-	// Superinstruction (fused pair) fields; only set when fn is a fused
-	// handler. op2/imm2/pc2/npc2/loc2/inst2 describe the second
-	// instruction, k1/k are the precomputed results of the constant-load
-	// pair.
-	op2   rv32.Op
-	rd2   uint8
-	imm2  int32
-	pc2   uint32
-	npc2  uint32
-	loc2  uint32
-	k1, k uint32
-	inst2 rv32.Inst
 }
 
-// stepFn executes one decoded record. It returns the opcode to charge
-// in the runner's cycle epilogue: the record's own op, or — for a fused
-// record that retired both instructions — the second op (the first was
-// already charged by pairBoundary).
-type stepFn func(c *Core, d *decoded) rv32.Op
+// stepFn executes one decoded record; the runner retires it afterwards.
+type stepFn func(c *Core, d *decoded)
 
 var stepTab [rv32.NumOps]stepFn
 
@@ -147,9 +131,9 @@ func makeDecoded(pc uint32, inst rv32.Inst) decoded {
 // on a control transfer out of the block (last record), on a context
 // switch, and on bbAbort (peripheral entry or block invalidation).
 func (c *Core) runBlock(b *bblock, maxInstr uint64) {
-	// Each record retires at most its share of b.instrs, so a block that
-	// fits cannot reach the budget at any of its boundaries.
-	budget := maxInstr > 0 && c.InstrCount+b.instrs > maxInstr
+	// Each record retires one instruction, so a block that fits cannot
+	// reach the budget at any of its boundaries.
+	budget := maxInstr > 0 && c.InstrCount+uint64(len(b.ops)) > maxInstr
 	for i := range b.ops {
 		d := &b.ops[i]
 		c.PC = d.pc
@@ -175,7 +159,8 @@ func (c *Core) runBlock(b *bblock, maxInstr uint64) {
 			c.bookkeep(d.pc, d.inst)
 		}
 		c.bbAbort = false
-		c.retire(d.fn(c, d))
+		d.fn(c, d)
+		c.retire(d.op)
 		if c.Halted() || c.bbAbort {
 			return
 		}
@@ -212,8 +197,6 @@ func (c *Core) hitEdge(loc uint32) {
 // pre-state (CaptureForks), PC coverage (TrackCoverage) and the trace
 // ring (TraceDepth). Run and Step enable it for the whole call through
 // c.bookkeeping, so the fuzz and plain paths pay one test per record.
-// At a fused pair's internal boundary the pre-state it records is never
-// read: a record that pairs emits no trace condition.
 func (c *Core) bookkeep(pc uint32, inst rv32.Inst) {
 	if c.CaptureForks {
 		c.recordPreState()
@@ -231,84 +214,42 @@ func (c *Core) bookkeep(pc uint32, inst rv32.Inst) {
 	}
 }
 
-// canPair reports whether a fused record may retire its second
-// instruction without an observable difference from two separate steps:
-// the core must not be halted, the budget must allow two retirements,
-// and no notification or interrupt may be deliverable at the pair's
-// internal boundary.
-func (c *Core) canPair() bool {
-	if c.Halted() {
-		return false
-	}
-	if c.runLimit > 0 && c.InstrCount+1 >= c.runLimit {
-		return false
-	}
-	return len(c.ctxStack) != 0 || len(c.notifications) == 0 && !c.irqPending()
-}
-
-// pairBoundary performs the per-instruction bookkeeping at the internal
-// boundary of a fused pair: retire the first instruction and run the
-// prologue (edge map, bookkeeping) for the second, so fused execution is
-// bit-identical to two separate steps. Fused pairs never contain stores,
-// so the protocol bank cannot change here, and the edge mask is already
-// derived (the pair's own boundary ran first).
-func (c *Core) pairBoundary(d *decoded) {
-	c.retire(d.op)
-	c.PC = d.pc2
-	if c.EdgeMap != nil {
-		c.hitEdge(d.loc2)
-	}
-	if c.bookkeeping {
-		c.bookkeep(d.pc2, d.inst2)
-	}
-}
-
 // stepHooked is the handler of every record a core with an ExecHook
 // runs: the hook sees the instruction first, and the opcode's own
 // handler runs only when the hook declines it.
-func stepHooked(c *Core, d *decoded) rv32.Op {
-	if c.ExecHook(c, d.inst) {
-		return d.op
+func stepHooked(c *Core, d *decoded) {
+	if !c.ExecHook(c, d.inst) {
+		stepTab[d.op](c, d)
 	}
-	return stepTab[d.op](c, d)
 }
 
-func stepUnknown(c *Core, d *decoded) rv32.Op {
+func stepUnknown(c *Core, d *decoded) {
 	c.fail(ErrIllegalInstr, c.PC, d.op.String())
-	return d.op
 }
 
-func stepLUI(c *Core, d *decoded) rv32.Op {
+func stepLUI(c *Core, d *decoded) {
 	c.setReg(d.rd, concolic.Concrete(uint32(d.imm)))
-	if !c.Halted() {
-		c.PC = d.npc
-	}
-	return d.op
+	aluTail(c, d)
 }
 
-func stepAUIPC(c *Core, d *decoded) rv32.Op {
+func stepAUIPC(c *Core, d *decoded) {
 	c.setReg(d.rd, concolic.Concrete(d.pc+uint32(d.imm)))
-	if !c.Halted() {
-		c.PC = d.npc
-	}
-	return d.op
+	aluTail(c, d)
 }
 
-func stepJAL(c *Core, d *decoded) rv32.Op {
+func stepJAL(c *Core, d *decoded) {
 	c.setReg(d.rd, concolic.Concrete(d.npc))
 	c.PC = d.pc + uint32(d.imm)
-	return d.op
 }
 
-func stepJALR(c *Core, d *decoded) rv32.Op {
+func stepJALR(c *Core, d *decoded) {
 	target := c.reg(d.rs1)
 	taddr := c.concretize(target, "jump target")
 	c.setReg(d.rd, concolic.Concrete(d.npc))
 	c.PC = (taddr + uint32(d.imm)) &^ 1
-	return d.op
 }
 
-func stepBranch(c *Core, d *decoded) rv32.Op {
+func stepBranch(c *Core, d *decoded) {
 	o := c.Ops
 	a, b := c.reg(d.rs1), c.reg(d.rs2)
 	var taken bool
@@ -339,218 +280,201 @@ func stepBranch(c *Core, d *decoded) rv32.Op {
 	} else {
 		c.PC = d.npc
 	}
-	return d.op
 }
 
-func stepLoad(c *Core, d *decoded) rv32.Op {
+func stepLoad(c *Core, d *decoded) {
 	addr := c.effAddr(d.rs1, d.imm)
-	if c.Halted() {
-		return d.op
+	// memLoad and memStore return false on a context switch (bbAbort set
+	// by enterPeripheral): the PC then stays with the peripheral.
+	if !c.Halted() && c.memLoad(addr, int(d.msize), d.rd, d.signed, d.npc) {
+		aluTail(c, d)
 	}
-	if !c.memLoad(addr, int(d.msize), d.rd, d.signed, d.npc) {
-		return d.op // context switched; bbAbort set by enterPeripheral
-	}
-	if !c.Halted() {
-		c.PC = d.npc
-	}
-	return d.op
 }
 
-func stepStore(c *Core, d *decoded) rv32.Op {
+func stepStore(c *Core, d *decoded) {
 	addr := c.effAddr(d.rs1, d.imm)
-	if c.Halted() {
-		return d.op
+	if !c.Halted() && c.memStore(addr, int(d.msize), c.reg(d.rs2), d.npc) {
+		aluTail(c, d)
 	}
-	if !c.memStore(addr, int(d.msize), c.reg(d.rs2), d.npc) {
-		return d.op
-	}
-	if !c.Halted() {
-		c.PC = d.npc
-	}
-	return d.op
 }
 
 // aluTail advances the PC after a non-branching record.
-func aluTail(c *Core, d *decoded) rv32.Op {
+func aluTail(c *Core, d *decoded) {
 	if !c.Halted() {
 		c.PC = d.npc
 	}
-	return d.op
 }
 
-func stepADDI(c *Core, d *decoded) rv32.Op {
+func stepADDI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Add(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSLTI(c *Core, d *decoded) rv32.Op {
+func stepSLTI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Slt(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSLTIU(c *Core, d *decoded) rv32.Op {
+func stepSLTIU(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sltu(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepXORI(c *Core, d *decoded) rv32.Op {
+func stepXORI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Xor(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepORI(c *Core, d *decoded) rv32.Op {
+func stepORI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Or(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepANDI(c *Core, d *decoded) rv32.Op {
+func stepANDI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.And(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSLLI(c *Core, d *decoded) rv32.Op {
+func stepSLLI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sll(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSRLI(c *Core, d *decoded) rv32.Op {
+func stepSRLI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Srl(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSRAI(c *Core, d *decoded) rv32.Op {
+func stepSRAI(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sra(c.reg(d.rs1), concolic.Concrete(uint32(d.imm))))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepADD(c *Core, d *decoded) rv32.Op {
+func stepADD(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Add(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSUB(c *Core, d *decoded) rv32.Op {
+func stepSUB(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sub(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSLL(c *Core, d *decoded) rv32.Op {
+func stepSLL(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sll(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSLT(c *Core, d *decoded) rv32.Op {
+func stepSLT(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Slt(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSLTU(c *Core, d *decoded) rv32.Op {
+func stepSLTU(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sltu(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepXOR(c *Core, d *decoded) rv32.Op {
+func stepXOR(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Xor(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSRL(c *Core, d *decoded) rv32.Op {
+func stepSRL(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Srl(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepSRA(c *Core, d *decoded) rv32.Op {
+func stepSRA(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Sra(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepOR(c *Core, d *decoded) rv32.Op {
+func stepOR(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Or(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepAND(c *Core, d *decoded) rv32.Op {
+func stepAND(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.And(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepMUL(c *Core, d *decoded) rv32.Op {
+func stepMUL(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Mul(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepMULH(c *Core, d *decoded) rv32.Op {
+func stepMULH(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.MulH(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepMULHSU(c *Core, d *decoded) rv32.Op {
+func stepMULHSU(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.MulHSU(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepMULHU(c *Core, d *decoded) rv32.Op {
+func stepMULHU(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.MulHU(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepDIV(c *Core, d *decoded) rv32.Op {
+func stepDIV(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Div(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepDIVU(c *Core, d *decoded) rv32.Op {
+func stepDIVU(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.DivU(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepREM(c *Core, d *decoded) rv32.Op {
+func stepREM(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.Rem(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepREMU(c *Core, d *decoded) rv32.Op {
+func stepREMU(c *Core, d *decoded) {
 	c.setReg(d.rd, c.Ops.RemU(c.reg(d.rs1), c.reg(d.rs2)))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepFENCE(c *Core, d *decoded) rv32.Op {
+func stepFENCE(c *Core, d *decoded) {
 	// No-op on a single-hart VP (block-terminal for FENCE.I conservatism).
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepECALL(c *Core, d *decoded) rv32.Op {
+func stepECALL(c *Core, d *decoded) {
 	c.ecall()
 	if c.Halted() {
-		return d.op
+		return
 	}
 	// CTE_return redirects the PC; only advance when the ecall left it in
 	// place.
 	if c.PC == d.pc {
 		c.PC = d.npc
 	}
-	return d.op
 }
 
-func stepEBREAK(c *Core, d *decoded) rv32.Op {
+func stepEBREAK(c *Core, d *decoded) {
 	c.fail(ErrAssertFail, c.PC, "ebreak")
-	return d.op
 }
 
-func stepMRET(c *Core, d *decoded) rv32.Op {
+func stepMRET(c *Core, d *decoded) {
 	const mieBit, mpieBit = uint32(1 << 3), uint32(1 << 7)
 	c.MStatus = c.MStatus&^mieBit | (c.MStatus&mpieBit)>>4
 	c.MStatus |= mpieBit
 	c.PC = c.MEPC
 	c.detectMRet()
-	return d.op
 }
 
-func stepWFI(c *Core, d *decoded) rv32.Op {
+func stepWFI(c *Core, d *decoded) {
 	c.waitForInterrupt()
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepCSR(c *Core, d *decoded) rv32.Op {
+func stepCSR(c *Core, d *decoded) {
 	old := c.readCSR(uint16(d.imm))
 	nv := c.concretize(c.reg(d.rs1), "csr write")
 	switch d.op {
@@ -566,10 +490,10 @@ func stepCSR(c *Core, d *decoded) rv32.Op {
 		}
 	}
 	c.setReg(d.rd, concolic.Concrete(old))
-	return aluTail(c, d)
+	aluTail(c, d)
 }
 
-func stepCSRI(c *Core, d *decoded) rv32.Op {
+func stepCSRI(c *Core, d *decoded) {
 	old := c.readCSR(uint16(d.imm))
 	z := uint32(d.rs2)
 	switch d.op {
@@ -585,72 +509,5 @@ func stepCSRI(c *Core, d *decoded) rv32.Op {
 		}
 	}
 	c.setReg(d.rd, concolic.Concrete(old))
-	return aluTail(c, d)
-}
-
-// stepFusedLI retires a fused lui/auipc+addi pair: both destination
-// registers are written from precomputed constants. When pairing would
-// be observable (canPair), the record unfuses itself: only the first
-// instruction executes and the block aborts, so the dispatcher re-enters
-// at the second instruction through a fresh block.
-func stepFusedLI(c *Core, d *decoded) rv32.Op {
-	if !c.canPair() {
-		c.setReg(d.rd, concolic.Concrete(d.k1))
-		if !c.Halted() {
-			c.PC = d.pc2
-		}
-		c.bbAbort = true
-		return d.op
-	}
-	c.setReg(d.rd, concolic.Concrete(d.k1))
-	c.pairBoundary(d)
-	c.setReg(d.rd2, concolic.Concrete(d.k))
-	c.PC = d.npc2
-	return d.op2
-}
-
-// stepFusedCmpBr retires a fused slt*+beqz/bnez pair on the concrete
-// fast path. Symbolic compare operands unfuse (the compare must mint its
-// shadow expression and the branch must run the full EPC/TC protocol at
-// its own PC), as does any pending event or budget edge.
-func stepFusedCmpBr(c *Core, d *decoded) rv32.Op {
-	a := c.reg(d.rs1)
-	var bv concolic.Value
-	if d.op == rv32.OpSLTI || d.op == rv32.OpSLTIU {
-		bv = concolic.Concrete(uint32(d.imm))
-	} else {
-		bv = c.reg(d.rs2)
-	}
-	if a.Sym != nil || bv.Sym != nil || !c.canPair() {
-		var v concolic.Value
-		if d.op == rv32.OpSLT || d.op == rv32.OpSLTI {
-			v = c.Ops.Slt(a, bv)
-		} else {
-			v = c.Ops.Sltu(a, bv)
-		}
-		c.setReg(d.rd, v)
-		if !c.Halted() {
-			c.PC = d.pc2
-		}
-		c.bbAbort = true
-		return d.op
-	}
-	var lt bool
-	if d.op == rv32.OpSLT || d.op == rv32.OpSLTI {
-		lt = int32(a.C) < int32(bv.C)
-	} else {
-		lt = a.C < bv.C
-	}
-	var res uint32
-	if lt {
-		res = 1
-	}
-	c.setReg(d.rd, concolic.Concrete(res))
-	c.pairBoundary(d)
-	if (res != 0) == (d.op2 == rv32.OpBNE) {
-		c.PC = d.pc2 + uint32(d.imm2)
-	} else {
-		c.PC = d.npc2
-	}
-	return d.op2
+	aluTail(c, d)
 }

@@ -134,6 +134,12 @@ func (c *Core) Checkpoint(site int) *Checkpoint {
 	return c.forkPoints[site]
 }
 
+// Checkpoints returns the number of checkpoints captured during the
+// last run.
+func (c *Core) Checkpoints() int {
+	return len(c.forkPoints)
+}
+
 // Resume materializes a resumable core from the checkpoint: a fresh
 // copy-on-write clone with the generational bound installed. The caller
 // then installs the child's input with ApplyModel.

@@ -67,16 +67,15 @@ var benchInput = func() []byte {
 }()
 
 // benchVariants are the block-cache ablation axes (EXPERIMENTS.md
-// "Block cache ablation"): the default predecoded-dispatch path, the
-// cache without superinstruction fusion, and the uncached one-record
-// path (a declining ExecHook: one instruction decoded per step).
+// "Block cache ablation"): the default predecoded-dispatch path and the
+// uncached one-record path (a declining ExecHook: one instruction
+// decoded per step).
 var benchVariants = []struct {
-	name              string
-	noCache, noFusion bool
+	name    string
+	noCache bool
 }{
-	{"bb", false, false},
-	{"bb-nofuse", false, true},
-	{"nocache", true, false},
+	{"bb", false},
+	{"nocache", true},
 }
 
 // BenchmarkConcreteExec measures one fuzz-style execution: clone the
@@ -96,7 +95,6 @@ func BenchmarkConcreteExec(b *testing.B) {
 				if v.noCache {
 					c.ExecHook = declineHook
 				}
-				c.NoFusion = v.noFusion
 				c.ConcreteOnly = true
 				c.FuzzInput = benchInput
 				c.EdgeMap = edge
@@ -132,7 +130,6 @@ func BenchmarkConcolicExec(b *testing.B) {
 				if v.noCache {
 					c.ExecHook = declineHook
 				}
-				c.NoFusion = v.noFusion
 				c.FuzzInput = benchInput
 				c.Run(0)
 				if c.Err != nil {
