@@ -27,7 +27,7 @@ func newTestCoordinator(t *testing.T) (*Coordinator, *fakeClock) {
 }
 
 func wireInput(val uint64) cte.WireInput {
-	return cte.WireInput{Vars: []cte.WireVar{{Name: "x", Width: 32, Val: val}}, Bound: 1}
+	return cte.WireInput{Vars: []cte.WireVar{{Name: "x", Width: 8, Val: val}}, Bound: 1}
 }
 
 // TestLeaseExpiryRedelivery: a worker that stops heartbeating loses its
@@ -230,10 +230,11 @@ func TestScopedCampaignMetrics(t *testing.T) {
 }
 
 // TestHostileWireInputFailsLease: a leased input whose variables a
-// worker's builder cannot accept (width 0, width above 64, or a width
-// that contradicts an existing variable) fails the lease instead of
-// panicking the worker. The coordinator drops the refused inputs and
-// requeues the others, and the same runner goes on to run them.
+// worker cannot accept (any width but 8, including a width that
+// contradicts an existing variable or one the guest mints later) fails
+// the lease instead of panicking the worker. The coordinator drops the
+// refused inputs and requeues the others, and the same runner goes on
+// to run them.
 func TestHostileWireInputFailsLease(t *testing.T) {
 	co, _ := newTestCoordinator(t)
 	st, err := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000, StopOnError: false})
@@ -248,7 +249,8 @@ func TestHostileWireInputFailsLease(t *testing.T) {
 	hostile := []cte.WireInput{
 		{Vars: []cte.WireVar{{Name: "zero", Width: 0, Val: 1}}, Bound: 1},
 		{Vars: []cte.WireVar{{Name: "wide", Width: 65, Val: 1}}, Bound: 1},
-		{Vars: []cte.WireVar{{Name: "x", Width: 8, Val: 5}}, Bound: 1}, // "x" is 32 bits below
+		{Vars: []cte.WireVar{{Name: "x", Width: 32, Val: 5}}, Bound: 1}, // "x" is 8 bits below
+		{Vars: []cte.WireVar{{Name: "in[0]", Width: 32}}, Bound: 1},     // the guest mints in[0] at 8 bits
 	}
 	l, _ := co.Lease(id, LeaseRequest{Worker: "a"})
 	co.Result(id, Result{Lease: l.ID,
@@ -257,8 +259,8 @@ func TestHostileWireInputFailsLease(t *testing.T) {
 	})
 
 	l2, _ := co.Lease(id, LeaseRequest{Worker: "a"})
-	if len(l2.Inputs) != 5 {
-		t.Fatalf("expected 5 leased inputs, got %d", len(l2.Inputs))
+	if len(l2.Inputs) != 2+len(hostile) {
+		t.Fatalf("expected %d leased inputs, got %d", 2+len(hostile), len(l2.Inputs))
 	}
 	res := r.Run(context.Background(), l2)
 	if res.Err == "" || len(res.Records) != 0 || len(res.Rejected) != len(hostile) {

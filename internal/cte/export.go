@@ -49,12 +49,17 @@ func ExportInput(b *smt.Builder, in Input) WireInput {
 }
 
 // ImportInput resolves a wire input against the local builder, minting
-// any variable the local process has not created yet. A wire variable
-// whose width is outside 1..64, or contradicts the local variable of
-// that name, makes the input an error: wire input is untrusted.
+// any variable the local process has not created yet. Every engine
+// mints symbolic input bytes only, so a wire variable of any width but
+// 8 makes the input an error: wire input is untrusted, and a variable
+// minted at another width would make the guest's own byte of that name
+// a width conflict.
 func ImportInput(b *smt.Builder, wi WireInput) (Input, error) {
 	in := Input{Assignment: smt.Assignment{}, Bound: wi.Bound, Gen: wi.Gen}
 	for _, wv := range wi.Vars {
+		if wv.Width != 8 {
+			return Input{}, fmt.Errorf("import input: variable %q has width %d, want 8", wv.Name, wv.Width)
+		}
 		v, err := b.DeclareVar(wv.Width, wv.Name)
 		if err != nil {
 			return Input{}, fmt.Errorf("import input: %w", err)

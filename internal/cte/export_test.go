@@ -20,10 +20,10 @@ func semanticRecord(c *iss.Core) string {
 	return fmt.Sprintf("exit=%d err=%v out=%q", c.ExitCode, c.Err, c.Output)
 }
 
-// TestImportInputRejectsHostileWidths: a wire variable of width 0, of a
-// width above 64, or of a width that contradicts the local variable of
-// that name is an error, not a panic, and leaves the local variable as
-// it was.
+// TestImportInputRejectsHostileWidths: a wire variable of any width
+// but 8 (the width of every symbolic input byte) is an error, not a
+// panic, whether its name is new or contradicts the local variable of
+// that name, and leaves the local variables as they were.
 func TestImportInputRejectsHostileWidths(t *testing.T) {
 	b := smt.NewBuilder()
 	b.Var(8, "pkt[0]")
@@ -31,6 +31,7 @@ func TestImportInputRejectsHostileWidths(t *testing.T) {
 		{Name: "z", Width: 0, Val: 1},
 		{Name: "big", Width: 65, Val: 1},
 		{Name: "pkt[0]", Width: 32, Val: 7},
+		{Name: "in[0]", Width: 32, Val: 7},
 	} {
 		in, err := ImportInput(b, WireInput{Vars: []WireVar{{Name: "ok", Width: 8, Val: 2}, wv}, Bound: 1})
 		if err == nil {
@@ -40,8 +41,10 @@ func TestImportInputRejectsHostileWidths(t *testing.T) {
 	if id, ok := b.VarID("pkt[0]"); !ok || b.VarWidth(id) != 8 {
 		t.Fatal("a rejected input changed the local variable")
 	}
-	if _, ok := b.VarID("z"); ok {
-		t.Fatal("a rejected width minted a variable")
+	for _, name := range []string{"z", "in[0]"} {
+		if _, ok := b.VarID(name); ok {
+			t.Fatalf("a rejected width minted %q", name)
+		}
 	}
 	if _, err := ImportInput(b, WireInput{Vars: []WireVar{{Name: "pkt[0]", Width: 8, Val: 9}}}); err != nil {
 		t.Fatalf("a consistent input must import: %v", err)
@@ -54,7 +57,7 @@ func TestImportInputRejectsHostileWidths(t *testing.T) {
 func TestWireInputRoundTrip(t *testing.T) {
 	b1 := smt.NewBuilder()
 	// Create vars in one order on the exporting side...
-	x := b1.Var(32, "x")
+	x := b1.Var(8, "x")
 	y := b1.Var(8, "y")
 	in := Input{Assignment: smt.Assignment{int(x.Val): 41, int(y.Val): 0}, Bound: 3, Gen: 2}
 
@@ -73,7 +76,7 @@ func TestWireInputRoundTrip(t *testing.T) {
 
 	// ... and in the opposite order (plus an extra var) on the importer.
 	b2 := smt.NewBuilder()
-	b2.Var(16, "unrelated")
+	b2.Var(8, "unrelated")
 	b2.Var(8, "y")
 	got, err := ImportInput(b2, back)
 	if err != nil {
@@ -93,8 +96,8 @@ func TestWireInputRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInputKeyRandom: over seeded random inputs of 1–200 variables the
-// wire key of an exported input equals the engine key, renders the
+// TestInputKeyRandom: over seeded random inputs of 1–200 byte variables
+// the wire key of an exported input equals the engine key, renders the
 // "<bound>|{name=value, ...}" format byte for byte, and survives import
 // into a fresh builder that knows none of the variables.
 func TestInputKeyRandom(t *testing.T) {
@@ -112,12 +115,11 @@ func TestInputKeyRandom(t *testing.T) {
 			if _, dup := b.VarID(name); dup {
 				continue
 			}
-			width := uint8(1 + rng.Intn(64))
-			v := b.Var(width, name)
+			v := b.Var(8, name)
 			if rng.Intn(8) == 0 {
 				continue // known to the builder, absent from the input
 			}
-			val := rng.Uint64() >> (64 - width)
+			val := rng.Uint64() >> 56
 			in.Assignment[int(v.Val)] = val
 			want[name] = val
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // edgeBit is one covered edge in bucketized form: the edge-map index and
@@ -110,42 +109,4 @@ func mergeTouched(virgin, edge []byte, touched []uint32) (newBits, newEntries in
 		newBits += bits.OnesCount8(nb)
 	}
 	return newBits, newEntries
-}
-
-// minimizeCorpus implements afl-cmin's greedy reduction: for every
-// covered edge bit keep the smallest entry touching it, then drop every
-// entry that is nobody's best. Returns the retained entries (order
-// preserved) — the caller swaps its corpus for the result.
-func minimizeCorpus(entries []*Entry) []*Entry {
-	type bitKey struct {
-		idx uint32
-		bit uint8
-	}
-	best := make(map[bitKey]*Entry)
-	for _, e := range entries {
-		for _, eb := range e.Cov {
-			for bits := eb.Bits; bits != 0; bits &= bits - 1 {
-				k := bitKey{eb.Idx, bits & -bits}
-				cur, ok := best[k]
-				if !ok || len(e.Data) < len(cur.Data) ||
-					(len(e.Data) == len(cur.Data) && e.ID < cur.ID) {
-					best[k] = e
-				}
-			}
-		}
-	}
-	keep := make(map[int]bool, len(best))
-	for _, e := range best {
-		keep[e.ID] = true
-	}
-	var out []*Entry
-	for _, e := range entries {
-		// Never drop an entry whose deterministic stage is still running:
-		// its remaining mutations are paid-for future coverage.
-		if keep[e.ID] || e.DetPos >= 0 {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

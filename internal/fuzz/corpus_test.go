@@ -66,29 +66,6 @@ func TestVirginMerge(t *testing.T) {
 	}
 }
 
-// TestMinimizeCorpus: the smallest entry covering each edge bit is kept,
-// fully-subsumed larger entries are dropped, and entries still in their
-// deterministic stage survive.
-func TestMinimizeCorpus(t *testing.T) {
-	small := &Entry{ID: 0, Data: []byte{1}, DetPos: -1,
-		Cov: []edgeBit{{1, 1}, {2, 1}}}
-	big := &Entry{ID: 1, Data: []byte{1, 2, 3, 4}, DetPos: -1,
-		Cov: []edgeBit{{1, 1}, {2, 1}}} // subsumed by small
-	unique := &Entry{ID: 2, Data: []byte{1, 2, 3, 4, 5}, DetPos: -1,
-		Cov: []edgeBit{{9, 1}}}
-	pending := &Entry{ID: 3, Data: []byte{7, 7, 7, 7, 7, 7}, DetPos: 5,
-		Cov: []edgeBit{{1, 1}}} // subsumed, but det stage still running
-
-	out := minimizeCorpus([]*Entry{small, big, unique, pending})
-	got := map[int]bool{}
-	for _, e := range out {
-		got[e.ID] = true
-	}
-	if !got[0] || got[1] || !got[2] || !got[3] {
-		t.Errorf("kept %v; want {0,2,3}", got)
-	}
-}
-
 // TestEnergyOrdering: more new coverage, shorter data, and fewer picks
 // all increase energy; injected entries get a boost.
 func TestEnergyOrdering(t *testing.T) {

@@ -243,8 +243,7 @@ func (f *Fuzzer) pickLocked(rng *rand.Rand) queued {
 		return q
 	}
 	if len(f.corpus) == 0 {
-		// Coverage-dead snapshot (or all entries minimized away): keep
-		// probing with short random inputs.
+		// Coverage-dead snapshot: keep probing with short random inputs.
 		out := make([]byte, 1+rng.Intn(16))
 		for i := range out {
 			out[i] = byte(rng.Intn(256))
@@ -455,16 +454,6 @@ func (f *Fuzzer) Corpus() []*Entry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]*Entry(nil), f.corpus...)
-}
-
-// Minimize performs an afl-cmin-style reduction of the corpus and
-// returns (before, after) sizes.
-func (f *Fuzzer) Minimize() (before, after int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	before = len(f.corpus)
-	f.corpus = minimizeCorpus(f.corpus)
-	return before, len(f.corpus)
 }
 
 // Findings returns the deduplicated findings discovered so far, ordered

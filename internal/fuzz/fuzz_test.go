@@ -161,20 +161,6 @@ func TestFuzzerParallel(t *testing.T) {
 	}
 }
 
-// TestFuzzerMinimize: after saturation, minimization keeps a covering
-// subset and never grows the corpus.
-func TestFuzzerMinimize(t *testing.T) {
-	f := New(gateSnapshot(t), Options{Seed: 13, Workers: 1})
-	f.RunBatch(3000)
-	before, after := f.Minimize()
-	if after > before {
-		t.Errorf("minimize grew corpus: %d -> %d", before, after)
-	}
-	if after == 0 {
-		t.Error("minimize emptied the corpus")
-	}
-}
-
 // TestEdgeMapCleanAfterStep: after every execution the worker's edge
 // map is all zero again (the fuzzer zeroes only the touched slots, so a
 // slot missing from the list would leak its count into the next

@@ -6,37 +6,16 @@ import (
 	"testing"
 
 	"rvcte/internal/asm"
-	"rvcte/internal/concolic"
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
 	"rvcte/internal/smt"
 )
 
-// alarmModel is a host peripheral whose every register write (re)arms
-// one callback 40+value cycles out; the callback raises interrupt line
-// 11. Two writes in a row take NotifyHostModel's append and then its
-// reset path.
-type alarmModel struct{}
-
-func (m *alarmModel) Transport(c *iss.Core, addr uint32, size int, v concolic.Value, isRead bool) concolic.Value {
-	if !isRead {
-		c.NotifyHostModel(m, 1, 40+uint64(v.C))
-	}
-	return concolic.Concrete(0)
-}
-
-func (m *alarmModel) Notify(c *iss.Core, event uint32) { c.TriggerIRQ(11, true) }
-
-func (m *alarmModel) CloneModel() iss.HostModel { return &alarmModel{} }
-
-const alarmBase = 0x40000000
-
 // eventsSrc drives every way the pending-notification list changes:
-// CTE_notify appending and resetting, CTE_cancel_notify, the host
-// model's append and reset, delivery of guest and host notifications,
-// interrupts raised by both, and wfi jumping time to the earliest due
-// notification. The loop body has lui+addi constant loads and slt+beqz
-// compare-and-branch pairs.
+// CTE_notify appending and resetting, CTE_cancel_notify, delivery of
+// notifications, interrupts raised by them, and wfi jumping time to the
+// earliest due notification (the alarm, armed 40+ cycles out, is still
+// pending at every wfi).
 const eventsSrc = `
 _start:
 	la t0, handler
@@ -71,10 +50,14 @@ keep:
 	beqz t4, skip          # slt+beqz
 	addi t3, t3, 1
 skip:
-	li t1, 0x40000000
-	andi t2, s0, 7
-	sw t2, 0(t1)           # host alarm: append
-	sw t2, 0(t1)           # host alarm: reset
+	la a0, alarm
+	andi a1, s0, 7
+	addi a1, a1, 40
+	li a7, 4
+	ecall                  # CTE_notify(alarm, 40 + i%8): append
+	la a0, alarm
+	li a7, 4
+	ecall                  # CTE_notify(alarm, 40 + i%8): reset
 	andi t0, s0, 3
 	bnez t0, nowait
 	wfi
@@ -100,12 +83,14 @@ tick:
 other:
 	li a7, 5
 	ecall                  # CTE_return
+alarm:
+	j tick
 handler:
 	csrw mip, zero
 	mret
 `
 
-// eventsCore builds the eventsSrc guest with its host alarm attached.
+// eventsCore builds the eventsSrc guest.
 func eventsCore(t *testing.T) *iss.Core {
 	t.Helper()
 	img, err := asm.Assemble(eventsSrc, tRamBase)
@@ -114,7 +99,6 @@ func eventsCore(t *testing.T) *iss.Core {
 	}
 	c := iss.New(smt.NewBuilder(), iss.Config{RamBase: tRamBase, RamSize: tRamSize, MaxInstr: 1_000_000})
 	c.LoadImage(img.Origin, img.Bytes, img.Entry())
-	c.AddPeripheral(iss.Peripheral{Name: "alarm", Base: alarmBase, Size: 0x100, Host: &alarmModel{}})
 	return c
 }
 
@@ -126,8 +110,8 @@ func eventsCore(t *testing.T) *iss.Core {
 // Cycles, PC, context depth, output, edge map and touched list, and an
 // ErrLimit at that PC unless the guest halted first (then the same
 // error). After every step and every run the cached event horizon must
-// equal the earliest pending Due. The guests take notifications, host
-// callbacks and interrupts (the FreeRTOS sensor guest and eventsSrc) or
+// equal the earliest pending Due. The guests take notifications and
+// interrupts (the FreeRTOS sensor guest and eventsSrc) or
 // none but branch densely (storm-s).
 func TestBudgetMatchesSteps(t *testing.T) {
 	storm, _ := guest.BenchProgram("storm-s")

@@ -114,10 +114,10 @@ type TraceCond struct {
 	// flipped direction of a conditional branch would execute (branch PC
 	// and the not-followed successor). Both are zero for non-branch trace
 	// conditions (concretization ladders, assume/assert negations,
-	// host-model branches), which have no single flip edge. The hybrid
-	// driver uses this to skip solving flips whose target edge concrete
-	// fuzzing has already covered (Driller's "only solve what fuzzing
-	// cannot reach").
+	// ExecHook branches through Branch), which have no single flip
+	// edge. The hybrid driver uses this to skip solving flips whose
+	// target edge concrete fuzzing has already covered (Driller's "only
+	// solve what fuzzing cannot reach").
 	FlipFrom uint32
 	FlipTo   uint32
 }
@@ -133,37 +133,15 @@ func EdgeIndex(from, to uint32, mapLen int) uint32 {
 	return (edgeLoc(to) ^ edgeLoc(from)>>1) & uint32(mapLen-1)
 }
 
-// HostModel is a peripheral implemented on the host side with full
-// access to concolic values — the "C++ peripheral models with a more
-// comprehensive abstraction layer" of the paper's future work (§5 item
-// 1). It avoids the software-model transformation step at the price of
-// writing concolic-aware code per peripheral (the trade-off §3.1.2
-// calls "fully specialized").
-type HostModel interface {
-	// Transport handles one bus access at a peripheral-local address.
-	// For reads the model returns the value; for writes v holds the
-	// stored value. The core gives access to the CTE facilities
-	// (NotifyHostModel, TriggerIRQ, MakeSymbolicValue, AssumeValue...).
-	Transport(c *Core, addr uint32, size int, v concolic.Value, isRead bool) concolic.Value
-	// Notify delivers a scheduled callback (the host-side counterpart
-	// of a CTE_notify-driven process).
-	Notify(c *Core, event uint32)
-	// CloneModel deep-copies the model state (the VP is cloned before
-	// every explored input).
-	CloneModel() HostModel
-}
-
-// Peripheral describes one memory-mapped peripheral: either a
-// software model (paper §3.2 — accesses are routed to the guest
-// Transport function via a context switch) or a host model (future
-// work §5.1 — Host is non-nil and handles accesses directly).
+// Peripheral describes one memory-mapped software model (paper §3.2):
+// accesses are routed to the guest Transport function via a context
+// switch.
 type Peripheral struct {
 	Name      string
 	Base      uint32
 	Size      uint32
 	Transport uint32 // guest address of transport(addr, data, size, is_read)
 	Buf       uint32 // guest address of the transaction data array
-	Host      HostModel
 }
 
 // Zone is a protected memory region guarding a heap allocation
@@ -192,15 +170,11 @@ type pendingOp struct {
 	signed bool
 }
 
-// notification is a pending CTE_notify: either a guest function Fn
-// (invoked via context switch) or a host-model callback (resolved
-// through the peripheral index so clones dispatch to their own model
-// instance).
+// notification is a pending CTE_notify: the guest function Fn, invoked
+// via context switch once Cycles reaches Due.
 type notification struct {
-	Fn        uint32
-	HostIdx   int // index+1 into Peripherals; 0 = guest notification
-	HostEvent uint32
-	Due       uint64
+	Fn  uint32
+	Due uint64
 }
 
 // Config fixes the memory map of the VP.
@@ -399,14 +373,6 @@ type Core struct {
 	// consecutive checkpoints is read-only and saves the dominant cost of
 	// capture (the page-table copy) on branch-dense code.
 	capMemo *concolic.Memory
-	// hostDepth > 0 while a host peripheral model is running (Transport or
-	// Notify): TCs emitted there happen mid-mutation of model state, so
-	// fork capture is skipped and those children fall back to a snapshot
-	// restart. stepUnsafe marks the rest of an instruction after a
-	// boundary host-model notification already fired (resuming a capture
-	// from before it would deliver the notification twice).
-	hostDepth  int
-	stepUnsafe bool
 	// Pre-instruction rewind state for mid-instruction TC emission
 	// (recordPreState), valid only while CaptureForks is set.
 	preEPCLen   int
@@ -492,12 +458,9 @@ func (c *Core) cloneNoMem() *Core {
 	n.notifications = append([]notification(nil), c.notifications...)
 	n.ctxStack = append([]savedCtx(nil), c.ctxStack...)
 	n.zones = append([]Zone(nil), c.zones...)
-	n.Peripherals = append([]Peripheral(nil), c.Peripherals...)
-	for i := range n.Peripherals {
-		if n.Peripherals[i].Host != nil {
-			n.Peripherals[i].Host = n.Peripherals[i].Host.CloneModel()
-		}
-	}
+	// Peripherals are read-only once the image is set up, so clones share
+	// them; the capped slice makes an AddPeripheral on a clone reallocate.
+	n.Peripherals = c.Peripherals[:len(c.Peripherals):len(c.Peripherals)]
 	n.Output = append([]byte(nil), c.Output...)
 	n.symCounters = make(map[string]int, len(c.symCounters))
 	for k, v := range c.symCounters {
@@ -513,7 +476,6 @@ func (c *Core) cloneNoMem() *Core {
 	// harvests them per path); a clone starts a clean capture epoch.
 	n.forkPoints = nil
 	n.capMemo = nil
-	n.stepUnsafe = false
 	n.outSym = append([]*smt.Expr(nil), c.outSym...)
 	// Fuzz-mode state is per-run: every clone starts with a fresh stream
 	// and edge map (the caller installs its own before Run).
@@ -700,15 +662,13 @@ func (c *Core) fetchFault(maxInstr uint64) {
 		c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
 		return
 	}
-	c.stepUnsafe = false
 	if len(c.ctxStack) == 0 && (c.dispatchNotifications() || c.takeInterrupt()) {
 		return
 	}
-	// A host model's notification may have written code at PC; then the
-	// caller retries the fetch.
-	if _, kind, msg := c.fetchAt(c.PC); kind != ErrNone {
-		c.fail(kind, c.PC, msg)
-	}
+	// Nothing intervened, so the fetch fails as it did for the caller;
+	// fetchAt runs again only for the fault's kind and message.
+	_, kind, msg := c.fetchAt(c.PC)
+	c.fail(kind, c.PC, msg)
 }
 
 // dispatchNotifications fires due CTE_notify callbacks. Reports whether a
@@ -719,52 +679,11 @@ func (c *Core) dispatchNotifications() bool {
 		if c.Cycles >= n.Due {
 			c.notifications = append(c.notifications[:i], c.notifications[i+1:]...)
 			c.reschedule()
-			if n.HostIdx > 0 {
-				// Host-model callbacks run atomically on the host side,
-				// dispatched through the (possibly cloned) peripheral.
-				// Fork capture is off for the rest of this step: the
-				// callback may leave further due notifications pending that
-				// a resumed fork's boundary check would deliver before the
-				// re-executed instruction instead of after it (stepUnsafe),
-				// and TCs emitted inside the callback happen mid-mutation
-				// of model state (hostDepth).
-				c.stepUnsafe = true
-				c.hostDepth++
-				c.Peripherals[n.HostIdx-1].Host.Notify(c, n.HostEvent)
-				c.hostDepth--
-				return false
-			}
 			c.enterPeripheral(n.Fn, [4]concolic.Value{}, pendingOp{})
 			return true // one at a time; the rest fire on later steps
 		}
 	}
 	return false
-}
-
-// NotifyHostModel schedules a callback to the given host model after
-// delay cycles (the host-side counterpart of CTE_notify). A pending
-// notification with the same (model, event) is reset.
-func (c *Core) NotifyHostModel(m HostModel, event uint32, delay uint64) {
-	idx := -1
-	for i := range c.Peripherals {
-		if c.Peripherals[i].Host == m {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		c.fail(ErrIllegalInstr, c.PC, "NotifyHostModel: model not registered")
-		return
-	}
-	for i := range c.notifications {
-		if c.notifications[i].HostIdx == idx+1 && c.notifications[i].HostEvent == event {
-			c.notifications[i].Due = c.Cycles + delay
-			c.reschedule()
-			return
-		}
-	}
-	c.notifications = append(c.notifications, notification{HostIdx: idx + 1, HostEvent: event, Due: c.Cycles + delay})
-	c.reschedule()
 }
 
 // reschedule recomputes nextDue from the pending notifications. Every
@@ -775,41 +694,6 @@ func (c *Core) reschedule() {
 	for _, n := range c.notifications {
 		c.nextDue = min(c.nextDue, n.Due)
 	}
-}
-
-// TriggerIRQ drives a machine interrupt line (host-side counterpart of
-// CTE_trigger_irq).
-func (c *Core) TriggerIRQ(line uint32, level bool) {
-	if level {
-		c.MIP |= 1 << (line & 31)
-	} else {
-		c.MIP &^= 1 << (line & 31)
-	}
-}
-
-// MakeSymbolicValue mints a fresh symbolic 32-bit value whose concrete
-// part comes from the current input assignment (host-side counterpart
-// of CTE_make_symbolic for register-like values). In fuzz modes the
-// concrete part is drawn from the input byte stream instead.
-func (c *Core) MakeSymbolicValue(name string) concolic.Value {
-	if c.ConcreteOnly {
-		return concolic.Concrete(c.nextFuzzWord())
-	}
-	gen := c.symCounters[name]
-	c.symCounters[name] = gen + 1
-	full := name
-	if gen > 0 {
-		full = fmt.Sprintf("%s#%d", name, gen)
-	}
-	v := c.B.Var(32, full)
-	id := int(v.Val)
-	if c.FuzzInput != nil {
-		w := c.nextFuzzWord()
-		c.Input[id] = uint64(w)
-		c.SymOrder = append(c.SymOrder, id)
-		return concolic.Value{C: w, Sym: v}
-	}
-	return concolic.Value{C: uint32(c.Input[id]), Sym: v}
 }
 
 // nextFuzzByte consumes one byte from the fuzz input stream; bytes past
@@ -823,19 +707,6 @@ func (c *Core) nextFuzzByte() byte {
 	c.FuzzPos++
 	return v
 }
-
-// nextFuzzWord consumes four stream bytes, little-endian.
-func (c *Core) nextFuzzWord() uint32 {
-	var w uint32
-	for i := 0; i < 4; i++ {
-		w |= uint32(c.nextFuzzByte()) << (8 * i)
-	}
-	return w
-}
-
-// AssumeValue applies CTE_assume semantics to a concolic condition
-// (non-zero = true).
-func (c *Core) AssumeValue(v concolic.Value) { c.assumeVal(v) }
 
 // mstatusMIE is the global machine interrupt enable bit of mstatus.
 const mstatusMIE = 1 << 3

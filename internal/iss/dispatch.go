@@ -141,7 +141,6 @@ func (c *Core) runBlock(b *bblock, maxInstr uint64) {
 			c.fail(ErrLimit, c.PC, fmt.Sprintf("after %d instructions", c.InstrCount))
 			return
 		}
-		c.stepUnsafe = false // per boundary; only fork capture reads it
 		if len(c.ctxStack) == 0 && (c.Cycles >= c.nextDue || c.irqPending()) &&
 			(c.dispatchNotifications() || c.takeInterrupt()) {
 			return // context-switched into a peripheral function or a handler

@@ -89,7 +89,7 @@ func (c *Core) branch(taken bool, cond *smt.Expr) {
 
 // branchFlip is branch with the not-followed successor address attached
 // to the emitted trace condition (0 when the flip edge is unknown, e.g.
-// for host-model branches that have no guest PC).
+// for ExecHook branches through Branch).
 func (c *Core) branchFlip(taken bool, cond *smt.Expr, flipTo uint32) {
 	site := c.siteCount
 	c.siteCount++
@@ -126,16 +126,6 @@ func (c *Core) memLoad(addr uint32, size int, rd uint8, signed bool, next uint32
 		c.fail(ErrIllegalLoad, addr, "")
 		return true
 	}
-	if p.Host != nil {
-		// Host models may emit TCs mid-mutation (the model has already
-		// updated its own state when Branch fires), so fork capture is
-		// suppressed for the duration (hostDepth).
-		c.hostDepth++
-		v := p.Host.Transport(c, addr-p.Base, size, concolic.Concrete(0), true)
-		c.hostDepth--
-		c.setReg(rd, c.extendLoaded(v, size, signed))
-		return true
-	}
 	// Global-to-local address translation, then transport(local, buf,
 	// size, is_read=1) via context switch (paper §3.2.1-§3.2.2).
 	args := [4]concolic.Value{
@@ -161,12 +151,6 @@ func (c *Core) memStore(addr uint32, size int, v concolic.Value, next uint32) bo
 	p := c.findPeripheral(addr)
 	if p == nil {
 		c.fail(ErrIllegalStore, addr, "")
-		return true
-	}
-	if p.Host != nil {
-		c.hostDepth++
-		p.Host.Transport(c, addr-p.Base, size, v, false)
-		c.hostDepth--
 		return true
 	}
 	// Copy the store value into the transaction buffer, then switch.

@@ -45,7 +45,7 @@ func TestFetchFaultAfterPendingEvent(t *testing.T) {
 			c.MTVec = img.Symbols["handler"]
 			c.MIE = 1 << 11
 			c.MStatus |= 1 << 3
-			c.TriggerIRQ(11, true)
+			c.MIP |= 1 << 11
 			return c
 		}
 

@@ -23,7 +23,7 @@ import (
 //     counter, trace-ring entry) to the values recorded at the start of
 //     the instruction; the whole instruction re-executes on resume.
 //   - The concrete halves of all concolic state (registers, saved
-//     contexts, memory bytes, host-model values, console output) were
+//     contexts, memory bytes, console output) were
 //     computed under the parent's input assignment; ApplyModel
 //     re-evaluates every symbolic shadow under the child's model (with
 //     the same unassigned-variables-are-zero completion the restart
@@ -31,22 +31,8 @@ import (
 //     restart run at the same point.
 //
 // Capture is skipped (and the engine falls back to a snapshot restart
-// for that child) in the situations where a mid-instruction clone is
-// not a faithful restart state: inside host peripheral models
-// (hostDepth — the model has already mutated its own state when the TC
-// fires), after a boundary host notification in the same step
-// (stepUnsafe — further due notifications would be delivered before
-// instead of after the re-executed instruction), and under an ExecHook
-// (the hook's external state cannot be cloned).
-
-// ModelReconcretizer is implemented by HostModels that carry concolic
-// values: Reconcretize must re-evaluate the concrete half of each such
-// value under ev, mirroring what Core.ApplyModel does for registers and
-// memory. Host models that hold only concrete state need not implement
-// it.
-type ModelReconcretizer interface {
-	Reconcretize(ev *smt.Evaluator)
-}
+// for that child) under an ExecHook: the hook's external state cannot
+// be cloned.
 
 // emitTC appends a trace condition and, under CaptureForks, stashes a
 // divergence checkpoint for its site. All TC emission funnels through
@@ -82,7 +68,7 @@ type Checkpoint struct {
 // at one site; the first capture wins (they share the divergence
 // instruction).
 func (c *Core) captureFork(site int) {
-	if c.hostDepth > 0 || c.stepUnsafe || c.ExecHook != nil {
+	if c.ExecHook != nil {
 		return
 	}
 	if c.InstrCount < c.ForkMinPrefix {
@@ -149,8 +135,8 @@ func (c *Core) Checkpoints() int {
 // must synchronize, as the engine's run lock does). Every page of a
 // checkpoint's memory is already shared and its write TLB is empty, so
 // Memory.Clone writes nothing; the remaining state is copied field by
-// field, and detector state, host models and the block cache clone
-// from it without mutating it.
+// field, and detector state and the block cache clone from it without
+// mutating it.
 func (cp *Checkpoint) Resume(bound int) *Core {
 	n := cp.core.cloneForFork()
 	n.Bound = bound
@@ -159,10 +145,9 @@ func (cp *Checkpoint) Resume(bound int) *Core {
 
 // ApplyModel installs model as the core's input and re-evaluates the
 // concrete half of every symbolic shadow in the VP under it: registers,
-// saved context registers, memory bytes, host peripheral models (via
-// ModelReconcretizer) and console output bytes printed from symbolic
-// values. Unassigned variables evaluate to zero, matching the Input-map
-// read of a restart run.
+// saved context registers, memory bytes and console output bytes
+// printed from symbolic values. Unassigned variables evaluate to zero,
+// matching the Input-map read of a restart run.
 func (c *Core) ApplyModel(model smt.Assignment) {
 	c.Input = model
 	ev := smt.NewEvaluator(model)
@@ -180,13 +165,6 @@ func (c *Core) ApplyModel(model smt.Assignment) {
 		}
 	}
 	c.Mem.Reconcretize(ev)
-	for i := range c.Peripherals {
-		if h := c.Peripherals[i].Host; h != nil {
-			if r, ok := h.(ModelReconcretizer); ok {
-				r.Reconcretize(ev)
-			}
-		}
-	}
 	for i, s := range c.outSym {
 		if s != nil && i < len(c.Output) {
 			c.Output[i] = byte(ev.Eval(s))

@@ -226,6 +226,35 @@ func TestCloneCopiesNotificationsAndZones(t *testing.T) {
 	}
 }
 
+// TestClonePeripheralsAllocFree: Clone shares the read-only peripheral
+// table, so a frozen core with software-model peripherals clones with
+// exactly the allocations of one with none, and a peripheral added to
+// one clone stays out of its siblings.
+func TestClonePeripheralsAllocFree(t *testing.T) {
+	allocs := func(n int) float64 {
+		c := detTestCore()
+		for i := range n {
+			c.AddPeripheral(Peripheral{Name: "p", Base: 0x10000000 + uint32(i)<<16, Size: 0x100})
+		}
+		c.Freeze()
+		return testing.AllocsPerRun(50, func() { c.Clone() })
+	}
+	if none, two := allocs(0), allocs(2); two != none {
+		t.Errorf("Clone allocations: %v with two peripherals, %v with none", two, none)
+	}
+
+	base := detTestCore()
+	for range 3 { // len 3, cap 4: a shared backing array has a free slot
+		base.AddPeripheral(Peripheral{Name: "p", Base: 0x10000000, Size: 0x100})
+	}
+	c1, c2 := base.Clone(), base.Clone()
+	c1.AddPeripheral(Peripheral{Name: "one"})
+	c2.AddPeripheral(Peripheral{Name: "two"})
+	if c1.Peripherals[3].Name != "one" || len(base.Peripherals) != 3 {
+		t.Errorf("AddPeripheral on a clone leaked: c1[3]=%q, base has %d", c1.Peripherals[3].Name, len(base.Peripherals))
+	}
+}
+
 // mustImage assembles a test source (duplicating buildCore's assembly
 // step where the Image is needed for symbol lookup).
 func mustImage(t *testing.T, src string) *asm.Image {

@@ -146,8 +146,20 @@ func Write(f *File) []byte {
 	return buf.Bytes()
 }
 
+// tableEntry returns entry i of the header table at off whose entries are
+// size bytes, or nil when the entry does not lie inside data.
+func tableEntry(data []byte, off, i, size uint32) []byte {
+	start := uint64(off) + uint64(i)*uint64(size)
+	if start+uint64(size) > uint64(len(data)) {
+		return nil
+	}
+	return data[start : start+uint64(size)]
+}
+
 // Load parses an ELF produced by Write (or any ELF32 RISC-V executable
-// with a single PT_LOAD segment and a symtab).
+// with a single PT_LOAD segment and a symtab). A header table entry
+// outside data, or a segment whose memory size is below its file size,
+// is an error.
 func Load(data []byte) (*File, error) {
 	le := binary.LittleEndian
 	if len(data) < ehSize || string(data[:4]) != elfMagic {
@@ -164,8 +176,11 @@ func Load(data []byte) (*File, error) {
 	phoff := le.Uint32(data[28:])
 	phnum := le.Uint16(data[44:])
 	loads := 0
-	for i := 0; i < int(phnum); i++ {
-		p := data[phoff+uint32(i)*phEntSize:]
+	for i := range uint32(phnum) {
+		p := tableEntry(data, phoff, i, phEntSize)
+		if p == nil {
+			return nil, fmt.Errorf("relf: program header %d out of bounds", i)
+		}
 		if le.Uint32(p[0:]) != ptLoad {
 			continue
 		}
@@ -178,6 +193,9 @@ func Load(data []byte) (*File, error) {
 		f.Addr = le.Uint32(p[8:])
 		f.Data = append([]byte(nil), data[off:off+filesz]...)
 		f.MemSize = le.Uint32(p[20:])
+		if f.MemSize < filesz {
+			return nil, fmt.Errorf("relf: segment memory size %d below file size %d", f.MemSize, filesz)
+		}
 	}
 	if loads != 1 {
 		return nil, fmt.Errorf("relf: expected exactly 1 PT_LOAD segment, found %d", loads)
@@ -186,14 +204,20 @@ func Load(data []byte) (*File, error) {
 	shoff := le.Uint32(data[32:])
 	shnum := le.Uint16(data[48:])
 	var symOff, symSize, strOff, strSize uint32
-	for i := 0; i < int(shnum); i++ {
-		s := data[shoff+uint32(i)*shEntSize:]
+	for i := range uint32(shnum) {
+		s := tableEntry(data, shoff, i, shEntSize)
+		if s == nil {
+			return nil, fmt.Errorf("relf: section header %d out of bounds", i)
+		}
 		typ := le.Uint32(s[4:])
 		if typ == shtSymtab {
 			symOff = le.Uint32(s[16:])
 			symSize = le.Uint32(s[20:])
 			link := le.Uint32(s[24:])
-			ls := data[shoff+link*shEntSize:]
+			ls := tableEntry(data, shoff, link, shEntSize)
+			if ls == nil {
+				return nil, fmt.Errorf("relf: symtab string table %d out of bounds", link)
+			}
 			strOff = le.Uint32(ls[16:])
 			strSize = le.Uint32(ls[20:])
 		}

@@ -23,8 +23,7 @@ type event struct {
 	at    Time
 	delta uint64 // tie-break: preserves notify ordering within a cycle
 	fn    Process
-	name  string // snapshot identity; "" for closure-scheduled events
-	seq   int    // heap index bookkeeping
+	seq   int // heap index bookkeeping
 }
 
 type eventHeap []*event
@@ -57,70 +56,9 @@ type Kernel struct {
 func (k *Kernel) Now() Time { return k.now }
 
 // Schedule notifies fn after delay cycles (delay 0 = next delta cycle).
-// Closures scheduled this way cannot be snapshotted (Snapshot errors);
-// processes that must survive VP cloning use ScheduleNamed.
 func (k *Kernel) Schedule(delay Time, fn Process) {
 	k.deltas++
 	heap.Push(&k.events, &event{at: k.now + delay, delta: k.deltas, fn: fn})
-}
-
-// ScheduleNamed is Schedule with a snapshot identity attached: the name
-// (unique per process, e.g. "sensor.update") lets Snapshot serialize the
-// pending event and Restore re-bind it to the cloned model's method. Go
-// closures cannot be deep-copied, so named re-binding is what makes the
-// event queue part of a clonable VP checkpoint.
-func (k *Kernel) ScheduleNamed(name string, delay Time, fn Process) {
-	k.deltas++
-	heap.Push(&k.events, &event{at: k.now + delay, delta: k.deltas, fn: fn, name: name})
-}
-
-// ScheduledEvent is one pending notification in a KernelState: the
-// process name plus its absolute due time and delta tie-break.
-type ScheduledEvent struct {
-	Name  string
-	At    Time
-	Delta uint64
-}
-
-// KernelState is a serializable snapshot of the scheduler: simulation
-// time, the delta counter, and every pending event by name.
-type KernelState struct {
-	Now    Time
-	Deltas uint64
-	Events []ScheduledEvent
-}
-
-// Snapshot captures the scheduler state for later Restore on a cloned
-// kernel. It fails when an anonymous (Schedule / Event.Notify) event is
-// pending — a closure has no identity to re-bind on the clone.
-func (k *Kernel) Snapshot() (KernelState, error) {
-	st := KernelState{Now: k.now, Deltas: k.deltas}
-	for _, e := range k.events {
-		if e.name == "" {
-			return KernelState{}, fmt.Errorf("sysc: pending event at t=%d was scheduled without a name; use ScheduleNamed for snapshottable processes", e.at)
-		}
-		st.Events = append(st.Events, ScheduledEvent{Name: e.name, At: e.at, Delta: e.delta})
-	}
-	return st, nil
-}
-
-// Restore rebuilds the scheduler from a snapshot, resolving each event
-// name to the (cloned) process via resolve. Due times and delta
-// tie-breaks are preserved exactly, so the restored kernel fires events
-// in the same order as the original would have. Fails on a name resolve
-// cannot map.
-func (k *Kernel) Restore(st KernelState, resolve func(name string) Process) error {
-	k.now = st.Now
-	k.deltas = st.Deltas
-	k.events = k.events[:0]
-	for _, se := range st.Events {
-		fn := resolve(se.Name)
-		if fn == nil {
-			return fmt.Errorf("sysc: restore: no process for event %q", se.Name)
-		}
-		heap.Push(&k.events, &event{at: se.At, delta: se.Delta, fn: fn, name: se.Name})
-	}
-	return nil
 }
 
 // Pending reports whether any event is scheduled.

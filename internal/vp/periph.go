@@ -99,7 +99,7 @@ func (cl *CLINT) check() {
 		cl.cpu.SetIRQ(7, true)
 		return
 	}
-	cl.cpu.Kernel.ScheduleNamed(clintCheckEvent, sysc.Time(cl.mtimecmp-now), cl.check)
+	cl.cpu.Kernel.Schedule(sysc.Time(cl.mtimecmp-now), cl.check)
 }
 
 // BTransport implements sysc.Target.
@@ -148,7 +148,7 @@ func (s *Sensor) update() {
 	s.data = s.minVal + (s.lcg>>8)%(s.maxVal-s.minVal+1)
 	s.data -= s.filter
 	s.plic.Raise(s.irq)
-	s.cpu.Kernel.ScheduleNamed(sensorUpdateEvent, sysc.Time(s.scaler*1000), s.update)
+	s.cpu.Kernel.Schedule(sysc.Time(s.scaler*1000), s.update)
 }
 
 // BTransport implements sysc.Target (register map: 0x0 scaler, 0x4
@@ -163,7 +163,7 @@ func (s *Sensor) BTransport(addr uint32, data []byte, isRead bool) {
 			s.scaler = le.Uint32(data)
 			if !s.armed {
 				s.armed = true
-				s.cpu.Kernel.ScheduleNamed(sensorUpdateEvent, sysc.Time(s.scaler*1000), s.update)
+				s.cpu.Kernel.Schedule(sysc.Time(s.scaler*1000), s.update)
 			}
 		}
 	case 0x4:
@@ -183,14 +183,6 @@ func (s *Sensor) BTransport(addr uint32, data []byte, isRead bool) {
 		}
 	}
 }
-
-// Event names under which the timed peripheral processes are scheduled;
-// Machine.Clone re-binds pending events to the cloned models by these
-// names (sysc.Kernel.Restore).
-const (
-	sensorUpdateEvent = "sensor.update"
-	clintCheckEvent   = "clint.check"
-)
 
 // Standard base addresses (mirroring the guest package's address map).
 const (
