@@ -10,12 +10,16 @@
 // construction — the snapshot is frozen once, each worker clones it and
 // runs on its own core with its own solver — so only the input queue,
 // the dedup set, the coverage map and the report are shared, guarded by
-// one mutex. A worker merges each path before it claims the next, so
-// with one worker the path order (and therefore OnPath invocation order
-// and Finding indices) is fully deterministic; with more it depends on
-// scheduling, but the explored path set, the dedup decisions and the set
-// of findings do not. See DESIGN.md ("Parallel exploration") for the
-// clone-safety contract.
+// one mutex. Each TC of a path enters the queue unsolved; the worker
+// that claims it solves it on its own solver, drops it when it is unsat
+// or duplicates an earlier input, and otherwise runs it, so a stopped
+// run spends no solver time on the queue it leaves. A worker merges
+// each path before it claims the next, so with one worker the path
+// order (and therefore OnPath invocation order and Finding indices) is
+// fully deterministic; with more it depends on scheduling, but the
+// explored path set, the dedup decisions and the set of findings do
+// not. See DESIGN.md ("Parallel exploration") for the clone-safety
+// contract.
 package cte
 
 import (
@@ -117,17 +121,21 @@ type WorkerStats struct {
 type Report struct {
 	Mode       Mode          // which engine produced this report
 	Paths      int           // #paths column (concolic)
-	Queries    int           // #queries column
+	Queries    int           // #queries column: solver queries of the solved TCs
 	SolverTime time.Duration // stime column (summed across workers)
 	WallTime   time.Duration // time column
 	TotalInstr uint64        // #instr column (combined over all paths)
+	// SatTCs, UnsatTCs and UnknownTCs count the verdicts of the solved
+	// TCs. A concolic run solves a TC when a worker claims its child (or
+	// exports it), so the TCs still queued at a stop count in none of
+	// them; the cte.tcs counter has every TC emitted.
 	SatTCs     int
 	UnsatTCs   int // proven unsatisfiable
 	UnknownTCs int // solver budget exhausted — not proven either way
 	// Forked counts paths that resumed a divergence checkpoint instead
-	// of restarting from the snapshot; ForkRestarts counts children that
-	// wanted a fork but fell back to a restart (capture skipped at an
-	// unsafe site). Both stay zero with Fork.Enabled off.
+	// of restarting from the snapshot; ForkRestarts counts claimed
+	// children that wanted a fork but fell back to a restart (capture
+	// skipped at an unsafe site). Both stay zero with Fork.Enabled off.
 	Forked       int
 	ForkRestarts int
 	Findings     []Finding
@@ -189,9 +197,11 @@ type engine struct {
 	OnPath func(path int, core *iss.Core)
 
 	// Observability handles on the Session's registry, the store the
-	// Report's run counters are read from.
+	// Report's run counters are read from. cte.tcs counts the TCs
+	// emitted (queued as pending children) and cte.frontier the items
+	// queued, pending or solved, after each merge.
 	tcs                                                    verdicts
-	obsPaths, obsPruned, obsFindings                       *obs.Counter
+	obsTCs, obsPaths, obsPruned, obsFindings               *obs.Counter
 	obsForks, obsForkCaptures, obsForkRestarts, obsApplyNS *obs.Counter
 	frontierG, coverG, forkLiveG                           *obs.Gauge
 	pathHist, forkSuffixHist                               *obs.Histogram
@@ -207,6 +217,7 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 		Snapshot:        snapshot,
 		Cfg:             cfg,
 		tcs:             newVerdicts(m),
+		obsTCs:          m.Counter("cte.tcs"),
 		obsPaths:        m.Counter("cte.paths"),
 		obsPruned:       m.Counter("cte.pruned"),
 		obsFindings:     m.Counter("cte.findings"),
@@ -228,19 +239,19 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 // state (only the atomic metric counters), so workers can build it
 // outside the run lock.
 type pathResult struct {
-	core         *iss.Core
-	children     []Input // sat models, not yet deduped; Score filled by the merger
-	forked       bool    // this path resumed a checkpoint (suffix-only execution)
-	forkRestarts int     // children that fell back to restart (no safe checkpoint)
+	core     *iss.Core
+	children []item // one pending child per trace condition; Score filled by the merger
+	forked   bool   // this path resumed a checkpoint (suffix-only execution)
 }
 
 // executePath clones the snapshot, or resumes the input's checkpoint,
-// runs one input and solves its trace conditions with the given solver.
-// Only the (frozen) snapshot, the read-only checkpoints and the
-// internally-locked builder are shared; the caller merges the result
-// under its own synchronization. pathID is the claim-order index used
-// for trace events (it matches Report path indices only at Workers<=1).
-func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResult {
+// runs one input and turns each of its trace conditions into a pending
+// child; the worker that claims a child solves its condition. Only the
+// (frozen) snapshot, the read-only checkpoints and the internally-locked
+// builder are shared; the caller merges the result under its own
+// synchronization. pathID is the claim-order index used for trace
+// events (it matches Report path indices only at Workers<=1).
+func (e *engine) executePath(in Input, pathID int) pathResult {
 	var core *iss.Core
 	forked := in.Fork != nil
 	if forked {
@@ -291,31 +302,39 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 
 	if e.Cfg.StopOnError {
 		if f, prune := findingOf(core, 0); f != nil && !prune {
-			// The run stops here anyway; skip the solver work.
+			// The run stops here anyway; queue no children.
 			return res
 		}
 	}
-	for _, tc := range core.Trace {
-		model, ok := e.tcs.solve(e.Cfg.Cache.Queries, solver, core.EPC, tc, in.Assignment)
-		if !ok {
-			continue
-		}
-		ch := Input{
-			Assignment: model,
-			Bound:      tc.SiteIdx + 1,
-			Gen:        in.Gen + 1,
+	res.children = make([]item, len(core.Trace))
+	for i, tc := range core.Trace {
+		ch := item{
+			Input: Input{Bound: tc.SiteIdx + 1, Gen: in.Gen + 1},
+			tc:    tc,
+			epc:   core.EPC,
+			hint:  in.Assignment,
 		}
 		if e.Cfg.Fork.Enabled {
 			// The child will resume the site's checkpoint; a nil one
 			// means capture was skipped at an unsafe site and the child
 			// restarts from the snapshot instead.
-			if ch.Fork = core.Checkpoint(tc.SiteIdx); ch.Fork == nil {
-				res.forkRestarts++
-			}
+			ch.Fork = core.Checkpoint(tc.SiteIdx)
 		}
-		res.children = append(res.children, ch)
+		res.children[i] = ch
 	}
 	return res
+}
+
+// solve decides a pending child's trace condition on solver. A SAT
+// model becomes the child's input, returned with its dedup key.
+func (e *engine) solve(solver *smt.Solver, it item) (Input, string, bool) {
+	model, ok := e.tcs.solve(e.Cfg.Cache.Queries, solver, it.epc, it.tc, it.hint)
+	if !ok {
+		return Input{}, "", false
+	}
+	in := it.Input
+	in.Assignment = model
+	return in, InputKey(e.Builder, in), true
 }
 
 // applyModel installs a claimed forked child's input into its resumed
@@ -403,32 +422,14 @@ func findingOf(core *iss.Core, path int) (f *Finding, prune bool) {
 // empty-assignment root when no explicit roots were configured.
 func (e *engine) seedFrontier(front *frontier, seen map[string]bool) {
 	if len(e.Cfg.Explore.Roots) == 0 {
-		front.push(Input{Assignment: smt.Assignment{}})
+		front.push(item{Input: Input{Assignment: smt.Assignment{}}})
 		return
 	}
 	for _, r := range e.Cfg.Explore.Roots {
 		if seen != nil {
 			seen[InputKey(e.Builder, r)] = true
 		}
-		front.push(r)
-	}
-}
-
-// exportFrontier drains the unexplored queue into rep.Frontier when
-// Explore.ExportFrontier is set. Fork checkpoints are process-local and
-// dropped; an importing engine restarts those inputs from its snapshot.
-func (e *engine) exportFrontier(front *frontier, rep *Report) {
-	if !e.Cfg.Explore.ExportFrontier {
-		return
-	}
-	rep.Frontier = make([]Input, 0, front.len())
-	for {
-		in, ok := front.pop()
-		if !ok {
-			break
-		}
-		in.Fork = nil
-		rep.Frontier = append(rep.Frontier, in)
+		front.push(item{Input: r})
 	}
 }
 

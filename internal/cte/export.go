@@ -51,15 +51,22 @@ func ExportInput(b *smt.Builder, in Input) WireInput {
 // ImportInput resolves a wire input against the local builder, minting
 // any variable the local process has not created yet. Every engine
 // mints symbolic input bytes only, so a wire variable of any width but
-// 8 makes the input an error: wire input is untrusted, and a variable
-// minted at another width would make the guest's own byte of that name
-// a width conflict.
+// 8, or one whose name is a local variable of another width, makes the
+// input an error: wire input is untrusted, and a variable minted at
+// another width would make the guest's own byte of that name a width
+// conflict. Every variable is checked before the first is minted, so a
+// refused input leaves the builder as it was.
 func ImportInput(b *smt.Builder, wi WireInput) (Input, error) {
-	in := Input{Assignment: smt.Assignment{}, Bound: wi.Bound, Gen: wi.Gen}
 	for _, wv := range wi.Vars {
 		if wv.Width != 8 {
 			return Input{}, fmt.Errorf("import input: variable %q has width %d, want 8", wv.Name, wv.Width)
 		}
+		if id, ok := b.VarID(wv.Name); ok && b.VarWidth(id) != wv.Width {
+			return Input{}, fmt.Errorf("import input: variable %q has width %d, local width %d", wv.Name, wv.Width, b.VarWidth(id))
+		}
+	}
+	in := Input{Assignment: smt.Assignment{}, Bound: wi.Bound, Gen: wi.Gen}
+	for _, wv := range wi.Vars {
 		v, err := b.DeclareVar(wv.Width, wv.Name)
 		if err != nil {
 			return Input{}, fmt.Errorf("import input: %w", err)

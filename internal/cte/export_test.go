@@ -21,17 +21,21 @@ func semanticRecord(c *iss.Core) string {
 }
 
 // TestImportInputRejectsHostileWidths: a wire variable of any width
-// but 8 (the width of every symbolic input byte) is an error, not a
-// panic, whether its name is new or contradicts the local variable of
-// that name, and leaves the local variables as they were.
+// but 8 (the width of every symbolic input byte), or of a name the local
+// builder holds at another width, is an error, not a panic, whether its
+// name is new or contradicts the local variable of that name. A refused
+// input leaves the local variables as they were and mints none of its
+// variables, not even the valid ones before the refused one.
 func TestImportInputRejectsHostileWidths(t *testing.T) {
 	b := smt.NewBuilder()
 	b.Var(8, "pkt[0]")
+	b.Var(32, "word")
 	for _, wv := range []WireVar{
 		{Name: "z", Width: 0, Val: 1},
 		{Name: "big", Width: 65, Val: 1},
 		{Name: "pkt[0]", Width: 32, Val: 7},
 		{Name: "in[0]", Width: 32, Val: 7},
+		{Name: "word", Width: 8, Val: 7},
 	} {
 		in, err := ImportInput(b, WireInput{Vars: []WireVar{{Name: "ok", Width: 8, Val: 2}, wv}, Bound: 1})
 		if err == nil {
@@ -41,7 +45,10 @@ func TestImportInputRejectsHostileWidths(t *testing.T) {
 	if id, ok := b.VarID("pkt[0]"); !ok || b.VarWidth(id) != 8 {
 		t.Fatal("a rejected input changed the local variable")
 	}
-	for _, name := range []string{"z", "in[0]"} {
+	if id, ok := b.VarID("word"); !ok || b.VarWidth(id) != 32 {
+		t.Fatal("a rejected input changed the local variable")
+	}
+	for _, name := range []string{"z", "in[0]", "ok"} {
 		if _, ok := b.VarID(name); ok {
 			t.Fatalf("a rejected width minted %q", name)
 		}
@@ -275,6 +282,33 @@ func TestFrontierKeepsInFlightChildren(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if got := lease(2); got != want {
 			t.Fatalf("run %d: workers=2 paths+frontier %d, workers=1 %d", i, got, want)
+		}
+	}
+}
+
+// TestStopKeepsSolvedChildren: a child solved by one worker after
+// another worker's claim used up the path budget goes back to the
+// frontier solved, so every SAT, non-duplicate child of a multi-worker
+// run is either executed or exported.
+func TestStopKeepsSolvedChildren(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		sess := NewSession(snapshot(t, bitstormSrc), Config{Workers: 4, Budget: Budget{MaxPaths: 10 + i%7},
+			Explore: ExploreConfig{ExportFrontier: true}})
+		eng := newEngine(sess.snap, sess.cfg)
+		x := eng.newPool(context.Background())
+		x.explore()
+		rep := x.finish()
+		if rep.Stopped != "path-budget" {
+			t.Fatalf("run %d: stopped=%s, want path-budget", i, rep.Stopped)
+		}
+		// The default root is not in the seen set; every other executed
+		// input and every exported one is.
+		paths := int(eng.obsPaths.Value())
+		if got := paths - 1 + len(rep.Frontier); got != len(x.seen) {
+			t.Fatalf("run %d: %d children executed or exported, %d passed dedup", i, got, len(x.seen))
+		}
+		if tcs, solved := eng.obsTCs.Value(), eng.tcs.sat.Value()+eng.tcs.unsat.Value()+eng.tcs.unknown.Value(); tcs != solved {
+			t.Fatalf("run %d: %d trace conditions emitted, %d solved by claim or export", i, tcs, solved)
 		}
 	}
 }

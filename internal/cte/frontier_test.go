@@ -26,7 +26,7 @@ func TestFrontierCoverageMatchesScan(t *testing.T) {
 	f := newFrontier(Coverage, nil)
 	var ref []Input
 	push := func(in Input) {
-		f.push(in)
+		f.push(item{Input: in})
 		ref = append(ref, in)
 	}
 	for i := 0; i < 50; i++ {
@@ -59,7 +59,7 @@ func TestFrontierBFSOrderAndCompaction(t *testing.T) {
 	f := newFrontier(BFS, nil)
 	const n = 300 // enough to trigger the dead-prefix compaction
 	for i := 0; i < n; i++ {
-		f.push(Input{Bound: i})
+		f.push(item{Input: Input{Bound: i}})
 	}
 	for i := 0; i < n; i++ {
 		if got, ok := f.pop(); !ok || got.Bound != i {
@@ -74,7 +74,7 @@ func TestFrontierBFSOrderAndCompaction(t *testing.T) {
 // TestFrontierEmptyPop is the regression test for the empty-frontier
 // panic: pop on an empty frontier used to crash for Random
 // (rand.Intn(0)) and Coverage (heap underflow). Every strategy must
-// report emptiness through the (Input, bool) contract instead — drained
+// report emptiness through the (item, bool) contract instead — drained
 // frontiers are routine in the worker pool.
 func TestFrontierEmptyPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -95,7 +95,7 @@ func TestFrontierEmptyPop(t *testing.T) {
 			// a stale head index would fault or return a zero Input.
 			const n = 100
 			for i := 0; i < n; i++ {
-				f.push(Input{Bound: i})
+				f.push(item{Input: Input{Bound: i}})
 			}
 			seen := make(map[int]bool)
 			for i := 0; i < n; i++ {
@@ -115,7 +115,7 @@ func TestFrontierEmptyPop(t *testing.T) {
 				t.Fatalf("drained frontier len %d", f.len())
 			}
 			// And it must still be usable after draining.
-			f.push(Input{Bound: 7})
+			f.push(item{Input: Input{Bound: 7}})
 			if in, ok := f.pop(); !ok || in.Bound != 7 {
 				t.Fatalf("post-drain push/pop: got %+v ok=%v", in, ok)
 			}
@@ -126,7 +126,7 @@ func TestFrontierEmptyPop(t *testing.T) {
 func TestFrontierDFSOrder(t *testing.T) {
 	f := newFrontier(DFS, nil)
 	for i := 0; i < 5; i++ {
-		f.push(Input{Bound: i})
+		f.push(item{Input: Input{Bound: i}})
 	}
 	for i := 4; i >= 0; i-- {
 		if got, ok := f.pop(); !ok || got.Bound != i {

@@ -88,3 +88,69 @@ func TestWorkersOnePathOrder(t *testing.T) {
 		})
 	}
 }
+
+// findFixPathHash runs the TCP/IP find-fix flow in the benchmark's
+// find-fix configuration — BFS, one worker, state forking above a
+// 2000-instruction prefix, a fresh query cache per stage, 64-byte
+// packets — and hashes every executed path of every stage: its index,
+// input, instruction count, error and output. Six stop-on-error stages
+// each patch the bug their first finding classifies to; a clean sweep
+// of the fully patched stack then runs to exhaustion.
+func findFixPathHash(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	run := func(fixed uint, stopOnError bool) (*Report, int) {
+		b := smt.NewBuilder()
+		core, elf, err := guest.NewCore(b, guest.TCPIPProgram(fixed, 64))
+		if err != nil {
+			t.Fatalf("build tcpip (fixed %06b): %v", fixed, err)
+		}
+		sess := NewSession(core, Config{
+			Workers:     1,
+			StopOnError: stopOnError,
+			Budget:      Budget{MaxPaths: 10000},
+			Cache:       CacheConfig{Queries: qcache.New(b, qcache.Options{})},
+			Fork:        ForkConfig{Enabled: true, MinPrefix: 2000},
+		})
+		sess.OnPath = func(path int, c *iss.Core) {
+			fmt.Fprintf(h, "%d|%s|%d|%v|%q\n", path, DescribeInput(b, c.Input), c.InstrCount, c.Err, c.Output)
+		}
+		rep := sess.Run(context.Background())
+		fmt.Fprintf(h, "stage fixed=%06b paths=%d stopped=%s\n", fixed, rep.Paths, rep.Stopped)
+		if len(rep.Findings) == 0 {
+			return rep, 0
+		}
+		f := rep.Findings[0]
+		return rep, guest.Classify("tcpip", elf, f.Err.Kind, f.Err.PC, fixed)
+	}
+	var fixed uint
+	for stage := 1; stage <= 6; stage++ {
+		rep, bug := run(fixed, true)
+		if bug < 1 || bug > 6 || fixed&(1<<(bug-1)) != 0 {
+			t.Fatalf("stage %d (fixed %06b): bug %d after %d paths (stopped=%s)", stage, fixed, bug, rep.Paths, rep.Stopped)
+		}
+		t.Logf("stage %d: bug %d, %d paths, %d queries", stage, bug, rep.Paths, rep.Queries)
+		fixed |= 1 << (bug - 1)
+	}
+	rep, _ := run(fixed, false)
+	if rep.Stopped != "exhausted" || len(rep.Findings) != 0 {
+		t.Fatalf("sweep: stopped=%s with %d findings, want exhausted and clean", rep.Stopped, len(rep.Findings))
+	}
+	t.Logf("sweep: %d paths, %d queries", rep.Paths, rep.Queries)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFindFixPathsPinned pins every path of the find-fix flow at one
+// worker. The hash was recorded from the engine that solved every trace
+// condition as soon as its path ended; with BFS and one worker the
+// engine claims children in creation order, so solving each one at
+// claim time must keep every model, path and dedup decision.
+func TestFindFixPathsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven tcpip explorations")
+	}
+	const want = "43ecd0c74b16b7c7e2d241ef04871aa7db2b1b8b392d9cf296921658a75efed8"
+	if got := findFixPathHash(t); got != want {
+		t.Errorf("find-fix path hash %s want %s", got, want)
+	}
+}

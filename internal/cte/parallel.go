@@ -14,7 +14,8 @@ import (
 // frontier, the dedup set, the coverage map and the report; everything
 // path-local (core clone, solver, blasted CNF) is worker-owned and needs
 // no locking. The condition variable wakes idle workers after every
-// merge, which may have enqueued children or ended the run.
+// merge, which may have enqueued children or ended the run, and after
+// every claim that yielded no path.
 type pool struct {
 	e       *engine
 	ctx     context.Context
@@ -28,17 +29,20 @@ type pool struct {
 	rep      *Report // rep.Stopped != "" blocks further claims
 	started  int     // paths claimed, bounds MaxPaths
 	merged   int     // paths merged: the next merged path's index
-	inflight int     // claimed but not yet merged
+	inflight int     // popped but not yet merged or dropped
 	start    time.Time
 	deadline time.Time
 }
 
 // run explores until the queue is exhausted, a budget is hit or ctx
-// ends, on the configured number of workers. Each worker claims an
-// input, clones the frozen snapshot (or resumes the input's checkpoint),
-// executes the path on its own core, solves the trace conditions on its
-// own solver and merges the result under the run lock before it claims
-// the next input. With one worker that makes the path order fully
+// ends, on the configured number of workers. Each worker claims a
+// child, solves its trace condition on its own solver, clones the frozen
+// snapshot (or resumes the child's checkpoint), executes the path on its
+// own core and merges the result, whose trace conditions become pending
+// children, under the run lock before it claims the next. A budget stop
+// that leaves only pending children is a "path-budget" stop, not
+// exhaustion: their conditions were never decided. With one worker that
+// makes the path order fully
 // deterministic; with more, path order depends on scheduling, but the
 // explored path set, dedup and findings do not (paths are independent by
 // construction, §3.1.1). Workers check ctx at claim time, so the run
@@ -102,11 +106,11 @@ func (x *pool) finish() *Report {
 	rep.Covered = make(map[uint32]struct{}, x.cover.Len())
 	x.cover.Each(func(pc uint32) { rep.Covered[pc] = struct{}{} })
 	rep.WallTime = time.Since(x.start)
+	x.exportFrontier()
 	for i, s := range x.solvers {
 		rep.PerWorker[i].Queries = s.Stats.Queries
 		rep.PerWorker[i].SolverTime = s.Stats.SolverTime
 	}
-	e.exportFrontier(x.front, rep)
 	// Inputs left unexplored release their checkpoints with the frontier.
 	e.forkLiveG.Add(-int64(x.front.forks))
 	if e.Cfg.Cache.Queries != nil {
@@ -135,19 +139,53 @@ func (x *pool) worker(id int) {
 			x.rep.Stopped = reason
 			return
 		}
-		in, _ := x.front.pop()
+		it, _ := x.front.pop()
+		x.inflight++
+		in, ok := x.claim(id, it)
+		if !ok {
+			x.inflight--
+			x.cond.Broadcast()
+			continue
+		}
 		pathID := x.started
 		x.started++
-		x.inflight++
 		x.mu.Unlock()
 
-		res := x.e.executePath(in, x.solvers[id], pathID)
+		res := x.e.executePath(in, pathID)
 
 		x.mu.Lock()
 		x.merge(id, res)
 		x.inflight--
 		x.cond.Broadcast()
 	}
+}
+
+// claim turns a popped item into the input worker id runs next. A
+// pending child is solved on the worker's own solver with the run lock
+// released, then deduplicated; claim reports false when the condition
+// is unsat or unknown, when the model duplicates an earlier input, and
+// when the run stopped during the solve — the solved input then goes
+// back to the frontier, so an exported frontier loses nothing. Called
+// with x.mu held; the caller counts the claim in flight.
+func (x *pool) claim(id int, it item) (Input, bool) {
+	if !it.pending() {
+		return it.Input, true
+	}
+	x.mu.Unlock()
+	in, key, ok := x.e.solve(x.solvers[id], it)
+	x.mu.Lock()
+	if !ok || x.seen[key] {
+		return Input{}, false
+	}
+	x.seen[key] = true
+	if x.rep.Stopped != "" || x.claimStop() != "" {
+		x.front.push(item{Input: in})
+		return Input{}, false
+	}
+	if x.e.Cfg.Fork.Enabled && in.Fork == nil {
+		x.e.obsForkRestarts.Inc()
+	}
+	return in, true
 }
 
 // claimStop returns why no further path may be claimed, or "" when one
@@ -166,7 +204,7 @@ func (x *pool) claimStop() string {
 }
 
 // merge folds one executed path of worker id into the shared report and
-// enqueues its deduplicated children. Called with x.mu held.
+// enqueues its pending children. Called with x.mu held.
 func (x *pool) merge(id int, res pathResult) {
 	e := x.e
 	rep := x.rep
@@ -178,7 +216,6 @@ func (x *pool) merge(id int, res pathResult) {
 	if res.forked {
 		e.obsForks.Inc()
 	}
-	e.obsForkRestarts.Add(int64(res.forkRestarts))
 	if e.OnPath != nil {
 		e.OnPath(path, core)
 	}
@@ -204,14 +241,40 @@ func (x *pool) merge(id int, res pathResult) {
 		}
 	}
 
+	e.obsTCs.Add(int64(len(res.children)))
 	for _, ch := range res.children {
-		key := InputKey(e.Builder, ch)
-		if x.seen[key] {
-			continue
-		}
-		x.seen[key] = true
 		ch.Score = score
 		x.front.push(ch)
 	}
 	e.frontierG.Set(int64(x.front.len()))
+}
+
+// exportFrontier drains the unexplored queue into the report's Frontier
+// when Explore.ExportFrontier is set. The pending children are solved in
+// pop order on solver 0 and deduplicated like claimed ones, so the
+// export holds the inputs the run would have claimed next.
+// Fork checkpoints are process-local and dropped; an importing engine
+// restarts those inputs from its snapshot. Called after every worker
+// returned.
+func (x *pool) exportFrontier() {
+	if !x.e.Cfg.Explore.ExportFrontier {
+		return
+	}
+	x.rep.Frontier = make([]Input, 0, x.front.len())
+	for {
+		it, ok := x.front.pop()
+		if !ok {
+			break
+		}
+		in := it.Input
+		if it.pending() {
+			var key string
+			if in, key, ok = x.e.solve(x.solvers[0], it); !ok || x.seen[key] {
+				continue
+			}
+			x.seen[key] = true
+		}
+		in.Fork = nil
+		x.rep.Frontier = append(x.rep.Frontier, in)
+	}
 }

@@ -225,3 +225,32 @@ func TestUnknownTCsCounted(t *testing.T) {
 		})
 	}
 }
+
+// TestSolvesOnlyClaimedChildren: a worker solves a child's trace
+// condition when it claims the child, so a run stopped on its path
+// budget solves none for the frontier it leaves. Every SAT trace
+// condition therefore either ran as a path or was dropped as a
+// duplicate. On the session guest cut at 100 paths, an engine that
+// solved every trace condition at the end of its path decided 968 SAT
+// conditions with no duplicate among them.
+func TestSolvesOnlyClaimedChildren(t *testing.T) {
+	snap, cfg := sessionCoverageRun(t)
+	cfg.Workers = 1
+	cfg.Budget.MaxPaths = 100
+	sess := NewSession(snap, cfg)
+	eng := newEngine(sess.snap, sess.cfg)
+	x := eng.newPool(context.Background())
+	x.explore()
+	rep := x.finish()
+	paths, sat := int(eng.obsPaths.Value()), int(eng.tcs.sat.Value())
+	// Every new SAT child enters the seen set; the other SAT children
+	// were duplicates of an earlier one.
+	drops := sat - len(x.seen)
+	if rep.Stopped != "path-budget" || paths != 100 {
+		t.Fatalf("stopped=%s after %d paths, want path-budget after 100", rep.Stopped, paths)
+	}
+	if sat > paths+drops {
+		t.Errorf("%d SAT trace conditions for %d paths and %d dedup drops", sat, paths, drops)
+	}
+	t.Logf("%d paths, %d SAT trace conditions, %d dedup drops, %d left pending", paths, sat, drops, x.front.len())
+}

@@ -440,21 +440,26 @@ func (c *Core) Freeze() {
 // immutable and the builder is internally locked). After Freeze, Clone
 // only reads the receiver and is safe to call concurrently.
 func (c *Core) Clone() *Core {
-	n := c.cloneNoMem()
+	n := c.cloneState()
+	n.EPC = append([]*smt.Expr(nil), c.EPC...)
+	n.Trace = append([]TraceCond(nil), c.Trace...)
+	n.Input = make(smt.Assignment, len(c.Input))
+	for k, v := range c.Input {
+		n.Input[k] = v
+	}
 	n.Mem = c.Mem.Clone()
 	n.Mem.OnWrite = n.noteMemWrite
 	return n
 }
 
-// cloneNoMem is Clone without the memory snapshot: n.Mem still aliases
-// c.Mem and must be replaced by the caller (Clone installs a fresh COW
-// clone; captureFork may substitute a memo shared with the previous
+// cloneState is Clone without the memory snapshot and the path's EPC,
+// Trace and Input: n still aliases those of c, and the caller installs
+// its own (a fork checkpoint takes only the EPC prefix, neither of the
+// others, and possibly a memory snapshot shared with the previous
 // checkpoint).
-func (c *Core) cloneNoMem() *Core {
+func (c *Core) cloneState() *Core {
 	n := &Core{}
 	*n = *c
-	n.EPC = append([]*smt.Expr(nil), c.EPC...)
-	n.Trace = append([]TraceCond(nil), c.Trace...)
 	n.notifications = append([]notification(nil), c.notifications...)
 	n.ctxStack = append([]savedCtx(nil), c.ctxStack...)
 	n.zones = append([]Zone(nil), c.zones...)
@@ -465,10 +470,6 @@ func (c *Core) cloneNoMem() *Core {
 	n.symCounters = make(map[string]int, len(c.symCounters))
 	for k, v := range c.symCounters {
 		n.symCounters[k] = v
-	}
-	n.Input = smt.Assignment{}
-	for k, v := range c.Input {
-		n.Input[k] = v
 	}
 	n.Coverage = PCSet{} // coverage is per-run
 	n.traceRing = append([]TraceEntry(nil), c.traceRing...)
@@ -760,7 +761,7 @@ func EdgeBanks(states int) int {
 // initEdgeBank derives the per-bank index mask from the installed edge
 // map and the configured protocol-state bank count, then resolves the
 // current bank. Called lazily on the first edge-map update after a map
-// is installed (cloneNoMem resets the mask).
+// is installed (cloneState resets the mask).
 func (c *Core) initEdgeBank() {
 	banks := EdgeBanks(c.ProtoStates)
 	bankLen := len(c.EdgeMap) / banks

@@ -79,28 +79,31 @@ func (c *Core) captureFork(site int) {
 	} else if _, ok := c.forkPoints[site]; ok {
 		return
 	}
-	var n *Core
+	// The checkpoint copies no per-path input state: the resuming child
+	// installs its own Input (ApplyModel) and collects a fresh Trace.
+	n := c.cloneState()
+	n.Input = nil
+	n.Trace = nil
+	// The live EPC is append-only, so the checkpoint shares its prefix
+	// instead of copying it; the capacity cap keeps an append from
+	// writing into the live core's array.
+	n.EPC = c.EPC[:c.preEPCLen:c.preEPCLen]
 	if memo := c.capMemo; memo != nil {
 		// No memory write since the previous checkpoint: share its memory
 		// snapshot instead of paying another page-table clone. Checkpoint
 		// cores are never executed directly (Resume clones them first), so
 		// the shared Memory is only ever read or re-cloned. This memo is
 		// only valid here — resumed clones execute and must never share.
-		n = c.cloneNoMem()
 		n.Mem = memo
-		n.Coverage = c.Coverage.Clone()
 	} else {
-		n = c.cloneForFork()
+		n.Mem = c.Mem.Clone()
+		n.Mem.OnWrite = n.noteMemWrite
 		c.capMemo = n.Mem
 	}
-	n.EPC = n.EPC[:c.preEPCLen]
+	n.Coverage = c.Coverage.Clone()
 	n.siteCount = c.preSite
 	n.traceRing = n.traceRing[:c.preRingLen]
 	n.traceNext = c.preRingNext
-	// The checkpoint starts a fresh TC epoch: the engine collects the
-	// suffix's trace conditions from the resumed core and re-bases them
-	// on the inherited EPC prefix.
-	n.Trace = nil
 	c.forkPoints[site] = &Checkpoint{core: n}
 }
 

@@ -23,7 +23,6 @@ type event struct {
 	at    Time
 	delta uint64 // tie-break: preserves notify ordering within a cycle
 	fn    Process
-	seq   int // heap index bookkeeping
 }
 
 type eventHeap []*event
@@ -35,8 +34,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].delta < h[j].delta
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].seq, h[j].seq = i, j }
-func (h *eventHeap) Push(x any)   { e := x.(*event); e.seq = len(*h); *h = append(*h, e) }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
