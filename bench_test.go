@@ -183,8 +183,7 @@ func TestTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table generation is slow")
 	}
-	rows, err := findfix.Run(0, 7, findfix.Local("tcpip",
-		func(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) },
+	rows, err := findfix.Run(0, 7, findfix.Local(findfix.Target{Prog: "tcpip", PktMax: 64},
 		func(*smt.Builder, int) cte.Config {
 			return cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: 10000}}
 		}))

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -27,11 +25,7 @@ type campaignOpts struct {
 	submit            string // client
 	findFix           bool
 
-	prog, fixList string
-	pktMax        int
-	pkts          int
-	pktCaps       []int
-	detectors     []string
+	target        findfix.Target
 	fuzz          bool
 	bmc           bool
 	bmcK          int
@@ -79,16 +73,16 @@ func validateCampaignFlags(o campaignOpts, nargs int) error {
 	if o.bmcK != 0 && !o.bmc {
 		return errors.New("-k requires -bmc")
 	}
-	if (o.serve != "" || o.connect != "") && (o.prog != "" || nargs > 0) {
+	if (o.serve != "" || o.connect != "") && (o.target.Prog != "" || nargs > 0) {
 		return errors.New("-serve and -connect take no program: workers receive the campaign spec from the coordinator")
 	}
-	if o.submit != "" && o.prog == "" {
+	if o.submit != "" && o.target.Prog == "" {
 		return errors.New("-submit requires -prog (campaigns run the built-in programs)")
 	}
 	if o.submit != "" && nargs > 0 {
 		return errors.New("-submit cannot explore an ELF file; use -prog")
 	}
-	if o.findFix && (o.prog != "tcpip" || o.fuzz) {
+	if o.findFix && (o.target.Prog != "tcpip" || o.fuzz) {
 		return errors.New("-findfix is the concolic find-fix-rerun workflow for -prog tcpip")
 	}
 	return nil
@@ -169,10 +163,11 @@ func runConnect(ctx context.Context, o campaignOpts) int {
 }
 
 // specFor assembles the campaign spec the -submit flags describe.
-func specFor(o campaignOpts, fixList string) campaign.Spec {
+func specFor(o campaignOpts) campaign.Spec {
+	t := o.target
 	s := campaign.Spec{
-		Prog: o.prog, FixList: fixList, PktMax: o.pktMax,
-		Pkts: o.pkts, PktCaps: o.pktCaps, Detectors: o.detectors,
+		Prog: t.Prog, FixList: t.Fix, PktMax: t.PktMax,
+		Pkts: t.Pkts, PktCaps: t.PktCaps, Detectors: t.Detectors,
 		Shards: o.shards, Batch: o.batch, LeaseTTLMS: o.leaseTTL.Milliseconds(),
 		MaxPaths: o.maxPaths, MaxInstr: o.maxInstr, MaxConflicts: o.maxConflicts,
 		StopOnError: o.stopOnError, Seed: o.seed,
@@ -207,7 +202,7 @@ func runSubmit(ctx context.Context, o campaignOpts) int {
 	if o.findFix {
 		return runFindFix(ctx, cl, o)
 	}
-	st, err := cl.Create(ctx, specFor(o, o.fixList))
+	st, err := cl.Create(ctx, specFor(o))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cte:", err)
 		return 2
@@ -235,20 +230,15 @@ func runSubmit(ctx context.Context, o campaignOpts) int {
 // per stage, starting from the -fix mask. Each campaign's first finding
 // arrives classified by the worker that hit it.
 func runFindFix(ctx context.Context, cl *campaign.Client, o campaignOpts) int {
-	start, err := guest.ParseFixList(o.fixList, 1, 6)
+	start, err := guest.ParseFixList(o.target.Fix, 1, 6)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cte:", err)
 		return 2
 	}
 	rows, err := findfix.Run(start, 8, func(stage int, fixed uint) (findfix.Row, error) {
-		var fixes []string
-		for bug := 1; bug <= 6; bug++ {
-			if fixed&(1<<(bug-1)) != 0 {
-				fixes = append(fixes, strconv.Itoa(bug))
-			}
-		}
-		fixList := strings.Join(fixes, ",")
-		spec := specFor(o, fixList)
+		so := o
+		so.target = o.target.WithFixed(fixed)
+		spec := specFor(so)
 		spec.StopOnError = true
 		st, err := cl.Create(ctx, spec)
 		if err != nil {
@@ -267,7 +257,7 @@ func runFindFix(ctx context.Context, cl *campaign.Client, o campaignOpts) int {
 		}
 		if row.Clean() {
 			fmt.Printf("stage %d: clean — %d paths, fixes [%s], campaign %s %s\n",
-				stage, final.Stats.Paths, fixList, st.Spec.ID, final.State)
+				stage, final.Stats.Paths, so.target.Fix, st.Spec.ID, final.State)
 		}
 		return row, nil
 	})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rvcte/internal/campaign"
+	"rvcte/internal/findfix"
 )
 
 // TestCampaignFlagValidation pins the mode matrix as subprocess runs:
@@ -167,7 +168,7 @@ func TestFindFixRejectsKindlessFinding(t *testing.T) {
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	if code := runFindFix(context.Background(), campaign.NewClient(ts.URL), campaignOpts{prog: "tcpip"}); code != 2 {
+	if code := runFindFix(context.Background(), campaign.NewClient(ts.URL), campaignOpts{target: findfix.Target{Prog: "tcpip"}}); code != 2 {
 		t.Fatalf("exit %d want 2", code)
 	}
 }

@@ -100,51 +100,50 @@ func main() {
 	if *progName == "tcpip-session" && !flagWasSet("pkt-max") {
 		*pktMax = 0
 	}
-	if err := iss.CheckDetectors(parseNameList(*detectors)); err != nil {
-		fmt.Fprintln(os.Stderr, "cte:", err)
-		os.Exit(2)
+	target := findfix.Target{
+		Prog: *progName, Fix: *fixList, PktMax: *pktMax,
+		Pkts: *pkts, PktCaps: parseIntList(*pktCaps), Detectors: parseNameList(*detectors),
 	}
 
 	copts := campaignOpts{
 		serve: *serveAddr, spool: *spoolDir,
 		connect: *connectAddr, workerID: *workerID,
 		submit: *submitAddr, findFix: *findFix,
-		prog: *progName, fixList: *fixList, pktMax: *pktMax,
-		pkts: *pkts, pktCaps: parseIntList(*pktCaps), detectors: parseNameList(*detectors),
-		fuzz: *fuzzMode,
-		bmc:  *bmcMode, bmcK: *bmcK,
+		target: target,
+		fuzz:   *fuzzMode,
+		bmc:    *bmcMode, bmcK: *bmcK,
 		shards: *shards, batch: *batch, leaseTTL: *leaseTTL,
 		maxPaths: *maxPaths, maxInstr: *maxInstr, maxConflicts: *maxConflicts,
 		stopOnError: *stopOnError, seed: *seed,
 	}
+	die(iss.CheckDetectors(target.Detectors))
 	if err := validateCampaignFlags(copts, flag.NArg()); err != nil {
 		fmt.Fprintln(os.Stderr, "cte:", err)
 		os.Exit(2)
+	}
+	if target.Prog != "" {
+		die(target.Check())
 	}
 	if copts.serve != "" || copts.connect != "" || copts.submit != "" {
 		os.Exit(campaignMain(copts))
 	}
 
 	b := smt.NewBuilder()
-	var core *iss.Core
-	var elf *relf.File
+	var g findfix.Built
 	var err error
-
-	var prg guest.Program
 	switch {
-	case *progName != "":
-		prg, core, elf, err = buildProg(b, *progName, guest.ProgramOpts{
-			Fix: *fixList, PktMax: *pktMax, Pkts: *pkts, PktCaps: parseIntList(*pktCaps),
-		})
+	case target.Prog != "":
+		g, err = target.Build(b)
 	case flag.NArg() == 1:
 		var data []byte
 		data, err = os.ReadFile(flag.Arg(0))
 		if err == nil {
-			elf, err = relf.Load(data)
+			g.ELF, err = relf.Load(data)
 		}
 		if err == nil {
-			core = iss.New(b, iss.Config{RamBase: 0x80000000, RamSize: 4 << 20, MaxInstr: 100_000_000})
-			core.LoadImage(elf.Addr, elf.Data, elf.Entry)
+			g.Core = iss.New(b, iss.Config{RamBase: 0x80000000, RamSize: 4 << 20, MaxInstr: 100_000_000})
+			g.Core.LoadImage(g.ELF.Addr, g.ELF.Data, g.ELF.Entry)
+			err = g.Core.AttachDetectorSet(target.Detectors)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "cte: need -prog <name> or an ELF file")
@@ -170,7 +169,7 @@ func main() {
 			if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 				die(err)
 			}
-			cacheFile = filepath.Join(*cacheDir, cacheID(*progName, *fixList, *pktMax, *pkts, flag.Args())+".qcache")
+			cacheFile = filepath.Join(*cacheDir, cacheID(target, flag.Args())+".qcache")
 			if err := qc.Load(cacheFile); err != nil && !os.IsNotExist(err) {
 				fmt.Fprintf(os.Stderr, "cte: warning: ignoring cache file: %v\n", err)
 			}
@@ -214,19 +213,17 @@ func main() {
 		Obs:         ob,
 		Seed:        *seed,
 		StopOnError: *stopOnError,
-		Detectors:   parseNameList(*detectors),
 		Explore: cte.ExploreConfig{
 			Strategy:      strat,
 			TrackCoverage: *cover,
 			TraceDepth:    *errTrace,
 		},
 		Fork: cte.ForkConfig{Enabled: *forkMode, MinPrefix: *forkMinPrefix},
+		// Stateful guests publish their protocol-state byte; wiring it
+		// banks edge coverage by protocol state and scopes the run to the
+		// session depth the guest was built with.
+		Protocol: g.Proto,
 	}
-	// Stateful guests publish their protocol-state byte; wiring it banks
-	// edge coverage by protocol state and scopes the run to the session
-	// depth the guest was built with.
-	cfg.Protocol, err = findfix.Protocol(prg, elf)
-	die(err)
 	if *fuzzMode {
 		cfg.Mode = cte.ModeHybrid
 		cfg.Budget.Timeout = *fuzzTime
@@ -242,7 +239,7 @@ func main() {
 		cfg.BMC.K = *bmcK
 	}
 
-	sess := cte.NewSession(core, cfg)
+	sess := cte.NewSession(g.Core, cfg)
 	if *verbose && !*jsonOut && !*fuzzMode {
 		sess.OnPath = func(path int, c *iss.Core) {
 			status := "ok"
@@ -288,13 +285,13 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(b, elf, *progName, cfg, rep)
+		emitJSON(b, g.ELF, *progName, cfg, rep)
 	} else if rep.Mode == cte.ModeHybrid {
-		printFuzzReport(elf, rep)
+		printFuzzReport(g.ELF, rep)
 	} else if rep.Mode == cte.ModeBMC {
-		printBMCReport(b, elf, rep)
+		printBMCReport(b, g.ELF, rep)
 	} else {
-		printReport(b, elf, rep, *cover)
+		printReport(b, g.ELF, rep, *cover)
 	}
 	if len(rep.Findings) > 0 {
 		os.Exit(1)
@@ -368,15 +365,6 @@ func printCoverage(elf *relf.File, covered map[uint32]struct{}) {
 	for _, n := range names {
 		fmt.Printf("  %-32s %5d instructions\n", n, perFn[n])
 	}
-}
-
-func buildProg(b *smt.Builder, name string, opts guest.ProgramOpts) (guest.Program, *iss.Core, *relf.File, error) {
-	p, err := guest.ProgramFor(name, opts)
-	if err != nil {
-		return guest.Program{}, nil, nil, err
-	}
-	core, elf, err := guest.NewCore(b, p)
-	return p, core, elf, err
 }
 
 // parseIntList parses a comma-separated list of non-negative ints;
@@ -556,21 +544,13 @@ type jsonFuzz struct {
 	SkipInitInstrs uint64  `json:"skip_init_instrs"`
 }
 
-// cacheID derives the persisted cache's file stem from the guest
-// identity: same guest (and constraint-shaping options) — same file.
-func cacheID(prog, fixList string, pktMax, pkts int, args []string) string {
-	id := prog
-	if id == "" && len(args) == 1 {
+// cacheID derives the persisted cache's file stem from the target (an
+// ELF argument's base name when there is none): same guest — same
+// file.
+func cacheID(t findfix.Target, args []string) string {
+	id := t.String()
+	if t.Prog == "" && len(args) == 1 {
 		id = strings.TrimSuffix(filepath.Base(args[0]), ".elf")
-	}
-	if id == "tcpip" || id == "tcpip-session" {
-		id = fmt.Sprintf("%s-p%d", id, pktMax)
-		if prog == "tcpip-session" && pkts > 0 {
-			id += fmt.Sprintf("-n%d", pkts)
-		}
-		if fixList != "" {
-			id += "-fix" + strings.ReplaceAll(fixList, ",", "_")
-		}
 	}
 	var sb strings.Builder
 	for _, r := range id {

@@ -73,6 +73,12 @@ func TestExitCodes(t *testing.T) {
 			stderr: "bad -fix entry",
 		},
 		{
+			name:   "unknown detector exits 2 before the ELF is read",
+			args:   []string{"-detectors", "bogus", "/no/such/file.elf"},
+			want:   2,
+			stderr: "unknown detector",
+		},
+		{
 			name: "missing ELF file exits 2",
 			args: []string{"/no/such/file.elf"},
 			want: 2,
@@ -132,5 +138,22 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stdout %q does not contain %q", sb.String(), tc.stdout)
 			}
 		})
+	}
+}
+
+// TestCacheFilePerTarget: the -cache-dir file name covers every target
+// parameter, so runs of two different guests never share a cache file.
+func TestCacheFilePerTarget(t *testing.T) {
+	dir := t.TempDir()
+	for _, caps := range []string{"16", "24"} {
+		cmd := exec.Command(cteBin, "-prog", "tcpip-session", "-pkts", "1", "-pkt-caps", caps,
+			"-max-paths", "3", "-j", "1", "-cache-dir", dir)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("-pkt-caps %s: %v\n%s", caps, err, out)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.qcache"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("cache files %v (err %v), want one per target", files, err)
 	}
 }

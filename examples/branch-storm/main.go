@@ -22,7 +22,7 @@ import (
 	"path/filepath"
 
 	"rvcte/internal/cte"
-	"rvcte/internal/guest"
+	"rvcte/internal/findfix"
 	"rvcte/internal/qcache"
 	"rvcte/internal/smt"
 )
@@ -31,8 +31,7 @@ import (
 // leaks between runs) and explores it to exhaustion.
 func explore(cacheFile string, load bool) (*cte.Report, *qcache.Cache, error) {
 	b := smt.NewBuilder()
-	prog, _ := guest.BenchProgram("storm-s")
-	core, _, err := guest.NewCore(b, prog)
+	g, err := findfix.Target{Prog: "storm-s"}.Build(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -45,7 +44,7 @@ func explore(cacheFile string, load bool) (*cte.Report, *qcache.Cache, error) {
 			}
 		}
 	}
-	rep := cte.NewSession(core, cte.Config{
+	rep := cte.NewSession(g.Core, cte.Config{
 		Budget: cte.Budget{MaxPaths: 2000},
 		Cache:  cte.CacheConfig{Queries: qc},
 	}).Run(context.Background())

@@ -18,7 +18,7 @@ import (
 	"log"
 
 	"rvcte/internal/cte"
-	"rvcte/internal/guest"
+	"rvcte/internal/findfix"
 	"rvcte/internal/iss"
 	"rvcte/internal/smt"
 )
@@ -26,22 +26,22 @@ import (
 func main() {
 	fmt.Println("== building the sensor system (app + sensor & PLIC SW models) ==")
 	b := smt.NewBuilder()
-	core, elf, err := guest.NewCore(b, guest.SensorProgram(false))
+	g, err := findfix.Target{Prog: "sensor"}.Build(b)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if addr, ok := elf.Symbol("sensor_transport"); ok {
+	if addr, ok := g.ELF.Symbol("sensor_transport"); ok {
 		fmt.Printf("sensor transport function bound from ELF symbol: %#x\n", addr)
 	}
 
 	fmt.Println("\n== path I0: empty input (all symbolic values default to zero) ==")
-	first := core.Clone()
+	first := g.Core.Clone()
 	first.Run(0)
 	fmt.Printf("result: %v after %d instructions\n", first.Err, first.InstrCount)
 	fmt.Printf("trace conditions emitted: %d\n", len(first.Trace))
 
 	fmt.Println("\n== concolic exploration ==")
-	sess := cte.NewSession(core, cte.Config{
+	sess := cte.NewSession(g.Core, cte.Config{
 		Budget:      cte.Budget{MaxPaths: 64},
 		StopOnError: true,
 	})
@@ -69,11 +69,11 @@ func main() {
 
 	fmt.Println("\n== after fixing the peripheral (minus one instead of plus one) ==")
 	b2 := smt.NewBuilder()
-	fixedCore, _, err := guest.NewCore(b2, guest.SensorProgram(true))
+	fixed, err := findfix.Target{Prog: "sensor-fixed"}.Build(b2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep2 := cte.NewSession(fixedCore, cte.Config{
+	rep2 := cte.NewSession(fixed.Core, cte.Config{
 		Budget: cte.Budget{MaxPaths: 200},
 	}).Run(context.Background())
 	fmt.Printf("exploration: %d paths, findings: %d, exhausted: %v\n",

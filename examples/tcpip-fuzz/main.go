@@ -16,15 +16,13 @@ import (
 
 	"rvcte/internal/cte"
 	"rvcte/internal/findfix"
-	"rvcte/internal/guest"
 	"rvcte/internal/smt"
 )
 
 func main() {
 	fmt.Println("testing the TCP/IP stack: one symbolic packet (size N <= 64, symbolic content)")
 	fmt.Println()
-	rows, err := findfix.Run(0, 7, findfix.Local("tcpip",
-		func(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) },
+	rows, err := findfix.Run(0, 7, findfix.Local(findfix.Target{Prog: "tcpip", PktMax: 64},
 		func(_ *smt.Builder, i int) cte.Config {
 			if i == 6 {
 				return cte.Config{Budget: cte.Budget{MaxPaths: 1000}} // the fully patched stack

@@ -127,7 +127,7 @@ func TestHybridLeaseInstr(t *testing.T) {
 		if r.hyb == nil {
 			cfg := r.hybridConfig(l)
 			cfg.Obs = o
-			r.hyb = cte.NewSession(r.snap, cfg)
+			r.hyb = cte.NewSession(r.built.Core, cfg)
 		}
 		before := o.Snapshot().Counters
 		res := r.Run(context.Background(), l)

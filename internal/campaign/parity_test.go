@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"rvcte/internal/cte"
-	"rvcte/internal/guest"
+	"rvcte/internal/findfix"
 	"rvcte/internal/iss"
 	"rvcte/internal/smt"
 )
@@ -17,17 +17,12 @@ import (
 // returns the sorted set of semantic path records (the parity baseline).
 func singleSessionSemantics(t *testing.T, prog string) []string {
 	t.Helper()
-	b := smt.NewBuilder()
-	p, err := guest.ProgramFor(prog, guest.ProgramOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := guest.NewCore(b, p)
+	g, err := findfix.Target{Prog: prog}.Build(smt.NewBuilder())
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := map[string]bool{}
-	sess := cte.NewSession(snap, cte.Config{})
+	sess := cte.NewSession(g.Core, cte.Config{})
 	sess.OnPath = func(_ int, c *iss.Core) {
 		rec := PathRecord{Exit: c.ExitCode, Output: string(c.Output)}
 		if c.Err != nil {

@@ -12,27 +12,23 @@ import (
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
 	"rvcte/internal/qcache"
-	"rvcte/internal/relf"
 	"rvcte/internal/smt"
 )
 
 // Runner executes leases for one campaign: it holds the worker-local
-// long-lived state — the SMT builder, the VP snapshot (never mutated;
-// sessions clone it), the query cache, and the sync bookkeeping. One
-// Runner per campaign per worker process.
+// long-lived state — the SMT builder, the built target (its Core is the
+// VP snapshot: never mutated, sessions clone it), the query cache, and
+// the sync bookkeeping. One Runner per campaign per worker process.
 type Runner struct {
 	spec  Spec
 	b     *smt.Builder
-	snap  *iss.Core
-	elf   *relf.File
+	built findfix.Built
 	qc    *qcache.Cache
-	qrecv map[uint64]bool    // qcache keys received from the coordinator
-	qcur  int                // export cursor: local cache entries already exchanged
-	qseq  int                // sync cursor into the coordinator's entry list
-	cseq  int                // sync cursor into the coordinator's corpus
-	seeds [][]byte           // synced corpus (hybrid seeds)
-	fixed uint               // fixed-bug mask, for classification
-	proto cte.ProtocolConfig // stateful guests: resolved protocol-state wiring
+	qrecv map[uint64]bool // qcache keys received from the coordinator
+	qcur  int             // export cursor: local cache entries already exchanged
+	qseq  int             // sync cursor into the coordinator's entry list
+	cseq  int             // sync cursor into the coordinator's corpus
+	seeds [][]byte        // synced corpus (hybrid seeds)
 
 	// Hybrid campaigns: one Session per worker, resumed by every lease,
 	// so corpus, coverage and escalation memory outlive a timebox.
@@ -40,37 +36,22 @@ type Runner struct {
 	hexecs uint64 // fuzz executions reported by earlier leases
 }
 
-// NewRunner builds the worker-local state for spec. The program name
-// resolves through the same table as cmd/cte's -prog, so every worker
-// of a campaign executes a bit-identical guest.
+// NewRunner builds the worker-local state for spec. Every worker builds
+// the spec's Target: a bit-identical guest, and for stateful guests the
+// same protocol-state wiring, so all bank edge coverage identically.
 func NewRunner(spec Spec) (*Runner, error) {
-	p, err := guest.ProgramFor(spec.Prog, guest.ProgramOpts{
-		Fix: spec.FixList, PktMax: spec.PktMax, Pkts: spec.Pkts, PktCaps: spec.PktCaps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fixed, _ := guest.ParseFixList(spec.FixList, 1, 9)
 	b := smt.NewBuilder()
-	snap, elf, err := guest.NewCore(b, p)
+	g, err := spec.Target().Build(b)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{
+	return &Runner{
 		spec:  spec,
 		b:     b,
-		snap:  snap,
-		elf:   elf,
+		built: g,
 		qc:    qcache.New(b, qcache.Options{}),
 		qrecv: map[uint64]bool{},
-		fixed: fixed,
-	}
-	// Stateful guests publish their protocol-state symbol; resolving it
-	// here means every worker banks edge coverage identically.
-	if r.proto, err = findfix.Protocol(p, elf); err != nil {
-		return nil, err
-	}
-	return r, nil
+	}, nil
 }
 
 // Cursors returns the sync cursors to send with the next lease request.
@@ -140,15 +121,14 @@ func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 		Cache:       cte.CacheConfig{Queries: r.qc},
 		Seed:        r.spec.Seed,
 		StopOnError: r.spec.StopOnError,
-		Detectors:   r.spec.Detectors,
 		Explore: cte.ExploreConfig{
 			Strategy:       cte.BFS,
 			Roots:          roots,
 			ExportFrontier: true,
 		},
-		Protocol: r.proto,
+		Protocol: r.built.Proto,
 	}
-	sess := cte.NewSession(r.snap, cfg)
+	sess := cte.NewSession(r.built.Core, cfg)
 	idx := 0
 	sess.OnPath = func(_ int, c *iss.Core) {
 		if idx >= len(l.Inputs) {
@@ -185,7 +165,7 @@ func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 		// The first lease starts the worker's session; later leases
 		// resume it for another timebox (FuzzLeaseMS is fixed per
 		// campaign, so the first lease's timebox is every lease's).
-		r.hyb = cte.NewSession(r.snap, r.hybridConfig(l))
+		r.hyb = cte.NewSession(r.built.Core, r.hybridConfig(l))
 	}
 	rep := r.hyb.Run(ctx)
 
@@ -223,13 +203,12 @@ func (r *Runner) hybridConfig(l Lease) cte.Config {
 		Cache:       cte.CacheConfig{Queries: r.qc},
 		Seed:        leaseSeed(r.spec.Seed, l.ID),
 		StopOnError: r.spec.StopOnError,
-		Detectors:   r.spec.Detectors,
 		Fuzz: cte.FuzzConfig{
 			Seeds:          r.seeds,
 			Batch:          r.spec.FuzzBatch,
 			DryEscalations: r.spec.DryEscalations,
 		},
-		Protocol: r.proto,
+		Protocol: r.built.Proto,
 	}
 }
 
@@ -266,19 +245,13 @@ func (r *Runner) wireFinding(f cte.Finding) WireFinding {
 		PC:   f.Err.PC,
 		Addr: f.Err.Addr,
 		Msg:  f.Err.Error(),
-		Func: guest.LocateFunc(r.elf, f.Err.PC),
+		Func: guest.LocateFunc(r.built.ELF, f.Err.PC),
 		Data: f.Data,
+		// No classifier rule reads the fixed-bug mask.
+		Bug: guest.Classify(r.spec.Prog, r.built.ELF, f.Err.Kind, f.Err.PC, 0),
 	}
 	if f.Input != nil {
 		wf.Input = cte.ExportInput(r.b, cte.Input{Assignment: f.Input})
 	}
-	if bug := guest.Classify(r.spec.Prog, r.elf, f.Err.Kind, f.Err.PC, r.fixed); bug != 0 {
-		wf.Bug = bug
-	}
 	return wf
-}
-
-// String identifies the runner in logs.
-func (r *Runner) String() string {
-	return fmt.Sprintf("runner(%s %s)", r.spec.ID, r.spec.Prog)
 }

@@ -44,8 +44,8 @@ func TestSessionCampaignDeepBug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.proto.StateAddr == 0 || r.proto.States != 4 {
-		t.Fatalf("runner did not resolve the protocol-state wiring: %+v", r.proto)
+	if r.built.Proto.StateAddr == 0 || r.built.Proto.States != 4 {
+		t.Fatalf("runner did not resolve the protocol-state wiring: %+v", r.built.Proto)
 	}
 
 	maxLeases := 12

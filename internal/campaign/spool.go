@@ -115,6 +115,27 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
+// check normalizes and validates a campaign spooled as file name: a
+// corrupt file must fail the load, not index a missing shard or name a
+// file outside the spool for the next persist to write.
+func (sc *spoolCampaign) check(name string) error {
+	if sc.Spec.ID+".json" != name {
+		return fmt.Errorf("campaign id %q", sc.Spec.ID)
+	}
+	if err := sc.Spec.normalize(); err != nil {
+		return err
+	}
+	if len(sc.Shards) != sc.Spec.Shards {
+		return fmt.Errorf("%d frontier shards, spec has %d", len(sc.Shards), sc.Spec.Shards)
+	}
+	for _, l := range sc.Leases {
+		if l.Shard < -1 || l.Shard >= sc.Spec.Shards { // -1: a hybrid timebox
+			return fmt.Errorf("lease on shard %d of %d", l.Shard, sc.Spec.Shards)
+		}
+	}
+	return nil
+}
+
 // loadSpool restores every persisted campaign. Must run before the
 // coordinator serves (called from NewCoordinator).
 func (co *Coordinator) loadSpool() error {
@@ -138,16 +159,12 @@ func (co *Coordinator) loadSpool() error {
 		if err := json.Unmarshal(data, &sc); err != nil {
 			return fmt.Errorf("campaign: spool %s: %v", name, err)
 		}
+		if err := sc.check(name); err != nil {
+			return fmt.Errorf("campaign: spool %s: %v", name, err)
+		}
 		c := newCampaign(sc.Spec)
 		c.state = sc.State
-		if len(sc.Shards) == sc.Spec.Shards {
-			c.shards = sc.Shards
-		}
-		for i := range c.shards {
-			if c.shards[i] == nil {
-				c.shards[i] = []cte.WireInput{}
-			}
-		}
+		c.shards = sc.Shards
 		for _, k := range sc.Seen {
 			c.seen[k] = true
 		}

@@ -17,8 +17,7 @@ import (
 	"fmt"
 
 	"rvcte/internal/cte"
-	"rvcte/internal/guest"
-	"rvcte/internal/iss"
+	"rvcte/internal/findfix"
 	"rvcte/internal/qcache"
 )
 
@@ -29,25 +28,19 @@ const (
 	StateCanceled = "canceled"
 )
 
-// Spec describes one campaign: the guest program (cmd/cte's -prog
-// vocabulary, so every worker builds bit-identical state) and the
-// distribution/budget knobs. Zero values select the documented
-// defaults.
+// Spec describes one campaign: the guest (six fields, which Target
+// returns as a findfix.Target; they stay flat in the JSON that clients
+// send and spools store) and the distribution/budget knobs. Zero values
+// select the documented defaults.
 type Spec struct {
-	ID      string `json:"id,omitempty"` // assigned by the coordinator
-	Prog    string `json:"prog"`
-	FixList string `json:"fix,omitempty"`     // tcpip: bugs to patch ("1,2")
-	PktMax  int    `json:"pkt_max,omitempty"` // tcpip: symbolic packet bound
-	Mode    string `json:"mode,omitempty"`    // "concolic" (default) | "hybrid"
-	// Pkts/PktCaps describe stateful multi-packet sessions
-	// (tcpip-session): the session depth and the per-packet symbolic
-	// size caps (last cap repeats; empty falls back to PktMax).
-	Pkts    int   `json:"pkts,omitempty"`
-	PktCaps []int `json:"pkt_caps,omitempty"`
-	// Detectors names the iss bug-detector set every worker attaches
-	// ("heap-guard", "stack-canary", ..., or "all"); empty keeps the
-	// default set.
-	Detectors []string `json:"detectors,omitempty"`
+	ID        string   `json:"id,omitempty"` // assigned by the coordinator
+	Prog      string   `json:"prog"`
+	FixList   string   `json:"fix,omitempty"`       // tcpip: bugs to patch ("1,2")
+	PktMax    int      `json:"pkt_max,omitempty"`   // tcpip: symbolic packet bound
+	Mode      string   `json:"mode,omitempty"`      // "concolic" (default) | "hybrid"
+	Pkts      int      `json:"pkts,omitempty"`      // tcpip-session: session depth
+	PktCaps   []int    `json:"pkt_caps,omitempty"`  // tcpip-session: per-packet caps
+	Detectors []string `json:"detectors,omitempty"` // detector set ("all" = every kind)
 
 	Shards     int   `json:"shards,omitempty"`       // frontier shards (default 4)
 	Batch      int   `json:"batch,omitempty"`        // inputs per lease (default 16)
@@ -69,8 +62,16 @@ type Spec struct {
 	DryEscalations int `json:"dry_escalations,omitempty"`
 }
 
-// normalize applies defaults and validates the program spec (the same
-// resolution every worker will perform).
+// Target is the guest every worker of the campaign builds.
+func (s Spec) Target() findfix.Target {
+	return findfix.Target{
+		Prog: s.Prog, Fix: s.FixList, PktMax: s.PktMax,
+		Pkts: s.Pkts, PktCaps: s.PktCaps, Detectors: s.Detectors,
+	}
+}
+
+// normalize applies defaults and validates a new or spooled spec
+// without building the guest.
 func (s *Spec) normalize() error {
 	if s.Mode == "" {
 		s.Mode = "concolic"
@@ -90,14 +91,8 @@ func (s *Spec) normalize() error {
 	if s.FuzzLeaseMS <= 0 {
 		s.FuzzLeaseMS = 5_000
 	}
-	_, err := guest.ProgramFor(s.Prog, guest.ProgramOpts{
-		Fix: s.FixList, PktMax: s.PktMax, Pkts: s.Pkts, PktCaps: s.PktCaps,
-	})
-	if err != nil {
-		return err
-	}
-	if err := iss.CheckDetectors(s.Detectors); err != nil {
-		return fmt.Errorf("campaign: %v", err)
+	if err := s.Target().Check(); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
 }

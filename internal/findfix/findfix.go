@@ -16,7 +16,6 @@ import (
 
 	"rvcte/internal/cte"
 	"rvcte/internal/guest"
-	"rvcte/internal/relf"
 	"rvcte/internal/smt"
 )
 
@@ -71,24 +70,21 @@ func Run(fixed uint, maxStages int, stage Stage) ([]Row, error) {
 	return rows, fmt.Errorf("no clean stage within %d stages", maxStages)
 }
 
-// Local returns the in-process stage for the named guest (the
-// guest.Classify rule set): stage i builds prog(fixed) on a fresh
-// Builder, runs one cte.Session with cfg(b, i), its Protocol set
-// from the program's ProtoSpec, and classifies the first finding.
-func Local(name string, prog func(fixed uint) guest.Program, cfg func(b *smt.Builder, i int) cte.Config) Stage {
+// Local returns the in-process stage for target t: stage i builds t
+// with its fixed bugs on a fresh Builder, runs one cte.Session with
+// cfg(b, i) and the build's Protocol, and classifies the first finding
+// by t's program (the guest.Classify rule set).
+func Local(t Target, cfg func(b *smt.Builder, i int) cte.Config) Stage {
 	return func(i int, fixed uint) (Row, error) {
 		b := smt.NewBuilder()
-		p := prog(fixed)
-		core, elf, err := guest.NewCore(b, p)
+		g, err := t.WithFixed(fixed).Build(b)
 		if err != nil {
 			return Row{}, err
 		}
 		c := cfg(b, i)
-		if c.Protocol, err = Protocol(p, elf); err != nil {
-			return Row{}, err
-		}
+		c.Protocol = g.Proto
 		start := time.Now()
-		rep := cte.NewSession(core, c).Run(context.Background())
+		rep := cte.NewSession(g.Core, c).Run(context.Background())
 		if strings.HasPrefix(rep.Stopped, "config: ") {
 			return Row{}, errors.New(rep.Stopped)
 		}
@@ -102,25 +98,11 @@ func Local(name string, prog func(fixed uint) guest.Program, cfg func(b *smt.Bui
 		}
 		if len(rep.Findings) > 0 {
 			e := rep.Findings[0].Err
-			r.Kind, r.PC, r.Func = e.Kind.String(), e.PC, guest.LocateFunc(elf, e.PC)
-			r.Bug = guest.Classify(name, elf, e.Kind, e.PC, fixed)
+			r.Kind, r.PC, r.Func = e.Kind.String(), e.PC, guest.LocateFunc(g.ELF, e.PC)
+			r.Bug = guest.Classify(t.Prog, g.ELF, e.Kind, e.PC, fixed)
 		}
 		return r, nil
 	}
-}
-
-// Protocol resolves a stateful program's ProtoSpec against its built
-// ELF into the engines' protocol config (a single-packet program gets
-// the zero config). cmd/cte, the campaign runner and Local share it.
-func Protocol(p guest.Program, elf *relf.File) (cte.ProtocolConfig, error) {
-	if p.Proto.StateSym == "" {
-		return cte.ProtocolConfig{}, nil
-	}
-	addr, ok := elf.Symbol(p.Proto.StateSym)
-	if !ok {
-		return cte.ProtocolConfig{}, fmt.Errorf("%s: no protocol-state symbol %q", p.Name, p.Proto.StateSym)
-	}
-	return cte.ProtocolConfig{Packets: p.Proto.Pkts, PktMax: p.Proto.Caps, StateAddr: addr, States: p.Proto.States}, nil
 }
 
 // descriptions holds the Table 2 description of each seeded tcpip bug.

@@ -10,14 +10,15 @@ import (
 
 	"rvcte/internal/cte"
 	"rvcte/internal/findfix"
-	"rvcte/internal/guest"
 	"rvcte/internal/qcache"
 	"rvcte/internal/smt"
 )
 
-func tcpip64(fixed uint) guest.Program { return guest.TCPIPProgram(fixed, 64) }
-
-func session3(fixed uint) guest.Program { return guest.TCPIPSessionProgram(fixed, nil, 3) }
+var (
+	tcpip64 = findfix.Target{Prog: "tcpip", PktMax: 64}
+	// session3 attaches every detector kind: each deep bug shows as one.
+	session3 = findfix.Target{Prog: "tcpip-session", Pkts: 3, Detectors: []string{"all"}}
+)
 
 var (
 	concolicOnce sync.Once
@@ -31,7 +32,7 @@ var (
 func tcpipConcolicFindFix() ([]findfix.Row, error) {
 	concolicOnce.Do(func() {
 		budgets := []int{400, 1200, 2500, 4000, 6000, 9000, 600}
-		concolicRows, concolicErr = findfix.Run(0, len(budgets), findfix.Local("tcpip", tcpip64,
+		concolicRows, concolicErr = findfix.Run(0, len(budgets), findfix.Local(tcpip64,
 			func(_ *smt.Builder, i int) cte.Config {
 				return cte.Config{StopOnError: true, Budget: cte.Budget{MaxPaths: budgets[i]}}
 			}))
@@ -124,7 +125,7 @@ func TestTCPIPHybridFindFixRerun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage exploration is slow")
 	}
-	rows, err := findfix.Run(0, 7, findfix.Local("tcpip", tcpip64, func(b *smt.Builder, i int) cte.Config {
+	rows, err := findfix.Run(0, 7, findfix.Local(tcpip64, func(b *smt.Builder, i int) cte.Config {
 		cfg := tcpipHybridOptions(b)
 		if i == 6 {
 			cfg.Budget.MaxExecs = 20_000 // bounded clean sweep of the patched stack
@@ -153,7 +154,7 @@ func TestSessionDeepBugsConcolic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage exploration is slow")
 	}
-	rows, err := findfix.Run(0, 4, findfix.Local("tcpip-session", session3, func(b *smt.Builder, i int) cte.Config {
+	rows, err := findfix.Run(0, 4, findfix.Local(session3, func(b *smt.Builder, i int) cte.Config {
 		maxPaths := 30_000
 		if i == 3 {
 			maxPaths = 4_000 // bounded clean sweep of the patched guest
@@ -164,7 +165,6 @@ func TestSessionDeepBugsConcolic(t *testing.T) {
 			// miss a stage's bug within the path budget.
 			Workers:     1,
 			StopOnError: true,
-			Detectors:   []string{"all"},
 			Budget:      cte.Budget{MaxPaths: maxPaths},
 			Cache:       cte.CacheConfig{Queries: qcache.New(b, qcache.Options{})},
 			// State-banked coverage scheduling is what makes the deep op
@@ -184,7 +184,7 @@ func TestSessionDeepBugsHybrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-stage fuzzing is slow")
 	}
-	rows, err := findfix.Run(0, 4, findfix.Local("tcpip-session", session3, func(b *smt.Builder, i int) cte.Config {
+	rows, err := findfix.Run(0, 4, findfix.Local(session3, func(b *smt.Builder, i int) cte.Config {
 		budget := cte.Budget{MaxExecs: 400_000, MaxInstrPerRun: 2_000_000}
 		if i == 3 {
 			budget.MaxExecs = 60_000 // bounded clean sweep of the patched guest
@@ -193,7 +193,6 @@ func TestSessionDeepBugsHybrid(t *testing.T) {
 			Mode:        cte.ModeHybrid,
 			Seed:        1,
 			StopOnError: true,
-			Detectors:   []string{"all"},
 			Cache:       cte.CacheConfig{Queries: qcache.New(b, qcache.Options{})},
 			Budget:      budget,
 			Fuzz: cte.FuzzConfig{

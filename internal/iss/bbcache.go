@@ -395,9 +395,6 @@ func (bc *bbCache) cloneFor() *bbCache {
 // two extent compares plus one bit-set per written line.
 func (c *Core) noteMemWrite(addr uint32, n int) {
 	if n > 0 {
-		// Any memory mutation ends the window in which consecutive fork
-		// checkpoints may share one memory snapshot (captureFork).
-		c.capMemo = nil
 		// A write covering the protocol-state byte re-reads it at the
 		// next instruction boundary (the hook fires before the bytes
 		// land, so the new value is not visible yet).

@@ -366,13 +366,6 @@ type Core struct {
 	// (which are bit-identical by construction). Zero captures always.
 	ForkMinPrefix uint64
 	forkPoints    map[int]*Checkpoint
-	// capMemo is the memory snapshot of the most recent checkpoint,
-	// reusable by the next capture as long as no memory write happened in
-	// between (noteMemWrite clears it). Checkpoint cores never execute —
-	// Resume always clones them first — so sharing one Memory between
-	// consecutive checkpoints is read-only and saves the dominant cost of
-	// capture (the page-table copy) on branch-dense code.
-	capMemo *concolic.Memory
 	// Pre-instruction rewind state for mid-instruction TC emission
 	// (recordPreState), valid only while CaptureForks is set.
 	preEPCLen   int
@@ -454,9 +447,8 @@ func (c *Core) Clone() *Core {
 
 // cloneState is Clone without the memory snapshot and the path's EPC,
 // Trace and Input: n still aliases those of c, and the caller installs
-// its own (a fork checkpoint takes only the EPC prefix, neither of the
-// others, and possibly a memory snapshot shared with the previous
-// checkpoint).
+// its own (a fork checkpoint takes only the EPC prefix and neither of
+// the others).
 func (c *Core) cloneState() *Core {
 	n := &Core{}
 	*n = *c
@@ -476,7 +468,6 @@ func (c *Core) cloneState() *Core {
 	// Fork-capture state: checkpoints belong to the original (the engine
 	// harvests them per path); a clone starts a clean capture epoch.
 	n.forkPoints = nil
-	n.capMemo = nil
 	n.outSym = append([]*smt.Expr(nil), c.outSym...)
 	// Fuzz-mode state is per-run: every clone starts with a fresh stream
 	// and edge map (the caller installs its own before Run).

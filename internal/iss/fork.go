@@ -88,18 +88,8 @@ func (c *Core) captureFork(site int) {
 	// instead of copying it; the capacity cap keeps an append from
 	// writing into the live core's array.
 	n.EPC = c.EPC[:c.preEPCLen:c.preEPCLen]
-	if memo := c.capMemo; memo != nil {
-		// No memory write since the previous checkpoint: share its memory
-		// snapshot instead of paying another page-table clone. Checkpoint
-		// cores are never executed directly (Resume clones them first), so
-		// the shared Memory is only ever read or re-cloned. This memo is
-		// only valid here — resumed clones execute and must never share.
-		n.Mem = memo
-	} else {
-		n.Mem = c.Mem.Clone()
-		n.Mem.OnWrite = n.noteMemWrite
-		c.capMemo = n.Mem
-	}
+	n.Mem = c.Mem.Clone()
+	n.Mem.OnWrite = n.noteMemWrite
 	n.Coverage = c.Coverage.Clone()
 	n.siteCount = c.preSite
 	n.traceRing = n.traceRing[:c.preRingLen]
