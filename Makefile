@@ -124,9 +124,11 @@ bench-iss:
 
 # Fork-vs-restart ablation on the deep guests (EXPERIMENTS.md "State
 # forking"): same explorations with checkpoints resumed, with the
-# capture threshold, and with full prefix re-execution.
+# capture threshold, and with full prefix re-execution; then the live
+# heap per queued checkpoint on the session guest (EXPERIMENTS.md
+# "Checkpoint memory").
 bench-fork:
-	$(GO) test -run NONE -bench BenchmarkForkVsRestart -benchtime 20x .
+	$(GO) test -run NONE -bench 'BenchmarkForkVsRestart|BenchmarkCheckpointMemory' -benchtime 20x .
 
 # Query-cache model validation (DESIGN.md "Query caching"): validating
 # a 256-condition shared-prefix set directly and as Check's exact hit,

@@ -12,18 +12,25 @@ import (
 var cteBin string
 
 func TestMain(m *testing.M) {
+	os.Exit(runTests(m))
+}
+
+// runTests builds the cte binary into a temporary directory, runs the
+// tests and returns their exit code. The directory is removed before
+// TestMain exits: os.Exit skips deferred calls.
+func runTests(m *testing.M) int {
 	dir, err := os.MkdirTemp("", "ctebin")
 	if err != nil {
-		os.Exit(1)
+		return 1
 	}
 	defer os.RemoveAll(dir)
 	cteBin = filepath.Join(dir, "cte")
 	out, err := exec.Command("go", "build", "-o", cteBin, ".").CombinedOutput()
 	if err != nil {
 		os.Stderr.Write(out)
-		os.Exit(1)
+		return 1
 	}
-	os.Exit(m.Run())
+	return m.Run()
 }
 
 // TestExitCodes pins the contract stated in the package comment:

@@ -3,11 +3,13 @@ package rvcte
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rvcte/internal/cte"
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
+	"rvcte/internal/obs"
 	"rvcte/internal/smt"
 )
 
@@ -138,4 +140,62 @@ func BenchmarkForkVsRestart(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCheckpointMemory measures what a live fork checkpoint costs
+// (make bench-fork): a one-worker, 300-path exploration of the
+// three-packet session guest with bugs 7-9 patched, every detector, the
+// coverage strategy and forking at a 2 000-instruction minimum prefix.
+// At the last path it reports the live heap the run added, per queued
+// checkpoint reference (the cte.fork_live gauge).
+func BenchmarkCheckpointMemory(b *testing.B) {
+	const maxPaths = 300
+	p := guest.TCPIPSessionProgram(1<<6|1<<7|1<<8, nil, 3)
+	var perCkpt, live, refs float64
+	for i := 0; i < b.N; i++ {
+		bld := smt.NewBuilder()
+		core, elf, err := guest.NewCore(bld, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		addr, ok := elf.Symbol(p.Proto.StateSym)
+		if !ok {
+			b.Fatalf("state symbol %q missing", p.Proto.StateSym)
+		}
+		o := obs.New()
+		eng := cte.NewSession(core, cte.Config{
+			Workers:   1,
+			Budget:    cte.Budget{MaxPaths: maxPaths},
+			Detectors: []string{"all"},
+			Explore:   cte.ExploreConfig{Strategy: cte.Coverage},
+			Fork:      cte.ForkConfig{Enabled: true, MinPrefix: 2000},
+			Protocol: cte.ProtocolConfig{Packets: p.Proto.Pkts, PktMax: p.Proto.Caps,
+				StateAddr: addr, States: p.Proto.States},
+			Obs: o,
+		})
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapAlloc
+		eng.OnPath = func(path int, _ *iss.Core) {
+			if path != maxPaths-1 {
+				return
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			n := o.Registry().Gauge("cte.fork_live").Value()
+			if n == 0 {
+				b.Fatal("no checkpoint is live at the last path")
+			}
+			live += float64(ms.HeapAlloc - base)
+			refs += float64(n)
+			perCkpt += float64(ms.HeapAlloc-base) / float64(n)
+		}
+		if rep := eng.Run(context.Background()); rep.Paths != maxPaths || len(rep.Findings) != 0 {
+			b.Fatalf("want %d paths and no findings, got %d paths, %d findings", maxPaths, rep.Paths, len(rep.Findings))
+		}
+	}
+	b.ReportMetric(perCkpt/float64(b.N), "B/ckpt")
+	b.ReportMetric(live/float64(b.N)/(1<<20), "live-MB")
+	b.ReportMetric(refs/float64(b.N), "ckpts")
 }

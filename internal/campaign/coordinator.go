@@ -59,6 +59,7 @@ type campaign struct {
 	corpus      [][]byte // append-ordered; CSeq cursors index into it
 	corpusIDs   map[string]bool
 	qentries    []qcache.WireEntry // append-ordered; QSeq cursors index into it
+	qfrom       []string           // qfrom[i] uploaded qentries[i]; "" when unknown (spooled)
 	qkeys       map[uint64]bool
 	leases      map[string]*lease
 	leaseSeq    int
@@ -227,7 +228,11 @@ func (co *Coordinator) checkDoneLocked(c *campaign) {
 // from the worker's preferred shard (hash(worker) % shards), stealing
 // from the fullest shard when the preferred one is empty; hybrid
 // campaigns hand out fuzzing timeboxes. The reply always carries the
-// query-cache and corpus deltas past the request's sync cursors.
+// query-cache and corpus deltas past the request's sync cursors, less
+// the query-cache entries the requester uploaded itself: its cache holds
+// them already. A cursor of 0 gets every entry, so a worker restarted
+// under the same id rebuilds its cache; entries of unknown uploader go
+// to every worker.
 func (co *Coordinator) Lease(id string, req LeaseRequest) (Lease, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -240,8 +245,10 @@ func (co *Coordinator) Lease(id string, req LeaseRequest) (Lease, error) {
 	defer c.gauges()
 
 	l := Lease{QSeq: len(c.qentries), CSeq: len(c.corpus), State: c.state}
-	if req.QSeq >= 0 && req.QSeq < len(c.qentries) {
-		l.QEntries = append([]qcache.WireEntry(nil), c.qentries[req.QSeq:]...)
+	for i := req.QSeq; i >= 0 && i < len(c.qentries); i++ {
+		if from := c.qfrom[i]; req.QSeq == 0 || from == "" || from != req.Worker {
+			l.QEntries = append(l.QEntries, c.qentries[i])
+		}
 	}
 	if req.CSeq >= 0 && req.CSeq < len(c.corpus) {
 		l.Corpus = append([][]byte(nil), c.corpus[req.CSeq:]...)
@@ -358,6 +365,12 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 		return ResultReply{}, nil
 	}
 	reply := ResultReply{Accepted: true}
+	// The uploader of the result's query-cache entries: the lease holder
+	// when the lease is still known, else the worker the result names.
+	from := res.Worker
+	if l := c.leases[res.Lease]; l != nil {
+		from = l.worker
+	}
 
 	covered := make(map[string]bool, len(res.Records)+len(res.Rejected))
 	// An input a worker could not import would fail every worker that
@@ -418,6 +431,7 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 		if e.Valid() && !c.qkeys[e.Key] {
 			c.qkeys[e.Key] = true
 			c.qentries = append(c.qentries, e)
+			c.qfrom = append(c.qfrom, from)
 		}
 	}
 	for _, in := range res.Corpus {

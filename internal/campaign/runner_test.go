@@ -86,3 +86,89 @@ func TestQCacheDeltaMatchesFullFilter(t *testing.T) {
 	}
 	t.Logf("%d leases, %d keys shipped, %d received", leases, shipped, received)
 }
+
+// TestLeaseSkipsOwnQEntries: a lease past cursor 0 carries no
+// query-cache entry its requester uploaded (the coordinator's first
+// writer of the key), yet a fresh runner under the same worker id,
+// whose cursor is 0, receives every entry of the campaign.
+func TestLeaseSkipsOwnQEntries(t *testing.T) {
+	co, _ := newTestCoordinator(t)
+	st, err := co.Create(Spec{Prog: "storm-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.Spec.ID
+	newRunner := func() *Runner {
+		r, err := NewRunner(st.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	names := []string{"a", "b"}
+	runners := []*Runner{newRunner(), newRunner()}
+	uploader := map[uint64]string{} // first uploader of each key, as the coordinator keeps it
+	peer := 0                       // entries received that the peer uploaded
+	for turn := 0; turn < 200; turn++ {
+		name, r := names[turn%2], runners[turn%2]
+		qseq, cseq := r.Cursors()
+		l, err := co.Lease(id, LeaseRequest{Worker: name, QSeq: qseq, CSeq: cseq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range l.QEntries {
+			if uploader[e.Key] == name {
+				if qseq > 0 {
+					t.Fatalf("turn %d: lease to %s echoes its own key %#x", turn, name, e.Key)
+				}
+				continue
+			}
+			peer++
+		}
+		r.Sync(l)
+		if l.Done {
+			break
+		}
+		if l.ID == "" {
+			continue
+		}
+		res := r.Run(context.Background(), l)
+		res.Worker = name
+		for _, e := range res.QEntries {
+			if _, ok := uploader[e.Key]; !ok {
+				uploader[e.Key] = name
+			}
+		}
+		if _, err := co.Result(id, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := co.Status(id); got.State != StateDone {
+		t.Fatalf("campaign not done: %s", got.State)
+	}
+	own := map[string]int{}
+	for _, n := range uploader {
+		own[n]++
+	}
+	if own["a"] == 0 || own["b"] == 0 || peer == 0 {
+		t.Fatalf("too little exchange: uploads %v, %d peer entries received", own, peer)
+	}
+
+	l, err := co.Lease(id, LeaseRequest{Worker: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint64]bool{}
+	for _, e := range l.QEntries {
+		got[e.Key] = true
+	}
+	if len(got) != len(uploader) {
+		t.Fatalf("fresh runner received %d keys, campaign holds %d", len(got), len(uploader))
+	}
+	for k := range uploader {
+		if !got[k] {
+			t.Fatalf("fresh runner is missing key %#x", k)
+		}
+	}
+	t.Logf("uploads %v; %d entries received from the peer, %d by the fresh runner", own, peer, len(got))
+}

@@ -181,6 +181,7 @@ func (co *Coordinator) loadSpool() error {
 			c.corpusIDs[fuzz.InputID(in)] = true
 		}
 		c.qentries = sc.QEntries
+		c.qfrom = make([]string, len(sc.QEntries))
 		for _, q := range sc.QEntries {
 			c.qkeys[q.Key] = true
 		}

@@ -298,19 +298,20 @@ func checkLineOwnership(t *testing.T, step int, mems func(func(*Memory))) {
 func TestConcreteStoresAllocateNoShadow(t *testing.T) {
 	b := smt.NewBuilder()
 	m := NewMemory(b)
+	const idx = 0x4000 >> pageBits
 	m.WriteBytes(0x4000, make([]byte, pageSize))
 	m.Store(0x4010, 4, Concrete(0xdeadbeef))
-	if p := m.pages[0x4]; p.lines != [pageLines]*symLine{} {
+	if p := m.pages[idx]; p.lines != [pageLines]*symLine{} {
 		t.Fatal("concrete stores allocated a shadow line")
 	}
 	m.MakeSymbolic(0x4000, []byte{1}, "x")
 	c := m.Clone()
 	c.StoreByte(0x4001, 7, nil) // same line as x, nil over nil
-	if cp, p := c.pages[0x4], m.pages[0x4]; cp.lines[0] != p.lines[0] || cp.own != 0 {
+	if cp, p := c.pages[idx], m.pages[idx]; cp.lines[0] != p.lines[0] || cp.own != 0 {
 		t.Fatal("nil over nil copied the shared line")
 	}
 	c.StoreByte(0x4000, 7, nil) // clears x: the line must be copied first
-	if cp, p := c.pages[0x4], m.pages[0x4]; cp.lines[0] == p.lines[0] || cp.own != 1 {
+	if cp, p := c.pages[idx], m.pages[idx]; cp.lines[0] == p.lines[0] || cp.own != 1 {
 		t.Fatal("clearing a shared entry wrote the shared line")
 	}
 	if _, e := m.LoadByteRaw(0x4000); e == nil {

@@ -9,7 +9,11 @@ import (
 )
 
 const (
-	pageBits = 12
+	// pageBits sets the copy-on-write granularity: a write to a shared
+	// page copies pageSize bytes. 1 KB pages keep a fork checkpoint's
+	// cost close to what its path wrote, while the page table of a guest
+	// image stays a few dozen entries (Clone copies it whole).
+	pageBits = 10
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 
@@ -38,7 +42,7 @@ type symLine [lineSize]*smt.Expr
 // (never written again), so its stale own bits are never consulted.
 type page struct {
 	// lines precedes data so the garbage collector scans only the
-	// pointer prefix of a page, not its 4 KB of bytes.
+	// pointer prefix of a page, not its 1 KB of bytes.
 	lines  [pageLines]*symLine
 	own    uint64
 	shared bool

@@ -31,7 +31,9 @@ func describePaths(t *testing.T, src string, cfg Config) ([]string, *Report) {
 // for every guest, the ordered path sequence produced with forking must
 // equal the restart-only baseline exactly, on every observable (inputs,
 // exits, errors, output, per-path instruction totals) and on the
-// aggregate solver statistics.
+// aggregate solver statistics. Under the Coverage strategy a resumed
+// path collects only its suffix PCs, so the same path order and covered
+// set show that checkpoints need no prefix coverage.
 func TestForkRestartParity(t *testing.T) {
 	guests := []struct {
 		name string
@@ -44,7 +46,7 @@ func TestForkRestartParity(t *testing.T) {
 		{"illegal-access", memBugSrc},
 	}
 	for _, g := range guests {
-		for _, strat := range []Strategy{BFS, DFS} {
+		for _, strat := range []Strategy{BFS, DFS, Coverage} {
 			t.Run(fmt.Sprintf("%s/%s", g.name, strat), func(t *testing.T) {
 				base := Config{Budget: Budget{MaxPaths: 400}, Explore: ExploreConfig{Strategy: strat}}
 				fOpt, rOpt := base, base
@@ -71,6 +73,14 @@ func TestForkRestartParity(t *testing.T) {
 				if len(forkRep.Findings) != len(restRep.Findings) {
 					t.Errorf("findings: fork %d restart %d",
 						len(forkRep.Findings), len(restRep.Findings))
+				}
+				if len(forkRep.Covered) != len(restRep.Covered) {
+					t.Errorf("covered PCs: fork %d restart %d", len(forkRep.Covered), len(restRep.Covered))
+				}
+				for pc := range restRep.Covered {
+					if _, ok := forkRep.Covered[pc]; !ok {
+						t.Errorf("fork run never covered %#x", pc)
+					}
 				}
 				// Forking must actually engage (every path beyond the seed
 				// resumes a checkpoint on these hook-free guests) and the

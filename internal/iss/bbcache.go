@@ -35,7 +35,7 @@ const (
 	maxBlockOps = 64
 
 	// bbPageBits sets the granularity of write tracking (64-byte lines).
-	// Finer than the 4KB memory pages so that data sitting on the same
+	// Finer than the 1 KB memory pages so that data sitting on the same
 	// page as code (common in small linked images) does not shadow the
 	// page's shared blocks on every data write.
 	bbPageBits = 6
@@ -46,7 +46,7 @@ const (
 	codePageMask = 1<<codePageBits - 1
 
 	// dirtyLeafBits sets the leaf size of a dirtySet: 2^12 lines (256 KB
-	// of RAM) per leaf, held in one uint64 of line bits per 4 KB page.
+	// of RAM) per leaf, held in one uint64 of line bits per 4 KB of RAM.
 	dirtyLeafBits  = 12
 	dirtyLeafWords = 1 << (dirtyLeafBits - 6)
 )
@@ -139,32 +139,49 @@ func (t *blockTable) each(fn func(*bblock)) {
 // dirtySet is the set of 64-byte RAM lines a core has written since it
 // was cloned, sized by what was written: a top level with one entry per
 // 2^dirtyLeafBits lines, and a leaf of line bits allocated on the first
-// write into its range.
-type dirtySet []*[dirtyLeafWords]uint64
+// write into its range. The zero value is the empty set.
+//
+// Leaves are copy-on-write, like the shadow lines of a memory page: bit
+// i of own says leaves[i] was allocated by this set and is referenced by
+// no other, so it may be written in place. A clone shares every leaf and
+// clears the source's own bits (cloneFor), so neither side writes a
+// shared leaf again: add copies it first, and only when the bit it sets
+// is not already set. own is nil until the first leaf is allocated or
+// copied.
+type dirtySet struct {
+	leaves []*dirtyLeaf
+	own    []uint64
+}
 
-func (d dirtySet) has(line uint32) bool {
-	l := d[line>>dirtyLeafBits]
+type dirtyLeaf [dirtyLeafWords]uint64
+
+func (d *dirtySet) has(line uint32) bool {
+	l := d.leaves[line>>dirtyLeafBits]
 	return l != nil && l[line>>6%dirtyLeafWords]&(1<<(line&63)) != 0
 }
 
-func (d dirtySet) add(line uint32) {
-	l := d[line>>dirtyLeafBits]
-	if l == nil {
-		l = new([dirtyLeafWords]uint64)
-		d[line>>dirtyLeafBits] = l
+func (d *dirtySet) add(line uint32) {
+	i := line >> dirtyLeafBits
+	w, bit := line>>6%dirtyLeafWords, uint64(1)<<(line&63)
+	l := d.leaves[i]
+	switch {
+	case l == nil:
+		l = new(dirtyLeaf)
+	case l[w]&bit != 0:
+		return
+	case d.own != nil && d.own[i>>6]&(1<<(i&63)) != 0:
+		l[w] |= bit
+		return
+	default:
+		cp := *l
+		l = &cp
 	}
-	l[line>>6%dirtyLeafWords] |= 1 << (line & 63)
-}
-
-func (d dirtySet) clone() dirtySet {
-	n := make(dirtySet, len(d))
-	for i, l := range d {
-		if l != nil {
-			cp := *l
-			n[i] = &cp
-		}
+	if d.own == nil {
+		d.own = make([]uint64, (len(d.leaves)+63)/64)
 	}
-	return n
+	d.leaves[i] = l
+	d.own[i>>6] |= 1 << (i & 63)
+	l[w] |= bit
 }
 
 // bbCache is the per-core cache state: a private mutable layer for
@@ -178,7 +195,7 @@ type bbCache struct {
 
 	shared *blockTable
 	// dirty holds the 64-byte RAM lines this core has written since it
-	// was cloned (or frozen); nil until the first tracked write. Shared
+	// was cloned (or frozen); empty until the first tracked write. Shared
 	// blocks touching a dirty line are ignored and re-decoded privately;
 	// only blocks decoded entirely from clean lines are published to the
 	// shared table. Tracked only while shared != nil — a root core's
@@ -211,7 +228,7 @@ func newBBCache(ramBase, ramSize uint32) *bbCache {
 // by this core since it was cloned. Callers guarantee the range lies in
 // RAM (blocks are only decoded from RAM).
 func (bc *bbCache) cleanRange(start, end uint32) bool {
-	if bc.dirty == nil {
+	if bc.dirty.leaves == nil {
 		return true
 	}
 	first, last := (start-bc.ramBase)>>bbPageBits, (end-1-bc.ramBase)>>bbPageBits
@@ -241,9 +258,9 @@ func (bc *bbCache) markDirty(lo, hi uint32) {
 		hi = uint32(ramEnd)
 	}
 	first, last := (lo-bc.ramBase)>>bbPageBits, (hi-1-bc.ramBase)>>bbPageBits
-	if bc.dirty == nil {
+	if bc.dirty.leaves == nil {
 		lines := (bc.ramSize >> bbPageBits) + 1
-		bc.dirty = make(dirtySet, (lines>>dirtyLeafBits)+1)
+		bc.dirty.leaves = make([]*dirtyLeaf, (lines>>dirtyLeafBits)+1)
 		bc.dirtyLo, bc.dirtyHi = first, last
 	}
 	bc.dirtyLo, bc.dirtyHi = min(bc.dirtyLo, first), max(bc.dirtyHi, last)
@@ -343,7 +360,7 @@ func (bc *bbCache) invalidate(lo, hi uint32) bool {
 // in its private layer. Afterwards the core's memory is the new
 // baseline, so the dirty set resets.
 func (bc *bbCache) freeze() {
-	if bc.shared != nil && len(bc.blocks) == 0 && bc.dirty == nil {
+	if bc.shared != nil && len(bc.blocks) == 0 && bc.dirty.leaves == nil {
 		// Nothing private and nothing stale: the current shared table
 		// already matches this core's memory and keeps growing as clones
 		// publish into it. (When shared is nil we fall through even with
@@ -371,18 +388,23 @@ func (bc *bbCache) freeze() {
 	bc.blocks = make(map[uint32]*bblock)
 	bc.pages = make(map[uint32][]*bblock)
 	bc.lo, bc.hi = ^uint32(0), 0
-	bc.dirty = nil
+	bc.dirty = dirtySet{}
 }
 
 // cloneFor returns the cache for a clone of the owning core: the shared
 // table is carried over (safe for concurrent publishing), the private
 // layer is rebuilt lazily, and the dirty set is inherited (the clone's
-// memory contains the parent's writes).
+// memory contains the parent's writes). The clone copies only the
+// dirty set's top level and shares its leaves; clearing the owner's own
+// bits makes them read-only on both sides. A fork checkpoint never runs,
+// so its own slice stays nil and concurrent cloners of one checkpoint
+// write nothing.
 func (bc *bbCache) cloneFor() *bbCache {
 	n := newBBCache(bc.ramBase, bc.ramSize)
 	n.shared = bc.shared
-	if bc.dirty != nil {
-		n.dirty = bc.dirty.clone()
+	if bc.dirty.leaves != nil {
+		clear(bc.dirty.own)
+		n.dirty.leaves = append([]*dirtyLeaf(nil), bc.dirty.leaves...)
 		n.dirtyLo, n.dirtyHi = bc.dirtyLo, bc.dirtyHi
 	}
 	return n

@@ -292,6 +292,137 @@ func TestDirtyLinesMatchReference(t *testing.T) {
 	}
 }
 
+// TestDirtySetCopyOnWrite: cloneFor shares every dirty leaf and leaves
+// both sides without own bits; from then on each side's writes stay
+// invisible to the other, and re-marking a line that is already dirty
+// copies nothing. A fork checkpoint is cloned on every Resume: the
+// resumed core shares the checkpoint's leaves, and neither Resume nor
+// the resumed run writes into them.
+func TestDirtySetCopyOnWrite(t *testing.T) {
+	const base, size = 0x80000000, 4 << 20
+	rng := rand.New(rand.NewSource(2))
+	mark := func(bc *bbCache, ref map[uint32]bool) {
+		lo := base + uint32(rng.Intn(size-256))
+		hi := lo + 1 + uint32(rng.Intn(200))
+		bc.markDirty(lo, hi)
+		for l := (lo - base) >> bbPageBits; l <= (hi-1-base)>>bbPageBits; l++ {
+			ref[l] = true
+		}
+	}
+	check := func(what string, bc *bbCache, ref map[uint32]bool) {
+		t.Helper()
+		for l := uint32(0); l < size>>bbPageBits; l++ {
+			a := base + l<<bbPageBits
+			if got := bc.cleanRange(a, a+1); got == ref[l] {
+				t.Fatalf("%s: line %#x clean=%v, reference dirty=%v", what, l, got, ref[l])
+			}
+		}
+	}
+	live, ref := newBBCache(base, size), map[uint32]bool{}
+	for i := 0; i < 100; i++ {
+		mark(live, ref)
+	}
+	n := live.cloneFor()
+	nref := map[uint32]bool{}
+	for l := range ref {
+		nref[l] = true
+	}
+	for i, l := range live.dirty.leaves {
+		if n.dirty.leaves[i] != l {
+			t.Fatalf("leaf %d copied by cloneFor", i)
+		}
+	}
+	for _, w := range live.dirty.own {
+		if w != 0 {
+			t.Fatal("cloneFor left an own bit on a shared leaf")
+		}
+	}
+	var first uint32
+	for l := range ref {
+		first = l
+		break
+	}
+	n.markDirty(base+first<<bbPageBits, base+first<<bbPageBits+1)
+	if leaf := first >> dirtyLeafBits; n.dirty.leaves[leaf] != live.dirty.leaves[leaf] || n.dirty.own != nil {
+		t.Fatal("re-marking a dirty line copied its leaf")
+	}
+	for i := 0; i < 200; i++ {
+		if i%2 == 0 {
+			mark(live, ref)
+		} else {
+			mark(n, nref)
+		}
+	}
+	check("source", live, ref)
+	check("clone", n, nref)
+
+	c := buildCore(t, `
+	_start:
+		la t1, buf
+		li t0, 7
+		sw t0, 0(t1)
+		sw t0, 256(t1)
+		la a0, x
+		li a1, 4
+		la a2, name
+		li a7, 1
+		ecall
+		la a0, x
+		lw a0, 0(a0)
+		li a1, 5
+		bltu a0, a1, small
+		la t1, buf
+		sw a0, 512(t1)
+		li a0, 1
+	`+exitSeq+`
+	small:
+		li a0, 0
+	`+exitSeq+`
+	.data
+	x: .word 0
+	name: .asciz "x"
+	.align 2
+	buf: .space 1024
+	`)
+	c.Freeze()
+	c = c.Clone()
+	c.CaptureForks = true
+	c.Run(0)
+	if len(c.Trace) != 1 {
+		t.Fatalf("%d trace conditions, want 1 (err %v)", len(c.Trace), c.Err)
+	}
+	cp := c.Checkpoint(c.Trace[0].SiteIdx)
+	if cp == nil {
+		t.Fatal("no checkpoint at the branch")
+	}
+	ck := &cp.core.bb.dirty
+	if ck.leaves == nil || ck.own != nil {
+		t.Fatalf("checkpoint dirty set: leaves %v, own %v", ck.leaves != nil, ck.own)
+	}
+	before := make([]dirtyLeaf, len(ck.leaves))
+	for i, l := range ck.leaves {
+		if l != nil {
+			before[i] = *l
+		}
+	}
+	r := cp.Resume(1)
+	for i, l := range ck.leaves {
+		if r.bb.dirty.leaves[i] != l {
+			t.Fatalf("Resume copied dirty leaf %d", i)
+		}
+	}
+	r.ApplyModel(smt.Assignment{0: 9})
+	r.Run(0)
+	if r.ExitCode != 1 {
+		t.Fatalf("resumed run exited %d, want 1", r.ExitCode)
+	}
+	for i, l := range ck.leaves {
+		if l != nil && *l != before[i] || ck.own != nil {
+			t.Fatalf("the resumed run wrote checkpoint leaf %d", i)
+		}
+	}
+}
+
 // TestBlockTablePublish: the shared table serves a block at its exact
 // start PC only, keeps the first of two blocks published at one PC, and
 // has no slot for odd PCs or PCs outside RAM. Freezing carries over the

@@ -240,7 +240,10 @@ type Core struct {
 
 	// TrackCoverage enables per-run PC coverage collection into Coverage
 	// (used by the coverage-guided search strategy, paper §5 future
-	// work 3).
+	// work 3). A core resumed from a fork checkpoint holds only the PCs
+	// of its suffix: the checkpoint carries no prefix coverage, because
+	// the parent path's coverage, prefix included, was merged into the
+	// run's total before the child was queued.
 	TrackCoverage bool
 	Coverage      PCSet
 

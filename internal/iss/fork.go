@@ -29,6 +29,11 @@ import (
 //     the same unassigned-variables-are-zero completion the restart
 //     path uses), which makes the resumed state bit-identical to the
 //     restart run at the same point.
+//   - Coverage is the one exception: a resumed core collects only the
+//     PCs of its suffix. The engine merges a path's coverage into the
+//     run's total before it queues that path's children, so the prefix
+//     PCs are already counted when a child runs, and a child's count of
+//     new PCs is the same as a restart run's.
 //
 // Capture is skipped (and the engine falls back to a snapshot restart
 // for that child) under an ExecHook: the hook's external state cannot
@@ -81,6 +86,8 @@ func (c *Core) captureFork(site int) {
 	}
 	// The checkpoint copies no per-path input state: the resuming child
 	// installs its own Input (ApplyModel) and collects a fresh Trace.
+	// Nor does it carry the prefix coverage (cloneState resets it): see
+	// Core.Coverage.
 	n := c.cloneState()
 	n.Input = nil
 	n.Trace = nil
@@ -90,20 +97,10 @@ func (c *Core) captureFork(site int) {
 	n.EPC = c.EPC[:c.preEPCLen:c.preEPCLen]
 	n.Mem = c.Mem.Clone()
 	n.Mem.OnWrite = n.noteMemWrite
-	n.Coverage = c.Coverage.Clone()
 	n.siteCount = c.preSite
 	n.traceRing = n.traceRing[:c.preRingLen]
 	n.traceNext = c.preRingNext
 	c.forkPoints[site] = &Checkpoint{core: n}
-}
-
-// cloneForFork is Clone plus the prefix coverage: Clone resets Coverage
-// (it is per-run), but a resumed fork must report prefix+suffix
-// coverage exactly like a restart run would.
-func (c *Core) cloneForFork() *Core {
-	n := c.Clone()
-	n.Coverage = c.Coverage.Clone()
-	return n
 }
 
 // Checkpoint returns the checkpoint captured at site during the last
@@ -131,7 +128,7 @@ func (c *Core) Checkpoints() int {
 // field, and detector state and the block cache clone from it without
 // mutating it.
 func (cp *Checkpoint) Resume(bound int) *Core {
-	n := cp.core.cloneForFork()
+	n := cp.core.Clone()
 	n.Bound = bound
 	return n
 }

@@ -11,8 +11,7 @@ import "math/bits"
 // pointer-free words that copy with one memmove. An odd PC is recorded
 // as the halfword that contains it.
 //
-// The zero value is an empty set. Assigning a PCSet aliases its storage;
-// use Clone for an independent copy.
+// The zero value is an empty set. Assigning a PCSet aliases its storage.
 type PCSet struct {
 	base  uint32   // halfword index of bit 0 of words[0], a multiple of 64
 	words []uint64 // bit j of words[i]: halfword base + 64*i + j
@@ -70,14 +69,6 @@ func (s *PCSet) Each(fn func(pc uint32)) {
 			fn((s.base + uint32(i)<<6 + uint32(j)) << 1)
 		}
 	}
-}
-
-// Clone returns an independent copy of the set.
-func (s *PCSet) Clone() PCSet {
-	if len(s.words) == 0 {
-		return PCSet{}
-	}
-	return PCSet{base: s.base, words: append([]uint64(nil), s.words...)}
 }
 
 // Union adds every PC of o to s and returns how many were new to s.
