@@ -25,17 +25,17 @@ type campaignOpts struct {
 	submit            string // client
 	findFix           bool
 
-	target        findfix.Target
-	fuzz          bool
-	bmc           bool
-	bmcK          int
-	shards, batch int
-	leaseTTL      time.Duration
-	maxPaths      int
-	maxInstr      uint64
-	maxConflicts  int
-	stopOnError   bool
-	seed          int64
+	target       findfix.Target
+	fuzz         bool
+	bmc          bool
+	bmcK         int
+	batch        int
+	leaseTTL     time.Duration
+	maxPaths     int
+	maxInstr     uint64
+	maxConflicts int
+	stopOnError  bool
+	seed         int64
 }
 
 // validateCampaignFlags enforces the mode matrix: -serve, -connect,
@@ -168,7 +168,7 @@ func specFor(o campaignOpts) campaign.Spec {
 	s := campaign.Spec{
 		Prog: t.Prog, FixList: t.Fix, PktMax: t.PktMax,
 		Pkts: t.Pkts, PktCaps: t.PktCaps, Detectors: t.Detectors,
-		Shards: o.shards, Batch: o.batch, LeaseTTLMS: o.leaseTTL.Milliseconds(),
+		Batch: o.batch, LeaseTTLMS: o.leaseTTL.Milliseconds(),
 		MaxPaths: o.maxPaths, MaxInstr: o.maxInstr, MaxConflicts: o.maxConflicts,
 		StopOnError: o.stopOnError, Seed: o.seed,
 	}

@@ -88,7 +88,6 @@ func main() {
 	workerID := flag.String("worker-id", "", "with -connect: stable worker identity (default hostname-pid)")
 	submitAddr := flag.String("submit", "", "campaign client: submit -prog as a campaign to the coordinator at this address and stream its findings")
 	findFix := flag.Bool("findfix", false, "with -submit -prog tcpip: iterate stop-on-error campaigns, patching each classified bug, until the stack explores clean")
-	shards := flag.Int("shards", 0, "with -submit: frontier shard count (0 = coordinator default)")
 	batch := flag.Int("batch", 0, "with -submit: frontier inputs per lease (0 = coordinator default)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "with -submit: lease lifetime before re-assignment (0 = coordinator default)")
 	flag.Parse()
@@ -112,7 +111,7 @@ func main() {
 		target: target,
 		fuzz:   *fuzzMode,
 		bmc:    *bmcMode, bmcK: *bmcK,
-		shards: *shards, batch: *batch, leaseTTL: *leaseTTL,
+		batch: *batch, leaseTTL: *leaseTTL,
 		maxPaths: *maxPaths, maxInstr: *maxInstr, maxConflicts: *maxConflicts,
 		stopOnError: *stopOnError, seed: *seed,
 	}
@@ -491,11 +490,9 @@ func printBMCReport(b *smt.Builder, elf *relf.File, rep *cte.Report) {
 		}
 		fmt.Printf("  input: %s\n", cte.DescribeInput(b, f.Input))
 		bf := br.Findings[i]
-		status := "model not replayed (-bmc runs confirm by default)"
+		status := "NOT reproduced by concrete replay — possible encoding bug"
 		if bf.Confirmed {
 			status = fmt.Sprintf("confirmed by concrete replay at depth %d", bf.Depth)
-		} else if br.Replayed {
-			status = "NOT reproduced by concrete replay — possible encoding bug"
 		}
 		fmt.Printf("  %s\n", status)
 	}

@@ -50,10 +50,7 @@ type Config struct {
 	// MaxConflicts bounds each solver query (0 = unlimited); exhausted
 	// queries leave the bug site "unknown" instead of blocking.
 	MaxConflicts int
-	// NoReplay skips the concrete confirmation replay of each finding's
-	// model through the concolic ISS.
-	NoReplay bool
-	Obs      *obs.Obs
+	Obs          *obs.Obs
 }
 
 // Finding is one solver-confirmed reachable bug site.
@@ -66,7 +63,7 @@ type Finding struct {
 	Input smt.Assignment // model of the reachability query
 	// Confirmed reports that replaying Input through the concolic ISS
 	// reproduced exactly this (Kind, PC) — the zero-false-positive
-	// check. Always false with Config.NoReplay.
+	// check.
 	Confirmed bool
 }
 
@@ -100,11 +97,7 @@ type Report struct {
 	Complete bool
 	// Stopped says why the unrolling ended: "exhausted" | "depth" |
 	// "state-budget" | "canceled".
-	Stopped string
-	// Replayed records whether findings were confirmation-replayed
-	// (Config.NoReplay off), i.e. whether Finding.Confirmed is
-	// meaningful.
-	Replayed bool
+	Stopped  string
 	Findings []Finding
 	// Accounted holds the guards of every terminated, truncated and
 	// dropped state. With Complete, they partition the input space:
@@ -280,7 +273,7 @@ func (x *Executor) initialState() *state {
 // are correct, just slower.
 func (x *Executor) Run(ctx context.Context) *Report {
 	start := time.Now()
-	x.rep = Report{K: x.cfg.K, Unsupported: x.unsup, Replayed: !x.cfg.NoReplay}
+	x.rep = Report{K: x.cfg.K, Unsupported: x.unsup}
 	pool := map[uint32][]*state{}
 	x.insert(pool, x.initialState())
 	live := 1
@@ -482,9 +475,7 @@ func (x *Executor) solveSites(ctx context.Context) {
 				f.Depth, f.Addr, f.Msg = v.depth, v.addr, v.msg
 			}
 		}
-		if !x.cfg.NoReplay {
-			f.Confirmed = x.confirm(f)
-		}
+		f.Confirmed = x.confirm(f)
 		x.rep.Findings = append(x.rep.Findings, f)
 	}
 	x.rep.SolverTime = solver.Stats.SolverTime

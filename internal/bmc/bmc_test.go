@@ -126,7 +126,7 @@ func TestCompareTamperedConcolicSet(t *testing.T) {
 // run was Complete (nothing unsupported), so missing a finding is not
 // excusable.
 func TestCompareDepthMismatch(t *testing.T) {
-	rep := runStorm(t, bmc.Config{K: 20, NoReplay: true})
+	rep := runStorm(t, bmc.Config{K: 20})
 	if !rep.Complete {
 		t.Fatalf("unsupported drops at K=20: %v", rep.Unsupported)
 	}

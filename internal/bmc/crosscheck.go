@@ -127,7 +127,7 @@ func Compare(rep *Report, concolicBugs []BugKey) (*CrossReport, error) {
 		faults = append(faults, fmt.Sprintf("%d bug sites left unknown by the solver budget", rep.Unknown))
 	}
 	for _, f := range rep.Findings {
-		if rep.Replayed && !f.Confirmed {
+		if !f.Confirmed {
 			faults = append(faults, fmt.Sprintf("finding %v@%#x did not reproduce on concrete replay", f.Kind, f.PC))
 		}
 	}

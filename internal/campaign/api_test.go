@@ -166,7 +166,7 @@ func TestFindingsStreamOverHTTP(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	st, err := cl.Create(ctx, Spec{Prog: "sensor", Shards: 2, Batch: 8, LeaseTTLMS: 60_000, StopOnError: true})
+	st, err := cl.Create(ctx, Spec{Prog: "sensor", Batch: 8, LeaseTTLMS: 60_000, StopOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCancelOverHTTP(t *testing.T) {
 	cl := NewClient(ts.URL)
 	ctx := context.Background()
 
-	st, err := cl.Create(ctx, Spec{Prog: "storm-s", Shards: 2})
+	st, err := cl.Create(ctx, Spec{Prog: "storm-s"})
 	if err != nil {
 		t.Fatal(err)
 	}

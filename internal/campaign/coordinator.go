@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -14,20 +13,19 @@ import (
 	"rvcte/internal/qcache"
 )
 
-// Coordinator owns the campaigns of one control plane: the sharded
-// frontiers, the lease table, and all dedup state. Every public method
+// Coordinator owns the campaigns of one control plane: the frontier
+// queues, the lease table, and all dedup state. Every public method
 // is safe for concurrent use; one mutex guards everything (the work
 // units — path executions — are orders of magnitude more expensive than
 // any bookkeeping here, so a single lock never contends meaningfully).
 //
-// Lease lifecycle: a batch of inputs pops off one shard into a lease
-// with a TTL deadline. Heartbeats extend the deadline; a lease past its
-// deadline is swept on the next public call — its unexecuted inputs
-// return to the *front* of their shard (oldest work first) and the
-// lease id is forgotten, so the original worker's late result is still
-// accepted but its records land in the executed-key dedup. A worker
-// whose preferred shard (hash of its id) is empty steals from the
-// fullest shard, so a straggler's backlog drains fleet-wide.
+// Lease lifecycle: a batch of inputs pops off the front of the
+// campaign's frontier into a lease with a TTL deadline. Heartbeats
+// extend the deadline; a lease past its deadline is swept on the next
+// public call — its unexecuted inputs return to the *front* of the
+// frontier (oldest work first) and the lease id is forgotten, so the
+// original worker's late result is still accepted but its records land
+// in the executed-key dedup.
 type Coordinator struct {
 	mu        sync.Mutex
 	cond      *sync.Cond // broadcast on any campaign mutation
@@ -41,8 +39,7 @@ type Coordinator struct {
 type lease struct {
 	id       string
 	worker   string
-	shard    int // -1 for hybrid timeboxes
-	inputs   []cte.WireInput
+	inputs   []cte.WireInput // none for hybrid timeboxes
 	deadline time.Time
 }
 
@@ -50,9 +47,9 @@ type campaign struct {
 	spec  Spec
 	state string
 
-	shards      [][]cte.WireInput // per-shard pending queues (FIFO)
-	seen        map[string]bool   // every input key ever enqueued
-	executed    map[string]bool   // every input key with an accepted record
+	frontier    []cte.WireInput // pending inputs (FIFO)
+	seen        map[string]bool // every input key ever enqueued
+	executed    map[string]bool // every input key with an accepted record
 	records     []PathRecord
 	findings    []WireFinding
 	findingKeys map[string]bool
@@ -66,15 +63,15 @@ type campaign struct {
 	stats       Stats
 
 	// Scoped metrics (campaign.<id>.*) in the coordinator's registry.
-	mPaths, mFindings, mDup, mExpired, mStolen *obs.Counter
-	gPending, gLeases                          *obs.Gauge
+	mPaths, mFindings, mDup, mExpired *obs.Counter
+	gPending, gLeases                 *obs.Gauge
 }
 
 // NewCoordinator creates a coordinator. With a non-empty spool
 // directory, campaign state persists across restarts: every mutation
 // rewrites <spool>/<id>.json atomically, and a new coordinator over the
 // same directory resumes every campaign mid-flight (outstanding leases
-// are returned to their shards — the workers holding them will be
+// are returned to the frontier — the workers holding them will be
 // re-leased the same inputs and any late duplicate results are dropped
 // by the executed-key dedup).
 func NewCoordinator(spool string, o *obs.Obs) (*Coordinator, error) {
@@ -93,12 +90,6 @@ func NewCoordinator(spool string, o *obs.Obs) (*Coordinator, error) {
 	return co, nil
 }
 
-func shardOf(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
-
 // Create registers a new campaign and seeds its frontier with the root
 // input (the all-free assignment).
 func (co *Coordinator) Create(spec Spec) (Status, error) {
@@ -113,7 +104,7 @@ func (co *Coordinator) Create(spec Spec) (Status, error) {
 	if spec.Mode == "concolic" {
 		root := cte.WireInput{}
 		c.seen[root.Key()] = true
-		c.shards[shardOf(root.Key(), spec.Shards)] = append(c.shards[shardOf(root.Key(), spec.Shards)], root)
+		c.frontier = append(c.frontier, root)
 	}
 	c.wireMetrics(co.obs)
 	co.campaigns[spec.ID] = c
@@ -129,7 +120,6 @@ func newCampaign(spec Spec) *campaign {
 	return &campaign{
 		spec:        spec,
 		state:       StateRunning,
-		shards:      make([][]cte.WireInput, spec.Shards),
 		seen:        map[string]bool{},
 		executed:    map[string]bool{},
 		findingKeys: map[string]bool{},
@@ -145,21 +135,12 @@ func (c *campaign) wireMetrics(o *obs.Obs) {
 	c.mFindings = s.Counter("findings")
 	c.mDup = s.Counter("duplicates")
 	c.mExpired = s.Counter("expired")
-	c.mStolen = s.Counter("stolen")
 	c.gPending = s.Gauge("pending")
 	c.gLeases = s.Gauge("leases")
 }
 
-func (c *campaign) pending() int {
-	n := 0
-	for _, s := range c.shards {
-		n += len(s)
-	}
-	return n
-}
-
 func (c *campaign) gauges() {
-	c.gPending.Set(int64(c.pending()))
+	c.gPending.Set(int64(len(c.frontier)))
 	c.gLeases.Set(int64(len(c.leases)))
 }
 
@@ -173,7 +154,7 @@ func (co *Coordinator) get(id string) (*campaign, error) {
 }
 
 // sweepLocked reclaims expired leases: their unexecuted inputs return
-// to the front of their shard (lazy expiry — runs on every public call,
+// to the front of the frontier (lazy expiry — runs on every public call,
 // so an idle coordinator converges as soon as anyone talks to it).
 func (co *Coordinator) sweepLocked(c *campaign) {
 	now := co.now()
@@ -189,20 +170,24 @@ func (co *Coordinator) sweepLocked(c *campaign) {
 }
 
 // requeueLocked returns a lease's not-yet-executed inputs to the front
-// of its shard.
-func (co *Coordinator) requeueLocked(c *campaign, l *lease) {
-	if l.shard < 0 {
-		return
+// of the frontier and reports how many there were.
+func (co *Coordinator) requeueLocked(c *campaign, l *lease) int {
+	back := c.unexecuted(l.inputs)
+	if len(back) > 0 {
+		c.frontier = append(back, c.frontier...)
 	}
-	var back []cte.WireInput
-	for _, in := range l.inputs {
+	return len(back)
+}
+
+// unexecuted returns the inputs of ins without an accepted record.
+func (c *campaign) unexecuted(ins []cte.WireInput) []cte.WireInput {
+	var out []cte.WireInput
+	for _, in := range ins {
 		if !c.executed[in.Key()] {
-			back = append(back, in)
+			out = append(out, in)
 		}
 	}
-	if len(back) > 0 {
-		c.shards[l.shard] = append(back, c.shards[l.shard]...)
-	}
+	return out
 }
 
 // checkDoneLocked transitions a running campaign to done when its
@@ -215,7 +200,7 @@ func (co *Coordinator) checkDoneLocked(c *campaign) {
 	case c.spec.StopOnError && len(c.findings) > 0:
 	case c.spec.MaxPaths > 0 && c.stats.Paths >= c.spec.MaxPaths:
 	case c.spec.MaxExecs > 0 && c.stats.Execs >= c.spec.MaxExecs:
-	case c.spec.Mode == "concolic" && c.pending() == 0 && len(c.leases) == 0:
+	case c.spec.Mode == "concolic" && len(c.frontier) == 0 && len(c.leases) == 0:
 	default:
 		return
 	}
@@ -225,14 +210,12 @@ func (co *Coordinator) checkDoneLocked(c *campaign) {
 }
 
 // Lease claims work for a worker. Concolic campaigns hand out a batch
-// from the worker's preferred shard (hash(worker) % shards), stealing
-// from the fullest shard when the preferred one is empty; hybrid
-// campaigns hand out fuzzing timeboxes. The reply always carries the
-// query-cache and corpus deltas past the request's sync cursors, less
-// the query-cache entries the requester uploaded itself: its cache holds
-// them already. A cursor of 0 gets every entry, so a worker restarted
-// under the same id rebuilds its cache; entries of unknown uploader go
-// to every worker.
+// from the front of the frontier; hybrid campaigns hand out fuzzing
+// timeboxes. The reply always carries the query-cache and corpus deltas
+// past the request's sync cursors, less the query-cache entries the
+// requester uploaded itself: its cache holds them already. A Fresh
+// request gets every entry, so a worker restarted under the same id
+// rebuilds its cache; entries of unknown uploader go to every worker.
 func (co *Coordinator) Lease(id string, req LeaseRequest) (Lease, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -246,7 +229,7 @@ func (co *Coordinator) Lease(id string, req LeaseRequest) (Lease, error) {
 
 	l := Lease{QSeq: len(c.qentries), CSeq: len(c.corpus), State: c.state}
 	for i := req.QSeq; i >= 0 && i < len(c.qentries); i++ {
-		if from := c.qfrom[i]; req.QSeq == 0 || from == "" || from != req.Worker {
+		if from := c.qfrom[i]; req.Fresh || from == "" || from != req.Worker {
 			l.QEntries = append(l.QEntries, c.qentries[i])
 		}
 	}
@@ -263,14 +246,14 @@ func (co *Coordinator) Lease(id string, req LeaseRequest) (Lease, error) {
 	ttl := time.Duration(c.spec.LeaseTTLMS) * time.Millisecond
 
 	if c.spec.Mode == "hybrid" {
-		c.leases[lid] = &lease{id: lid, worker: req.Worker, shard: -1, deadline: co.now().Add(ttl)}
-		l.ID, l.Shard, l.FuzzMS, l.TTLMS = lid, -1, c.spec.FuzzLeaseMS, c.spec.LeaseTTLMS
+		c.leases[lid] = &lease{id: lid, worker: req.Worker, deadline: co.now().Add(ttl)}
+		l.ID, l.FuzzMS, l.TTLMS = lid, c.spec.FuzzLeaseMS, c.spec.LeaseTTLMS
 		co.persistLocked(c)
 		return l, nil
 	}
 
-	shard := co.pickShardLocked(c, req.Worker)
-	if shard < 0 {
+	batch := co.popBatchLocked(c)
+	if len(batch) == 0 {
 		// Nothing pending: either other workers hold the rest (poll
 		// again) or the campaign just finished.
 		co.checkDoneLocked(c)
@@ -278,49 +261,20 @@ func (co *Coordinator) Lease(id string, req LeaseRequest) (Lease, error) {
 		l.State = c.state
 		return l, nil
 	}
-	batch := co.popBatchLocked(c, shard)
-	if len(batch) == 0 {
-		co.checkDoneLocked(c)
-		l.Done = c.state != StateRunning
-		l.State = c.state
-		return l, nil
-	}
-	lw := &lease{id: lid, worker: req.Worker, shard: shard, inputs: batch, deadline: co.now().Add(ttl)}
-	c.leases[lid] = lw
-	l.ID, l.Shard, l.Inputs, l.TTLMS = lid, shard, batch, c.spec.LeaseTTLMS
+	c.leases[lid] = &lease{id: lid, worker: req.Worker, inputs: batch, deadline: co.now().Add(ttl)}
+	l.ID, l.Inputs, l.TTLMS = lid, batch, c.spec.LeaseTTLMS
 	co.persistLocked(c)
 	return l, nil
 }
 
-// pickShardLocked chooses the shard to lease from: the worker's
-// preferred shard when non-empty, else the fullest (a steal). -1 when
-// every shard is empty.
-func (co *Coordinator) pickShardLocked(c *campaign, worker string) int {
-	pref := shardOf(worker, c.spec.Shards)
-	if len(c.shards[pref]) > 0 {
-		return pref
-	}
-	best, n := -1, 0
-	for i, s := range c.shards {
-		if len(s) > n {
-			best, n = i, len(s)
-		}
-	}
-	if best >= 0 {
-		c.stats.Stolen++
-		c.mStolen.Inc()
-	}
-	return best
-}
-
-// popBatchLocked pops up to Batch inputs off a shard, skipping any key
-// that has been executed since it was enqueued (a late result beat the
-// queue).
-func (co *Coordinator) popBatchLocked(c *campaign, shard int) []cte.WireInput {
+// popBatchLocked pops up to Batch inputs off the front of the frontier,
+// skipping any key that has been executed since it was enqueued (a late
+// result beat the queue).
+func (co *Coordinator) popBatchLocked(c *campaign) []cte.WireInput {
 	var batch []cte.WireInput
-	for len(batch) < c.spec.Batch && len(c.shards[shard]) > 0 {
-		in := c.shards[shard][0]
-		c.shards[shard] = c.shards[shard][1:]
+	for len(batch) < c.spec.Batch && len(c.frontier) > 0 {
+		in := c.frontier[0]
+		c.frontier = c.frontier[1:]
 		if c.executed[in.Key()] {
 			continue
 		}
@@ -352,7 +306,7 @@ func (co *Coordinator) Heartbeat(id, leaseID string) (HeartbeatReply, error) {
 // leases) are still merged — the executed-key dedup guarantees every
 // path key contributes exactly one record no matter how many workers
 // ran it. Inputs the worker did not execute (a stop-on-error lease that
-// ended early) return to their shard.
+// ended early) return to the front of the frontier.
 func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -372,7 +326,6 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 		from = l.worker
 	}
 
-	covered := make(map[string]bool, len(res.Records)+len(res.Rejected))
 	// An input a worker could not import would fail every worker that
 	// leased it: drop it, as if it had run.
 	for _, k := range res.Rejected {
@@ -380,10 +333,8 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 			c.executed[k] = true
 			c.stats.Rejected++
 		}
-		covered[k] = true
 	}
 	for _, r := range res.Records {
-		covered[r.Key] = true
 		if c.executed[r.Key] {
 			c.stats.Duplicates++
 			c.mDup.Inc()
@@ -397,16 +348,7 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 	}
 	if l := c.leases[res.Lease]; l != nil {
 		delete(c.leases, res.Lease)
-		var back []cte.WireInput
-		for _, in := range l.inputs {
-			if k := in.Key(); !covered[k] && !c.executed[k] {
-				back = append(back, in)
-				c.stats.Requeued++
-			}
-		}
-		if len(back) > 0 && l.shard >= 0 {
-			c.shards[l.shard] = append(back, c.shards[l.shard]...)
-		}
+		c.stats.Requeued += co.requeueLocked(c, l)
 	}
 	for _, ch := range res.Frontier {
 		k := ch.Key()
@@ -414,8 +356,7 @@ func (co *Coordinator) Result(id string, res Result) (ResultReply, error) {
 			continue
 		}
 		c.seen[k] = true
-		s := shardOf(k, c.spec.Shards)
-		c.shards[s] = append(c.shards[s], ch)
+		c.frontier = append(c.frontier, ch)
 	}
 	for _, f := range res.Findings {
 		if k := f.Key(); !c.findingKeys[k] {
@@ -501,7 +442,7 @@ func (co *Coordinator) statusLocked(c *campaign) Status {
 	return Status{
 		Spec:     c.spec,
 		State:    c.state,
-		Pending:  c.pending(),
+		Pending:  len(c.frontier),
 		Leases:   len(c.leases),
 		Findings: len(c.findings),
 		Stats:    c.stats,

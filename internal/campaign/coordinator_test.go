@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -36,7 +35,7 @@ func wireInput(val uint64) cte.WireInput {
 // the campaign's record set).
 func TestLeaseExpiryRedelivery(t *testing.T) {
 	co, fc := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 4, LeaseTTLMS: 1000})
+	st, err := co.Create(Spec{Prog: "counter-s", Batch: 4, LeaseTTLMS: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,52 +97,58 @@ func TestLeaseExpiryRedelivery(t *testing.T) {
 	}
 }
 
-// TestWorkStealing: a worker whose preferred shard is empty serves the
-// fullest shard instead, so one shard's backlog drains fleet-wide.
-func TestWorkStealing(t *testing.T) {
+// TestLeasesFillBatches: the frontier is one FIFO queue. While at least
+// Batch inputs are pending, every lease carries exactly Batch of them,
+// in the order they were enqueued, whichever worker asks; children of a
+// result join the back of the queue.
+func TestLeasesFillBatches(t *testing.T) {
 	co, _ := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "counter-s", Shards: 2, Batch: 2, LeaseTTLMS: 60_000})
+	const batch = 4
+	st, err := co.Create(Spec{Prog: "counter-s", Batch: batch, LeaseTTLMS: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := st.Spec.ID
-
-	// Execute the root and feed children that all land in one shard.
-	l, _ := co.Lease(id, LeaseRequest{Worker: "a"})
-	var kids []cte.WireInput
-	target := -1
-	for v := uint64(0); len(kids) < 4; v++ {
-		in := wireInput(v)
-		s := shardOf(in.Key(), 2)
-		if target == -1 {
-			target = s
-		}
-		if s == target {
-			kids = append(kids, in)
-		}
+	var want []cte.WireInput
+	for v := uint64(1); v <= 11; v++ {
+		want = append(want, wireInput(v))
 	}
-	if _, err := co.Result(id, Result{Lease: l.ID, Worker: "a",
-		Records:  []PathRecord{{Key: l.Inputs[0].Key()}},
-		Frontier: kids,
+	root, _ := co.Lease(id, LeaseRequest{Worker: "a"})
+	if _, err := co.Result(id, Result{Lease: root.ID, Worker: "a",
+		Records:  []PathRecord{{Key: root.Inputs[0].Key()}},
+		Frontier: want[:7],
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Find a worker name whose preferred shard is the EMPTY one.
-	other := ""
-	for i := 0; ; i++ {
-		w := fmt.Sprintf("w%d", i)
-		if shardOf(w, 2) != target {
-			other = w
-			break
+	var got []cte.WireInput
+	for i, w := range []string{"a", "b", "c"} {
+		before, _ := co.Status(id)
+		l, err := co.Lease(id, LeaseRequest{Worker: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(l.Inputs); n != min(batch, before.Pending) {
+			t.Fatalf("lease %d to %s: %d inputs with %d pending, batch %d", i, w, n, before.Pending, batch)
+		}
+		got = append(got, l.Inputs...)
+		if i == 0 {
+			var recs []PathRecord
+			for _, in := range l.Inputs {
+				recs = append(recs, PathRecord{Key: in.Key()})
+			}
+			if _, err := co.Result(id, Result{Lease: l.ID, Worker: w, Records: recs, Frontier: want[7:]}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	ls, _ := co.Lease(id, LeaseRequest{Worker: other})
-	if ls.ID == "" || ls.Shard != target {
-		t.Fatalf("steal lease: %+v (want shard %d)", ls, target)
+	if len(got) != len(want) {
+		t.Fatalf("leased %d inputs, enqueued %d", len(got), len(want))
 	}
-	if got, _ := co.Status(id); got.Stats.Stolen == 0 {
-		t.Fatal("steal not accounted")
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("leased input %d is %s, want %s (FIFO order)", i, got[i].Key(), want[i].Key())
+		}
 	}
 }
 
@@ -151,7 +156,7 @@ func TestWorkStealing(t *testing.T) {
 // stop, new lease requests are turned away, results are ignored.
 func TestCancelPropagates(t *testing.T) {
 	co, _ := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 1, LeaseTTLMS: 60_000})
+	st, err := co.Create(Spec{Prog: "counter-s", Batch: 1, LeaseTTLMS: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +180,11 @@ func TestCancelPropagates(t *testing.T) {
 }
 
 // TestStopOnErrorRequeuesRemainder: a lease that ends early (first
-// finding) returns its unexecuted inputs to the shard and the campaign
+// finding) returns its unexecuted inputs to the frontier and the campaign
 // finishes with the finding.
 func TestStopOnErrorRequeues(t *testing.T) {
 	co, _ := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 4, LeaseTTLMS: 60_000, StopOnError: true})
+	st, err := co.Create(Spec{Prog: "counter-s", Batch: 4, LeaseTTLMS: 60_000, StopOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +224,7 @@ func TestScopedCampaignMetrics(t *testing.T) {
 	co, _ := newTestCoordinator(t)
 	ob := obs.New()
 	co.obs = ob
-	st, _ := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 1, LeaseTTLMS: 60_000})
+	st, _ := co.Create(Spec{Prog: "counter-s", Batch: 1, LeaseTTLMS: 60_000})
 	id := st.Spec.ID
 	l, _ := co.Lease(id, LeaseRequest{Worker: "a"})
 	co.Result(id, Result{Lease: l.ID, Records: []PathRecord{{Key: l.Inputs[0].Key()}}})
@@ -237,7 +242,7 @@ func TestScopedCampaignMetrics(t *testing.T) {
 // to run them.
 func TestHostileWireInputFailsLease(t *testing.T) {
 	co, _ := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "counter-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000, StopOnError: false})
+	st, err := co.Create(Spec{Prog: "counter-s", Batch: 8, LeaseTTLMS: 60_000, StopOnError: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,7 @@ func TestHybridCampaignTCPIP(t *testing.T) {
 		maxLeases = 10
 	}
 	for lease := 0; lease < maxLeases; lease++ {
-		qseq, cseq := r.Cursors()
-		l, err := co.Lease(id, LeaseRequest{Worker: "hx", QSeq: qseq, CSeq: cseq})
+		l, err := co.Lease(id, r.Request("hx"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +56,7 @@ func TestHybridCampaignTCPIP(t *testing.T) {
 		if l.Done {
 			break
 		}
-		if l.ID == "" || l.FuzzMS != leaseMS || l.Shard != -1 {
+		if l.ID == "" || l.FuzzMS != leaseMS {
 			t.Fatalf("hybrid lease shape: %+v", l)
 		}
 		res := r.Run(context.Background(), l)
@@ -115,8 +114,7 @@ func TestHybridLeaseInstr(t *testing.T) {
 	o := obs.New()
 	var sum, replayed uint64
 	for lease := 0; lease < 8 && (lease < 2 || replayed == 0); lease++ {
-		qseq, cseq := r.Cursors()
-		l, err := co.Lease(id, LeaseRequest{Worker: "hx", QSeq: qseq, CSeq: cseq})
+		l, err := co.Lease(id, r.Request("hx"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,14 +46,14 @@ func sortedSet(m map[string]bool) []string {
 	return out
 }
 
-// TestShardedParityStormS is the deterministic-merge contract of the
-// campaign service: exploring storm-s through a coordinator with 4
-// frontier shards and 2 HTTP worker processes reaches exactly the
-// semantic path set of one uninterrupted single-process session, with
-// zero duplicated path records across shards (semantic-set parity, the
-// same comparison the parallel-mode fork tests use — raw assignments
-// are solver-history-dependent).
-func TestShardedParityStormS(t *testing.T) {
+// TestCampaignParityStormS is the deterministic-merge contract of the
+// campaign service: exploring storm-s through a coordinator and 2 HTTP
+// worker processes reaches exactly the semantic path set of one
+// uninterrupted single-process session, with zero duplicated path
+// records across workers (semantic-set parity, the same comparison the
+// parallel-mode fork tests use — raw assignments are
+// solver-history-dependent).
+func TestCampaignParityStormS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker exploration is slow")
 	}
@@ -69,7 +69,7 @@ func TestShardedParityStormS(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	st, err := cl.Create(ctx, Spec{Prog: "storm-s", Shards: 4, Batch: 8, LeaseTTLMS: 60_000})
+	st, err := cl.Create(ctx, Spec{Prog: "storm-s", Batch: 8, LeaseTTLMS: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestShardedParityStormS(t *testing.T) {
 		t.Fatalf("campaign state %q", final.State)
 	}
 	if final.Stats.Duplicates != 0 {
-		t.Fatalf("%d duplicated path records across shards", final.Stats.Duplicates)
+		t.Fatalf("%d duplicated path records across workers", final.Stats.Duplicates)
 	}
 	if final.Pending != 0 || final.Leases != 0 {
 		t.Fatalf("campaign done with pending=%d leases=%d", final.Pending, final.Leases)
@@ -115,11 +115,11 @@ func TestShardedParityStormS(t *testing.T) {
 	got := sortedSet(set)
 
 	if len(got) != len(want) {
-		t.Fatalf("semantic sets differ: sharded %d, single-session %d", len(got), len(want))
+		t.Fatalf("semantic sets differ: campaign %d, single-session %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("semantic record diverges:\n sharded: %s\n single:  %s", got[i], want[i])
+			t.Fatalf("semantic record diverges:\n campaign: %s\n single:   %s", got[i], want[i])
 		}
 	}
 }

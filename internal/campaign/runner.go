@@ -28,6 +28,7 @@ type Runner struct {
 	qcur  int             // export cursor: local cache entries already exchanged
 	qseq  int             // sync cursor into the coordinator's entry list
 	cseq  int             // sync cursor into the coordinator's corpus
+	fresh bool            // no lease response synced yet
 	seeds [][]byte        // synced corpus (hybrid seeds)
 
 	// Hybrid campaigns: one Session per worker, resumed by every lease,
@@ -51,16 +52,21 @@ func NewRunner(spec Spec) (*Runner, error) {
 		built: g,
 		qc:    qcache.New(b, qcache.Options{}),
 		qrecv: map[uint64]bool{},
+		fresh: true,
 	}, nil
 }
 
-// Cursors returns the sync cursors to send with the next lease request.
-func (r *Runner) Cursors() (qseq, cseq int) { return r.qseq, r.cseq }
+// Request returns the next lease request of the named worker: the sync
+// cursors, and Fresh until the first lease response is synced.
+func (r *Runner) Request(worker string) LeaseRequest {
+	return LeaseRequest{Worker: worker, QSeq: r.qseq, CSeq: r.cseq, Fresh: r.fresh}
+}
 
 // Sync merges a lease response's query-cache and corpus deltas into the
 // local state and advances the cursors. Entries received from the
 // coordinator count as already-exchanged, so they are not echoed back.
 func (r *Runner) Sync(l Lease) {
+	r.fresh = false
 	for _, e := range l.QEntries {
 		r.qrecv[e.Key] = true
 	}

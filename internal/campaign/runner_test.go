@@ -12,7 +12,7 @@ import (
 // delta mixes its own solves with entries the peer published.
 func TestQCacheDeltaMatchesFullFilter(t *testing.T) {
 	co, _ := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "storm-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000})
+	st, err := co.Create(Spec{Prog: "storm-s", Batch: 8, LeaseTTLMS: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,7 @@ func TestQCacheDeltaMatchesFullFilter(t *testing.T) {
 	leases, shipped, received := 0, 0, 0
 	for turn := 0; turn < 200; turn++ {
 		w := ws[turn%2]
-		qseq, cseq := w.r.Cursors()
-		l, err := co.Lease(id, LeaseRequest{Worker: w.name, QSeq: qseq, CSeq: cseq})
+		l, err := co.Lease(id, w.r.Request(w.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,13 +86,14 @@ func TestQCacheDeltaMatchesFullFilter(t *testing.T) {
 	t.Logf("%d leases, %d keys shipped, %d received", leases, shipped, received)
 }
 
-// TestLeaseSkipsOwnQEntries: a lease past cursor 0 carries no
-// query-cache entry its requester uploaded (the coordinator's first
-// writer of the key), yet a fresh runner under the same worker id,
-// whose cursor is 0, receives every entry of the campaign.
+// TestLeaseSkipsOwnQEntries: a lease past a runner's first request
+// carries no query-cache entry its requester uploaded (the
+// coordinator's first writer of the key), even while the runner's
+// cursor is still 0, yet a fresh runner under the same worker id
+// receives every entry of the campaign.
 func TestLeaseSkipsOwnQEntries(t *testing.T) {
 	co, _ := newTestCoordinator(t)
-	st, err := co.Create(Spec{Prog: "storm-s", Shards: 1, Batch: 8, LeaseTTLMS: 60_000})
+	st, err := co.Create(Spec{Prog: "storm-s", Batch: 8, LeaseTTLMS: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,13 @@ func TestLeaseSkipsOwnQEntries(t *testing.T) {
 	peer := 0                       // entries received that the peer uploaded
 	for turn := 0; turn < 200; turn++ {
 		name, r := names[turn%2], runners[turn%2]
-		qseq, cseq := r.Cursors()
-		l, err := co.Lease(id, LeaseRequest{Worker: name, QSeq: qseq, CSeq: cseq})
+		l, err := co.Lease(id, r.Request(name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range l.QEntries {
 			if uploader[e.Key] == name {
-				if qseq > 0 {
+				if turn >= len(names) { // not the runner's first request
 					t.Fatalf("turn %d: lease to %s echoes its own key %#x", turn, name, e.Key)
 				}
 				continue
@@ -154,7 +153,7 @@ func TestLeaseSkipsOwnQEntries(t *testing.T) {
 		t.Fatalf("too little exchange: uploads %v, %d peer entries received", own, peer)
 	}
 
-	l, err := co.Lease(id, LeaseRequest{Worker: "a"})
+	l, err := co.Lease(id, newRunner().Request("a"))
 	if err != nil {
 		t.Fatal(err)
 	}

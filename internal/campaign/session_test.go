@@ -50,8 +50,7 @@ func TestSessionCampaignDeepBug(t *testing.T) {
 
 	maxLeases := 12
 	for lease := 0; lease < maxLeases; lease++ {
-		qseq, cseq := r.Cursors()
-		l, err := co.Lease(id, LeaseRequest{Worker: "sx", QSeq: qseq, CSeq: cseq})
+		l, err := co.Lease(id, r.Request("sx"))
 		if err != nil {
 			t.Fatal(err)
 		}

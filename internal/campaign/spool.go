@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,29 +21,24 @@ import (
 // <spool>/<id>.json with the whole campaign state — temp file plus
 // atomic rename, the same crash-safety discipline as qcache.Save — so a
 // coordinator killed at any instant leaves a loadable spool. Outstanding
-// leases persist as their input batches: on restore they return to the
-// front of their shards and the lease ids are forgotten, so a worker
-// finishing a pre-crash lease reports against an unknown lease and the
-// executed-key dedup keeps its records exactly-once.
+// leases persist as the front of the frontier: their unexecuted inputs
+// come first and the lease ids are forgotten, so a restart re-leases
+// them, a worker finishing a pre-crash lease reports against an unknown
+// lease, and the executed-key dedup keeps its records exactly-once.
 
-// spoolLease is the persisted form of an outstanding lease.
-type spoolLease struct {
-	Shard  int             `json:"shard"`
-	Inputs []cte.WireInput `json:"inputs,omitempty"`
-}
-
-// spoolCampaign is the persisted form of one campaign.
+// spoolCampaign is the persisted form of one campaign. A spool is
+// decoded strictly: a field this version does not know fails the load
+// rather than vanish with the work it held.
 type spoolCampaign struct {
 	Spec     Spec               `json:"spec"`
 	State    string             `json:"state"`
-	Shards   [][]cte.WireInput  `json:"shards"`
+	Frontier []cte.WireInput    `json:"frontier,omitempty"`
 	Seen     []string           `json:"seen,omitempty"`
 	Executed []string           `json:"executed,omitempty"`
 	Records  []PathRecord       `json:"records,omitempty"`
 	Findings []WireFinding      `json:"findings,omitempty"`
 	Corpus   [][]byte           `json:"corpus,omitempty"`
 	QEntries []qcache.WireEntry `json:"qentries,omitempty"`
-	Leases   []spoolLease       `json:"leases,omitempty"`
 	LeaseSeq int                `json:"lease_seq"`
 	Stats    Stats              `json:"stats"`
 }
@@ -57,7 +54,6 @@ func (co *Coordinator) persistLocked(c *campaign) error {
 	sc := spoolCampaign{
 		Spec:     c.spec,
 		State:    c.state,
-		Shards:   c.shards,
 		Seen:     sortedKeys(c.seen),
 		Executed: sortedKeys(c.executed),
 		Records:  c.records,
@@ -73,9 +69,9 @@ func (co *Coordinator) persistLocked(c *campaign) error {
 	}
 	sort.Strings(leaseIDs)
 	for _, id := range leaseIDs {
-		l := c.leases[id]
-		sc.Leases = append(sc.Leases, spoolLease{Shard: l.shard, Inputs: l.inputs})
+		sc.Frontier = append(sc.Frontier, c.unexecuted(c.leases[id].inputs)...)
 	}
+	sc.Frontier = append(sc.Frontier, c.frontier...)
 
 	path := filepath.Join(co.spool, c.spec.ID+".json")
 	f, err := os.CreateTemp(co.spool, c.spec.ID+".tmp-*")
@@ -116,24 +112,13 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // check normalizes and validates a campaign spooled as file name: a
-// corrupt file must fail the load, not index a missing shard or name a
-// file outside the spool for the next persist to write.
+// corrupt file must fail the load, not name an unknown guest or a file
+// outside the spool for the next persist to write.
 func (sc *spoolCampaign) check(name string) error {
 	if sc.Spec.ID+".json" != name {
 		return fmt.Errorf("campaign id %q", sc.Spec.ID)
 	}
-	if err := sc.Spec.normalize(); err != nil {
-		return err
-	}
-	if len(sc.Shards) != sc.Spec.Shards {
-		return fmt.Errorf("%d frontier shards, spec has %d", len(sc.Shards), sc.Spec.Shards)
-	}
-	for _, l := range sc.Leases {
-		if l.Shard < -1 || l.Shard >= sc.Spec.Shards { // -1: a hybrid timebox
-			return fmt.Errorf("lease on shard %d of %d", l.Shard, sc.Spec.Shards)
-		}
-	}
-	return nil
+	return sc.Spec.normalize()
 }
 
 // loadSpool restores every persisted campaign. Must run before the
@@ -156,15 +141,20 @@ func (co *Coordinator) loadSpool() error {
 			return err
 		}
 		var sc spoolCampaign
-		if err := json.Unmarshal(data, &sc); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&sc); err != nil {
 			return fmt.Errorf("campaign: spool %s: %v", name, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return fmt.Errorf("campaign: spool %s: data after the campaign", name)
 		}
 		if err := sc.check(name); err != nil {
 			return fmt.Errorf("campaign: spool %s: %v", name, err)
 		}
 		c := newCampaign(sc.Spec)
 		c.state = sc.State
-		c.shards = sc.Shards
+		c.frontier = sc.Frontier
 		for _, k := range sc.Seen {
 			c.seen[k] = true
 		}
@@ -187,11 +177,6 @@ func (co *Coordinator) loadSpool() error {
 		}
 		c.leaseSeq = sc.LeaseSeq
 		c.stats = sc.Stats
-		// In-flight leases died with the old coordinator: their inputs
-		// go back to the front of their shards for re-assignment.
-		for _, l := range sc.Leases {
-			co.requeueLocked(c, &lease{shard: l.Shard, inputs: l.Inputs})
-		}
 		c.wireMetrics(co.obs)
 		co.campaigns[sc.Spec.ID] = c
 		if n, err := strconv.Atoi(strings.TrimPrefix(sc.Spec.ID, "c")); err == nil && n > co.nextID {

@@ -8,7 +8,7 @@ import (
 )
 
 // spoolSpec is the normalized spec of a spooled storm-s campaign c1,
-// less its closing brace and shard count.
+// less its closing brace.
 const spoolSpec = `{"id":"c1","prog":"storm-s","mode":"concolic","batch":16,"lease_ttl_ms":30000,"fuzz_lease_ms":5000`
 
 // corruptSpools are campaign files a coordinator must refuse to resume.
@@ -16,28 +16,28 @@ var corruptSpools = []struct {
 	name, json, err string
 }{
 	{
-		"lease on a shard past the spec's count",
-		`{"spec":` + spoolSpec + `,"shards":4},"state":"running","shards":[[],[],[],[]],"leases":[{"shard":9,"inputs":[{}]}]}`,
-		"lease on shard 9 of 4",
+		"spool of the sharded frontier",
+		`{"spec":` + spoolSpec + `,"shards":4},"state":"running","shards":[[],[{}],[],[]],"leases":[{"shard":0,"inputs":[{}]}]}`,
+		`unknown field "shards"`,
 	},
 	{
-		"no shard count",
-		`{"spec":` + spoolSpec + `},"state":"running","leases":[{"shard":0,"inputs":[{}]}]}`,
-		"0 frontier shards, spec has 4",
+		"unknown field",
+		`{"spec":` + spoolSpec + `},"state":"running","frontier":[{}],"paused":true}`,
+		`unknown field "paused"`,
 	},
 	{
-		"frontier shards differ from the spec",
-		`{"spec":` + spoolSpec + `,"shards":2},"state":"running","shards":[[]]}`,
-		"1 frontier shards, spec has 2",
+		"data after the campaign",
+		`{"spec":` + spoolSpec + `},"state":"running"}{}`,
+		"data after the campaign",
 	},
 	{
 		"unknown program",
-		`{"spec":` + strings.Replace(spoolSpec, "storm-s", "no-such-guest", 1) + `,"shards":1},"state":"running","shards":[[]]}`,
+		`{"spec":` + strings.Replace(spoolSpec, "storm-s", "no-such-guest", 1) + `},"state":"running"}`,
 		`unknown program "no-such-guest"`,
 	},
 	{
 		"id names another file",
-		`{"spec":` + strings.Replace(spoolSpec, `"c1"`, `"../c1"`, 1) + `,"shards":1},"state":"running","shards":[[]]}`,
+		`{"spec":` + strings.Replace(spoolSpec, `"c1"`, `"../c1"`, 1) + `},"state":"running"}`,
 		`campaign id "../c1"`,
 	},
 }
@@ -73,7 +73,7 @@ func FuzzLoadSpool(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	st, err := co.Create(Spec{Prog: "storm-s", Shards: 2, Batch: 1})
+	st, err := co.Create(Spec{Prog: "storm-s", Batch: 1})
 	if err != nil {
 		f.Fatal(err)
 	}

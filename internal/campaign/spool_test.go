@@ -13,8 +13,7 @@ func driveCampaign(t *testing.T, co *Coordinator, r *Runner, id, worker string, 
 	t.Helper()
 	n := 0
 	for n < maxLeases {
-		qseq, cseq := r.Cursors()
-		l, err := co.Lease(id, LeaseRequest{Worker: worker, QSeq: qseq, CSeq: cseq})
+		l, err := co.Lease(id, r.Request(worker))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +43,7 @@ func findingKeys(fs []WireFinding) []string {
 }
 
 // TestSpoolKillResume is the crash-recovery contract: a coordinator
-// killed mid-campaign — with results merged, frontier sharded, and a
+// killed mid-campaign — with results merged, frontier queued, and a
 // lease in flight — is replaced by a fresh coordinator over the same
 // spool directory, which resumes the campaign to completion and reaches
 // exactly the finding set of an uninterrupted run, with no duplicated
@@ -56,7 +55,7 @@ func TestSpoolKillResume(t *testing.T) {
 	// PktMax 24 keeps the tcpip frontier small enough to exhaust in
 	// well under a second while still reaching real findings; Batch 4
 	// leaves the campaign genuinely mid-flight after three leases.
-	spec := Spec{Prog: "tcpip", PktMax: 24, Shards: 4, Batch: 4, LeaseTTLMS: 600_000}
+	spec := Spec{Prog: "tcpip", PktMax: 24, Batch: 4, LeaseTTLMS: 600_000}
 
 	// Uninterrupted baseline campaign (no spool).
 	base, err := NewCoordinator("", nil)
@@ -101,8 +100,7 @@ func TestSpoolKillResume(t *testing.T) {
 	driveCampaign(t, co1, r1, id, "w1", 3)
 	// Leave a lease in flight at the moment of the "kill": its inputs
 	// must survive into the restarted coordinator.
-	qseq, cseq := r1.Cursors()
-	inFlight, err := co1.Lease(id, LeaseRequest{Worker: "w1", QSeq: qseq, CSeq: cseq})
+	inFlight, err := co1.Lease(id, r1.Request("w1"))
 	if err != nil || inFlight.ID == "" {
 		t.Fatalf("in-flight lease: %+v err=%v", inFlight, err)
 	}

@@ -1,11 +1,11 @@
 // Package campaign is the fleet-scale layer of the repo: a long-running
-// coordinator that shards a concolic path frontier (or a hybrid fuzzing
-// corpus) across worker processes, plus the HTTP control plane and the
+// coordinator that hands a concolic path frontier (or a hybrid fuzzing
+// corpus) out to worker processes, plus the HTTP control plane and the
 // worker client that speak its lease protocol.
 //
 // The unit of distribution is the process-portable frontier input
 // (cte.WireInput): workers claim a lease — a batch of pending inputs
-// popped from one shard — execute exactly those inputs on their own VP
+// popped from the front of the frontier — execute exactly those inputs on their own VP
 // snapshot, and return the semantic path records, the child inputs, any
 // findings, and their query-cache/corpus deltas. The coordinator owns
 // all dedup state (every key ever enqueued, every key ever executed),
@@ -42,7 +42,6 @@ type Spec struct {
 	PktCaps   []int    `json:"pkt_caps,omitempty"`  // tcpip-session: per-packet caps
 	Detectors []string `json:"detectors,omitempty"` // detector set ("all" = every kind)
 
-	Shards     int   `json:"shards,omitempty"`       // frontier shards (default 4)
 	Batch      int   `json:"batch,omitempty"`        // inputs per lease (default 16)
 	LeaseTTLMS int64 `json:"lease_ttl_ms,omitempty"` // lease lifetime (default 30s)
 
@@ -79,9 +78,6 @@ func (s *Spec) normalize() error {
 	if s.Mode != "concolic" && s.Mode != "hybrid" {
 		return fmt.Errorf("campaign: unknown mode %q", s.Mode)
 	}
-	if s.Shards <= 0 {
-		s.Shards = 4
-	}
 	if s.Batch <= 0 {
 		s.Batch = 16
 	}
@@ -109,7 +105,7 @@ type PathRecord struct {
 }
 
 // Semantic is the behavior-only view of the record (model choices are
-// solver-history-dependent, so cross-sharding comparisons use this, not
+// solver-history-dependent, so cross-worker comparisons use this, not
 // Key — same contract as the parallel-mode fork tests).
 func (r PathRecord) Semantic() string {
 	e := r.Err
@@ -135,7 +131,7 @@ type WireFinding struct {
 	Worker string        `json:"worker,omitempty"`
 }
 
-// Key dedups findings across shards: two workers hitting the same error
+// Key dedups findings across workers: two workers hitting the same error
 // site report one finding.
 func (f WireFinding) Key() string {
 	return fmt.Sprintf("%s@%#x", f.Kind, f.PC)
@@ -143,11 +139,14 @@ func (f WireFinding) Key() string {
 
 // LeaseRequest is a worker's claim for work. QSeq/CSeq are the worker's
 // sync cursors into the campaign's append-ordered query-cache entry and
-// corpus lists; the lease response carries everything past them.
+// corpus lists; the lease response carries everything past them. Fresh
+// marks a runner that has not synced yet: its query cache is empty, so
+// it also gets the entries its worker id uploaded before (a restart).
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	QSeq   int    `json:"qseq"`
 	CSeq   int    `json:"cseq"`
+	Fresh  bool   `json:"fresh,omitempty"`
 }
 
 // Lease is the coordinator's reply: a batch of frontier inputs (concolic)
@@ -157,7 +156,6 @@ type LeaseRequest struct {
 // the worker should move on.
 type Lease struct {
 	ID     string          `json:"id,omitempty"`
-	Shard  int             `json:"shard"`
 	Inputs []cte.WireInput `json:"inputs,omitempty"`
 	FuzzMS int64           `json:"fuzz_ms,omitempty"`
 	TTLMS  int64           `json:"ttl_ms,omitempty"`
@@ -222,7 +220,6 @@ type Stats struct {
 	Execs      uint64 `json:"execs,omitempty"`
 	Duplicates int    `json:"duplicates"` // records dropped by executed-key dedup
 	Expired    int    `json:"expired"`    // leases reclaimed after TTL
-	Stolen     int    `json:"stolen"`     // leases served from a non-preferred shard
 	Requeued   int    `json:"requeued"`   // leased inputs returned unexecuted
 	Rejected   int    `json:"rejected"`   // leased inputs a worker refused as malformed
 }

@@ -89,8 +89,7 @@ func workerPass(ctx context.Context, cl *Client, opts WorkerOptions, runners map
 			}
 			runners[spec.ID] = r
 		}
-		qseq, cseq := r.Cursors()
-		l, err := cl.Lease(ctx, spec.ID, LeaseRequest{Worker: opts.ID, QSeq: qseq, CSeq: cseq})
+		l, err := cl.Lease(ctx, spec.ID, r.Request(opts.ID))
 		if err != nil {
 			return worked, err
 		}

@@ -18,8 +18,6 @@ type BMCConfig struct {
 	// budget resolves through, so the two engines are depth-aligned by
 	// default.
 	K int
-	// NoReplay skips the concrete confirmation replay of findings.
-	NoReplay bool
 }
 
 // bmcDepth resolves the effective depth bound for a snapshot.
@@ -41,7 +39,6 @@ func bmcConfig(snap *iss.Core, cfg Config) bmc.Config {
 		K:            bmcDepth(snap, cfg),
 		Cache:        cfg.Cache.Queries,
 		MaxConflicts: cfg.Budget.MaxConflictsPerQuery,
-		NoReplay:     cfg.BMC.NoReplay,
 		Obs:          cfg.Obs,
 	}
 }

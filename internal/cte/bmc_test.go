@@ -103,7 +103,7 @@ func TestBMCDepthLadder(t *testing.T) {
 	if got := bmcDepth(snap, Config{BMC: BMCConfig{K: 9}}); got != 9 {
 		t.Errorf("explicit depth = %d, want 9", got)
 	}
-	rep := NewSession(snap, Config{Mode: ModeBMC, BMC: BMCConfig{K: 20, NoReplay: true}}).
+	rep := NewSession(snap, Config{Mode: ModeBMC, BMC: BMCConfig{K: 20}}).
 		Run(context.Background())
 	if rep.BMC == nil || rep.BMC.Truncated == 0 {
 		t.Fatalf("K=20 did not truncate (bmc=%+v)", rep.BMC)
