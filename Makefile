@@ -24,11 +24,12 @@ bench-test:
 # The concurrent layers (worker-pool exploration, the fuzzer, the
 # shared query cache, the solver it drives, the COW memory it clones,
 # the shared decoded-block layer those clones publish into, the
-# campaign coordinator serving many workers, and the metric registry
-# whose atomics and child forwarding they all update) must stay
+# campaign coordinator serving many workers, the campaign clients and
+# the find-fix driver in cmd/ and internal/findfix, and the metric
+# registry whose atomics and child forwarding they all update) must stay
 # race-clean.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/cte/... ./internal/fuzz/... ./internal/qcache/... ./internal/concolic/... ./internal/smt/... ./internal/iss/... ./internal/campaign/... ./internal/bmc/...
+	$(GO) test -race ./internal/obs/... ./internal/cte/... ./internal/fuzz/... ./internal/qcache/... ./internal/concolic/... ./internal/smt/... ./internal/iss/... ./internal/campaign/... ./internal/bmc/... ./cmd/... ./internal/findfix/...
 	$(GO) test -race -short ./internal/guest/...
 
 # A bounded hybrid-fuzzing run against the tcpip stack: must report at

@@ -179,6 +179,8 @@ type Executor struct {
 	unsup      map[string]int
 	rep        Report
 
+	// Handles on a child of Config.Obs's registry ("bmc.*"): the child
+	// is the only store of the Report counters they back.
 	obsSteps, obsSplits, obsMerges, obsViolations *obs.Counter
 	obsDrops, obsQueries                          *obs.Counter
 	obsStates                                     *obs.Gauge
@@ -214,18 +216,16 @@ func New(snap *iss.Core, cfg Config) (*Executor, error) {
 			x.unsup["detector:"+kind]++
 		}
 	}
-	if o := cfg.Obs; o != nil {
-		m := o.Registry()
-		x.obsSteps = m.Counter("bmc.steps")
-		x.obsSplits = m.Counter("bmc.splits")
-		x.obsMerges = m.Counter("bmc.merges")
-		x.obsViolations = m.Counter("bmc.violations")
-		x.obsDrops = m.Counter("bmc.unsupported_drops")
-		x.obsQueries = m.Counter("bmc.queries")
-		x.obsStates = m.Gauge("bmc.states")
-		x.obsUnrollUS = m.Histogram("bmc.unroll_us", obs.LatencyBoundsUS)
-		x.obsSolveUS = m.Histogram("bmc.solve_us", obs.LatencyBoundsUS)
-	}
+	m := cfg.Obs.Registry().Child()
+	x.obsSteps = m.Counter("bmc.steps")
+	x.obsSplits = m.Counter("bmc.splits")
+	x.obsMerges = m.Counter("bmc.merges")
+	x.obsViolations = m.Counter("bmc.violations")
+	x.obsDrops = m.Counter("bmc.unsupported_drops")
+	x.obsQueries = m.Counter("bmc.queries")
+	x.obsStates = m.Gauge("bmc.states")
+	x.obsUnrollUS = m.Histogram("bmc.unroll_us", obs.LatencyBoundsUS)
+	x.obsSolveUS = m.Histogram("bmc.solve_us", obs.LatencyBoundsUS)
 	return x, nil
 }
 
@@ -261,7 +261,7 @@ func (x *Executor) initialState() *state {
 }
 
 // Run unrolls up to K instructions per path and solves one reachability
-// query per recorded bug site.
+// query per recorded bug site. An Executor runs once.
 //
 // Scheduling: the state pool is keyed by PC and the lowest PC steps
 // first. For the forward-branching code compilers emit, every interior
@@ -298,7 +298,6 @@ func (x *Executor) Run(ctx context.Context) *Report {
 		t0 := time.Now()
 		succs := x.step(s)
 		x.obsUnrollUS.ObserveDuration(time.Since(t0))
-		x.rep.Steps++
 		x.obsSteps.Inc()
 		for _, n := range succs {
 			if n.guard.IsFalse() {
@@ -331,6 +330,11 @@ func (x *Executor) Run(ctx context.Context) *Report {
 	x.rep.Exhausted = x.rep.Complete && x.rep.Truncated == 0 && x.rep.Stopped == "exhausted"
 
 	x.solveSites(ctx)
+	x.rep.Steps = uint64(x.obsSteps.Value())
+	x.rep.Splits = int(x.obsSplits.Value())
+	x.rep.Merges = int(x.obsMerges.Value())
+	x.rep.Violations = int(x.obsViolations.Value())
+	x.rep.Queries = int(x.obsQueries.Value())
 	x.rep.Accounted = x.accounted
 	x.rep.WallTime = time.Since(start)
 	return &x.rep
@@ -354,7 +358,6 @@ func (x *Executor) insert(pool map[uint32][]*state, s *state) int {
 				t.depth = s.depth
 			}
 		}
-		x.rep.Merges++
 		x.obsMerges.Inc()
 		return 0
 	}
@@ -392,7 +395,6 @@ func (x *Executor) violate(s *state, kind iss.ErrKind, pc, addr uint32, msg stri
 		kind: kind, pc: pc, addr: addr, msg: msg, guard: guard, depth: s.depth,
 	})
 	x.accounted = append(x.accounted, guard)
-	x.rep.Violations++
 	x.obsViolations.Inc()
 }
 
@@ -438,9 +440,7 @@ func (x *Executor) solveSites(ctx context.Context) {
 
 	solver := smt.NewSolver(x.b)
 	solver.MaxConflictsPerQuery = x.cfg.MaxConflicts
-	if x.cfg.Obs != nil {
-		solver.SetObs(x.cfg.Obs)
-	}
+	solver.SetObs(x.cfg.Obs)
 	for _, k := range order {
 		if ctx.Err() != nil {
 			break
@@ -460,7 +460,6 @@ func (x *Executor) solveSites(ctx context.Context) {
 			sat, model, unknown = solver.Check(reach)
 		}
 		x.obsSolveUS.ObserveDuration(time.Since(t0))
-		x.rep.Queries++
 		x.obsQueries.Inc()
 		if unknown {
 			x.rep.Unknown++
@@ -478,7 +477,7 @@ func (x *Executor) solveSites(ctx context.Context) {
 		f.Confirmed = x.confirm(f)
 		x.rep.Findings = append(x.rep.Findings, f)
 	}
-	x.rep.SolverTime = solver.Stats.SolverTime
+	x.rep.SolverTime = solver.Stats().SolverTime
 }
 
 // confirm replays the finding's model through the concolic ISS: the

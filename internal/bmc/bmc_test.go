@@ -14,6 +14,7 @@ import (
 	"rvcte/internal/bmc"
 	"rvcte/internal/guest"
 	"rvcte/internal/iss"
+	"rvcte/internal/obs"
 	"rvcte/internal/qcache"
 	"rvcte/internal/smt"
 )
@@ -82,11 +83,13 @@ func TestStormS(t *testing.T) {
 }
 
 // TestStormSQueryCache: the same run through a query cache must agree
-// and actually route its reachability queries through the cache.
+// and actually route its reachability queries through the cache. The
+// Report's counters are the wired bmc.* metrics.
 func TestStormSQueryCache(t *testing.T) {
 	snap := buildSnap(t, "storm-s")
 	qc := qcache.New(snap.B, qcache.Options{})
-	x, err := bmc.New(snap, bmc.Config{K: 1 << 20, Cache: qc})
+	o := obs.New()
+	x, err := bmc.New(snap, bmc.Config{K: 1 << 20, Cache: qc, Obs: o})
 	if err != nil {
 		t.Fatalf("bmc.New: %v", err)
 	}
@@ -96,6 +99,18 @@ func TestStormSQueryCache(t *testing.T) {
 	}
 	if st := qc.Stats(); st.Queries == 0 {
 		t.Error("query cache saw no queries")
+	}
+	c := o.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"bmc.steps":      int64(rep.Steps),
+		"bmc.queries":    int64(rep.Queries),
+		"bmc.splits":     int64(rep.Splits),
+		"bmc.merges":     int64(rep.Merges),
+		"bmc.violations": int64(rep.Violations),
+	} {
+		if c[name] != want || want == 0 {
+			t.Errorf("%s = %d, report says %d (want equal and nonzero)", name, c[name], want)
+		}
 	}
 }
 

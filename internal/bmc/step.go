@@ -112,7 +112,6 @@ func (x *Executor) step(s *state) []*state {
 		}
 		gTaken := x.b.And(s.guard, cond)
 		gNot := x.b.And(s.guard, x.b.Not(cond))
-		x.rep.Splits++
 		x.obsSplits.Inc()
 		switch {
 		case gTaken.IsFalse():

@@ -294,3 +294,57 @@ func TestHostileWireInputFailsLease(t *testing.T) {
 		t.Fatalf("valid lease after a failed one: err=%q records=%d", res.Err, len(res.Records))
 	}
 }
+
+// TestRestartResumesScopedMetrics: a coordinator restarted over its
+// spool with a fresh registry resumes each campaign's counters, so the
+// scoped snapshot agrees with Status again.
+func TestRestartResumesScopedMetrics(t *testing.T) {
+	spool := t.TempDir()
+	co1, err := NewCoordinator(spool, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	co1.now = fc.now
+	st, err := co1.Create(Spec{Prog: "counter-s", Batch: 1, LeaseTTLMS: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.Spec.ID
+	stale, _ := co1.Lease(id, LeaseRequest{Worker: "a"})
+	fc.advance(2 * time.Second) // a's lease expires and is re-leased to b
+	l, _ := co1.Lease(id, LeaseRequest{Worker: "b"})
+	if l.ID == "" || len(l.Inputs) != 1 {
+		t.Fatalf("expired lease not re-leased: %+v", l)
+	}
+	rec := []PathRecord{{Key: l.Inputs[0].Key()}}
+	finding := WireFinding{Kind: "assert", PC: 0x40, Msg: "boom"}
+	if _, err := co1.Result(id, Result{Lease: l.ID, Records: rec, Findings: []WireFinding{finding}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co1.Result(id, Result{Lease: stale.ID, Records: rec}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := co1.Status(id)
+	if want.Stats.Paths != 1 || want.Stats.Duplicates != 1 || want.Stats.Expired != 1 || want.Findings != 1 {
+		t.Fatalf("campaign before the restart: %+v", want)
+	}
+
+	ob := obs.New()
+	co2, err := NewCoordinator(spool, ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := co2.Status(id)
+	c := ob.Scoped("campaign." + id).Snapshot().Counters
+	for name, w := range map[string]int{
+		"paths":      got.Stats.Paths,
+		"duplicates": got.Stats.Duplicates,
+		"expired":    got.Stats.Expired,
+		"findings":   got.Findings,
+	} {
+		if c[name] != int64(w) || w == 0 {
+			t.Errorf("%s = %d after the restart, status says %d (want equal and nonzero)", name, c[name], w)
+		}
+	}
+}

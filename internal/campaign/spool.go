@@ -178,6 +178,11 @@ func (co *Coordinator) loadSpool() error {
 		c.leaseSeq = sc.LeaseSeq
 		c.stats = sc.Stats
 		c.wireMetrics(co.obs)
+		// The counters resume where the spooled accounting left off.
+		c.mPaths.Add(int64(sc.Stats.Paths))
+		c.mDup.Add(int64(sc.Stats.Duplicates))
+		c.mExpired.Add(int64(sc.Stats.Expired))
+		c.mFindings.Add(int64(len(c.findings)))
 		co.campaigns[sc.Spec.ID] = c
 		if n, err := strconv.Atoi(strings.TrimPrefix(sc.Spec.ID, "c")); err == nil && n > co.nextID {
 			co.nextID = n

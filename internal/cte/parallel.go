@@ -108,8 +108,9 @@ func (x *pool) finish() *Report {
 	rep.WallTime = time.Since(x.start)
 	x.exportFrontier()
 	for i, s := range x.solvers {
-		rep.PerWorker[i].Queries = s.Stats.Queries
-		rep.PerWorker[i].SolverTime = s.Stats.SolverTime
+		st := s.Stats()
+		rep.PerWorker[i].Queries = st.Queries
+		rep.PerWorker[i].SolverTime = st.SolverTime
 	}
 	// Inputs left unexplored release their checkpoints with the frontier.
 	e.forkLiveG.Add(-int64(x.front.forks))

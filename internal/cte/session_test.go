@@ -86,11 +86,22 @@ func checkObsAgainstReport(t *testing.T, rep *Report) {
 				t.Errorf("%s = %d, cache stats say %d", name, got, w)
 			}
 		}
+		if got := rep.Obs.Gauges["qcache.entries"]; got != rep.Cache.Entries {
+			t.Errorf("qcache.entries = %d, cache stats say %d", got, rep.Cache.Entries)
+		}
 	}
 	// Solver-level queries: with a cache only misses reach the solver, so
-	// smt.queries matches Report.Queries in both configurations.
+	// smt.queries matches Report.Queries in both configurations, and it
+	// is the sum of the per-worker solver rows.
 	if got := counterVal(t, rep.Obs, "smt.queries"); got != int64(rep.Queries) {
 		t.Errorf("smt.queries = %d, report says %d", got, rep.Queries)
+	}
+	perWorker := 0
+	for _, w := range rep.PerWorker {
+		perWorker += w.Queries
+	}
+	if perWorker != rep.Queries {
+		t.Errorf("per-worker queries sum to %d, report says %d", perWorker, rep.Queries)
 	}
 	if h, ok := rep.Obs.Histograms["cte.path_us"]; !ok {
 		t.Error("cte.path_us histogram missing")
@@ -132,6 +143,36 @@ func TestSessionObsMatchesReport(t *testing.T) {
 			}
 			checkObsAgainstReport(t, rep)
 		})
+	}
+}
+
+// TestSharedCacheCountsLastSession: two Sessions built in turn on one
+// query cache. The cache's counters restart when the second Session
+// wires it, so the second Report.Cache counts only its own Run, served
+// entirely by the entries the first Run stored; Entries stays the
+// cache's total.
+func TestSharedCacheCountsLastSession(t *testing.T) {
+	snap := snapshot(t, bitstormSrc)
+	qc := qcache.New(snap.B, qcache.Options{})
+	run := func() *Report {
+		cfg := Config{Workers: 1, Obs: obs.New(), Cache: CacheConfig{Queries: qc}}
+		rep := NewSession(snap, cfg).Run(context.Background())
+		if !rep.Exhausted || rep.Cache == nil {
+			t.Fatalf("run did not exhaust with a cache report: stopped=%s", rep.Stopped)
+		}
+		checkObsAgainstReport(t, rep)
+		return rep
+	}
+	first, second := run(), run()
+	if first.Cache.SolverCalls == 0 || first.Cache.Stores == 0 {
+		t.Fatalf("first run neither solved nor stored: %+v", *first.Cache)
+	}
+	c1, c2 := *first.Cache, *second.Cache
+	if c2.Queries != c1.Queries || c2.SolverCalls != 0 || c2.Stores != 0 {
+		t.Errorf("second run's cache stats %+v, want its own %d queries, no solver calls and no stores", c2, c1.Queries)
+	}
+	if c2.Entries != c1.Entries {
+		t.Errorf("entries %d after the second run, %d after the first", c2.Entries, c1.Entries)
 	}
 }
 

@@ -57,9 +57,11 @@ type Options struct {
 	// (e.g. a corpus directory loaded by the CLI). They run exactly as
 	// given and join the corpus if they add coverage.
 	Seeds [][]byte
-	// Obs, when non-nil, wires the fuzzer into the shared observability
-	// layer: "fuzz.*" counters/gauges mirror Stats live, and every clone
-	// feeds the global "iss.instr"/"iss.execs" counters.
+	// Obs wires the fuzzer into the shared observability layer: the
+	// "fuzz.*" counters and gauges behind Stats live on a child of its
+	// registry, and New wires the snapshot's ISS counters to it, so
+	// every clone feeds "iss.instr", "iss.execs" and "iss.bb.*". A nil
+	// Obs keeps the fuzzer's counters in a registry of their own.
 	Obs *obs.Obs
 }
 
@@ -122,17 +124,14 @@ type Fuzzer struct {
 	queue     []queued // unfuzzed inputs: seeds and solver injections, FIFO
 	findings  []Finding
 	seenBug   map[findingKey]bool
-	stats     Stats
 	maxDemand int
 
-	// Observability mirrors (Options.Obs); nil-safe when unwired. The
-	// mutex-guarded stats stay the source of truth, these feed the live
-	// registry.
+	totalInstr, lastNewCover uint64 // Stats.TotalInstr, Stats.LastNewCover
+
+	// The "fuzz.*" handles (Options.Obs) are the only store of the
+	// other Stats counters, updated under mu.
 	obsExecs, obsPruned, obsFindings, obsInjected *obs.Counter
-	issInstr, issExecs                            *obs.Counter
-	bbHits, bbMisses, bbInval                     *obs.Counter
 	obsCorpus, obsEdges                           *obs.Gauge
-	edgeEntries                                   int // nonzero virgin entries (Stats.Edges)
 }
 
 // New freezes snap and builds a fuzzer around it. The queue starts with
@@ -160,19 +159,14 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 			edge: make([]byte, mapLen),
 		})
 	}
-	if m := opt.Obs.Registry(); m != nil {
-		f.obsExecs = m.Counter("fuzz.execs")
-		f.obsPruned = m.Counter("fuzz.pruned")
-		f.obsFindings = m.Counter("fuzz.findings")
-		f.obsInjected = m.Counter("fuzz.injected")
-		f.issInstr = m.Counter("iss.instr")
-		f.issExecs = m.Counter("iss.execs")
-		f.bbHits = m.Counter("iss.bb.hits")
-		f.bbMisses = m.Counter("iss.bb.misses")
-		f.bbInval = m.Counter("iss.bb.inval")
-		f.obsCorpus = m.Gauge("fuzz.corpus")
-		f.obsEdges = m.Gauge("fuzz.edges")
-	}
+	snap.SetObs(opt.Obs)
+	m := opt.Obs.Registry().Child()
+	f.obsExecs = m.Counter("fuzz.execs")
+	f.obsPruned = m.Counter("fuzz.pruned")
+	f.obsFindings = m.Counter("fuzz.findings")
+	f.obsInjected = m.Counter("fuzz.injected")
+	f.obsCorpus = m.Gauge("fuzz.corpus")
+	f.obsEdges = m.Gauge("fuzz.edges")
 	return f
 }
 
@@ -210,11 +204,6 @@ func (f *Fuzzer) step(ws *workerState) {
 	c := f.snap.Clone()
 	c.ConcreteOnly = true
 	c.FuzzInput = data
-	c.ObsInstr = f.issInstr
-	c.ObsExecs = f.issExecs
-	c.ObsBBHits = f.bbHits
-	c.ObsBBMisses = f.bbMisses
-	c.ObsBBInval = f.bbInval
 	c.EdgeMap = ws.edge
 	c.EdgeTouched = ws.touched[:0]
 	// The snapshot may carry pre-executed initialization (skip-init
@@ -297,9 +286,9 @@ func (f *Fuzzer) weightedPickLocked(rng *rand.Rand) *Entry {
 // finding, and stats state.
 func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, touched []uint32) {
 	data := q.data
-	f.stats.Execs++
-	f.stats.TotalInstr += instrs
 	f.obsExecs.Inc()
+	execs := uint64(f.obsExecs.Value())
+	f.totalInstr += instrs
 	if c.FuzzPos > f.maxDemand {
 		f.maxDemand = c.FuzzPos
 	}
@@ -307,7 +296,6 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, 
 	if c.Err != nil {
 		switch c.Err.Kind {
 		case iss.ErrAssumeFail:
-			f.stats.Pruned++
 			f.obsPruned.Inc()
 		case iss.ErrLimit:
 			// Budget exhaustion is exploration noise, not a bug.
@@ -319,7 +307,7 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, 
 				f.findings = append(f.findings, Finding{
 					Err:    c.Err,
 					Data:   append([]byte(nil), data...),
-					Exec:   f.stats.Execs,
+					Exec:   execs,
 					Output: append([]byte(nil), c.Output...),
 					Instrs: instrs,
 				})
@@ -329,11 +317,10 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, 
 
 	newBits, newEntries := mergeTouched(f.virgin, edge, touched)
 	if newEntries > 0 {
-		f.edgeEntries += newEntries
-		f.obsEdges.Set(int64(f.edgeEntries))
+		f.obsEdges.Set(f.obsEdges.Value() + int64(newEntries))
 	}
 	if newBits > 0 {
-		f.stats.LastNewCover = f.stats.Execs
+		f.lastNewCover = execs
 	}
 	// Admission: fuzz-discovered inputs must pay their way with new
 	// coverage; solver-derived inputs are kept unconditionally — they sit
@@ -358,7 +345,7 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, 
 		Sig:      sig,
 		Cov:      cov,
 		NewBits:  newBits,
-		Exec:     f.stats.Execs,
+		Exec:     execs,
 		Injected: q.injected,
 		Bound:    q.bound,
 	})
@@ -384,7 +371,6 @@ func (f *Fuzzer) Inject(data []byte, bound int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.queue = append(f.queue, queued{data: append([]byte(nil), data...), injected: true, bound: bound})
-	f.stats.Injected++
 	f.obsInjected.Inc()
 }
 
@@ -438,14 +424,7 @@ func (f *Fuzzer) EdgeCovered(from, to uint32) bool {
 func (f *Fuzzer) SinceNewCover() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats.Execs - f.stats.LastNewCover
-}
-
-// MaxDemand reports the largest observed input demand in bytes.
-func (f *Fuzzer) MaxDemand() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.maxDemand
+	return uint64(f.obsExecs.Value()) - f.lastNewCover
 }
 
 // Corpus returns a snapshot of the current corpus entries (shared
@@ -468,10 +447,15 @@ func (f *Fuzzer) Findings() []Finding {
 func (f *Fuzzer) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.stats
-	s.CorpusSize = len(f.corpus)
-	s.Findings = len(f.findings)
-	s.MaxDemand = f.maxDemand
-	s.Edges = f.edgeEntries
-	return s
+	return Stats{
+		Execs:        uint64(f.obsExecs.Value()),
+		TotalInstr:   f.totalInstr,
+		CorpusSize:   len(f.corpus),
+		Edges:        int(f.obsEdges.Value()),
+		Findings:     len(f.findings),
+		Injected:     int(f.obsInjected.Value()),
+		Pruned:       uint64(f.obsPruned.Value()),
+		MaxDemand:    f.maxDemand,
+		LastNewCover: f.lastNewCover,
+	}
 }

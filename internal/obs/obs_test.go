@@ -158,6 +158,31 @@ func TestTracerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadTraceOneObjectPerLine: the decoder is line-based, so an event
+// index is a line number, and every line must hold exactly one object.
+func TestReadTraceOneObjectPerLine(t *testing.T) {
+	for name, in := range map[string]string{
+		"two events on a line": "{\"ev\":\"a\"}{\"ev\":\"b\"}\n",
+		"event over two lines": "{\"ev\":\n\"a\"}\n",
+		"null":                 "{\"ev\":\"a\"}\nnull\n",
+		"blank line":           "{\"ev\":\"a\"}\n\n{\"ev\":\"b\"}\n",
+		"trailing data":        "{\"ev\":\"a\"} 1\n",
+		"array":                "[]\n",
+	} {
+		if evs, err := ReadTrace(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted as %d events", name, len(evs))
+		}
+	}
+	evs, err := ReadTrace(strings.NewReader("{\"ev\":\"a\"}\n{\"ev\":\"b\"}"))
+	if err != nil || len(evs) != 2 {
+		t.Errorf("two lines, the last unterminated: %d events, err %v", len(evs), err)
+	}
+	_, err = ReadTrace(strings.NewReader("{\"ev\":\"a\"}\n{\"ev\":\"b\"}\n{\"ev\":3}\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("error %v does not name line 3", err)
+	}
+}
+
 // TestProgressShutdown checks the reporter goroutine actually exits on
 // Stop (no leak) and that it emits lines while running.
 func TestProgressShutdown(t *testing.T) {

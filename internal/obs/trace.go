@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -116,21 +119,40 @@ func (t *Tracer) Close() error {
 	return err
 }
 
-// ReadTrace decodes a full JSONL event stream, failing on the first
-// malformed line. Unknown fields are rejected so schema drift between
-// producer and consumer is caught immediately (cmd/tracecheck and the
-// round-trip tests are built on this).
+// ReadTrace decodes a full JSONL event stream: one JSON object per
+// line, as Tracer writes it. It fails on the first malformed line: a
+// blank line, anything but an object, data after the object, or an
+// unknown field, so schema drift between producer and consumer is
+// caught immediately (cmd/tracecheck and the round-trip tests are built
+// on this). The events before the bad line are returned with the error.
 func ReadTrace(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var evs []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return evs, nil
-		} else if err != nil {
-			return evs, err
+	for line := 1; sc.Scan(); line++ {
+		ev, err := decodeEvent(sc.Bytes())
+		if err != nil {
+			return evs, fmt.Errorf("obs: trace line %d: %v", line, err)
 		}
 		evs = append(evs, ev)
 	}
+	return evs, sc.Err()
+}
+
+// decodeEvent decodes one trace line, which must hold exactly one JSON
+// object.
+func decodeEvent(line []byte) (Event, error) {
+	var ev Event
+	if b := bytes.TrimSpace(line); len(b) == 0 || b[0] != '{' {
+		return ev, errors.New("not a JSON object")
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ev); err != nil {
+		return ev, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ev, errors.New("data after the event")
+	}
+	return ev, nil
 }

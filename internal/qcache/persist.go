@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 )
 
 // Cross-run persistence. The cache serializes to JSONL — one entry per
@@ -95,9 +94,8 @@ func (c *Cache) ImportEntries(ents []WireEntry) int {
 		if !w.Valid() {
 			continue
 		}
-		before := atomic.LoadInt64(&c.stats.Loaded)
-		c.insert(wireEntry(w), &c.stats.Loaded)
-		if atomic.LoadInt64(&c.stats.Loaded) != before {
+		if c.insert(wireEntry(w)) {
+			c.loaded.Add(1)
 			n++
 		}
 	}
@@ -173,7 +171,9 @@ func (c *Cache) Load(path string) error {
 		if !pe.Valid() {
 			return fmt.Errorf("qcache: %s:%d: malformed entry", path, line)
 		}
-		c.insert(wireEntry(pe), &c.stats.Loaded)
+		if c.insert(wireEntry(pe)) {
+			c.loaded.Add(1)
+		}
 	}
 	return sc.Err()
 }

@@ -36,7 +36,7 @@
 //
 // One Cache may be shared by every worker of a parallel exploration:
 // lookups and stores take fine-grained sharded locks, counters are
-// atomics, and entries are immutable after insertion.
+// registry handles, and entries are immutable after insertion.
 package qcache
 
 import (
@@ -68,7 +68,9 @@ const maxCandidates = 8
 // Stats is a snapshot of the cache counters. Hits+EvalHits+SubsumeHits
 // is the number of Check calls answered without any SAT query;
 // SolverCalls is the number that reached the SAT solver, of which
-// SliceSolves solved only the flipped-branch group.
+// SliceSolves solved only the flipped-branch group. Every count but
+// Loaded and Entries runs from the cache's last SetObs; those two are
+// the cache's totals.
 type Stats struct {
 	Queries     int64 `json:"queries"`      // non-trivial Check calls
 	Hits        int64 `json:"hits"`         // exact-key hits
@@ -77,7 +79,7 @@ type Stats struct {
 	SolverCalls int64 `json:"solver_calls"` // fell through to the SAT solver
 	SliceSolves int64 `json:"slice_solves"` // ... of which solved only the sliced group
 	Unknowns    int64 `json:"unknowns"`     // solver budget exhaustion passed through (uncached)
-	Stores      int64 `json:"stores"`       // entries inserted this run
+	Stores      int64 `json:"stores"`       // entries inserted by lookups
 	Loaded      int64 `json:"loaded"`       // entries loaded from disk
 	Entries     int64 `json:"entries"`      // current entry count
 }
@@ -136,15 +138,12 @@ type Cache struct {
 	// log holds every inserted entry in insertion order, so entry.seq is
 	// its index; ExportSince ships a suffix of it. Guarded by lmu, which
 	// insert takes under a shard lock and nothing holds while taking one.
-	lmu sync.Mutex
-	log []*entry
+	lmu    sync.Mutex
+	log    []*entry
+	loaded atomic.Int64 // Stats.Loaded
 
-	stats Stats // accessed atomically
-
-	// Observability mirrors (SetObs): the Stats atomics stay the source
-	// of truth for Report.Cache; these handles additionally feed the
-	// shared metrics registry ("qcache.*") and the tracer. All nil-safe,
-	// so an unwired cache pays one nil test per event.
+	// The counters of Stats (SetObs) live only in handles on a child of
+	// the wired registry; the entry gauge follows len(log).
 	obsQueries, obsHits, obsEvalHits, obsSubsumeHits       *obs.Counter
 	obsSolverCalls, obsSliceSolves, obsUnknowns, obsStores *obs.Counter
 	obsEntries                                             *obs.Gauge
@@ -158,13 +157,12 @@ type Cache struct {
 
 // SetObs wires the cache into an observability bundle: hit/miss/store
 // counters under "qcache.*", an entry-count gauge, and per-hit trace
-// events classed "exact" | "subsume" | "eval". Safe with a nil o; call
+// events classed "exact" | "subsume" | "eval". The counters restart at
+// zero, so a cache shared by several sessions counts the run of the
+// last one wired; a nil o gives them a registry of their own. Call
 // before sharing the cache across workers.
 func (c *Cache) SetObs(o *obs.Obs) {
-	if o == nil {
-		return
-	}
-	m := o.Registry()
+	m := o.Registry().Child()
 	c.obsQueries = m.Counter("qcache.queries")
 	c.obsHits = m.Counter("qcache.hits")
 	c.obsEvalHits = m.Counter("qcache.eval_hits")
@@ -174,6 +172,9 @@ func (c *Cache) SetObs(o *obs.Obs) {
 	c.obsUnknowns = m.Counter("qcache.unknowns")
 	c.obsStores = m.Counter("qcache.stores")
 	c.obsEntries = m.Gauge("qcache.entries")
+	c.lmu.Lock()
+	c.obsEntries.Set(int64(len(c.log)))
+	c.lmu.Unlock()
 	for i, size := range [4]string{"le8", "le64", "le256", "gt256"} {
 		c.obsResolveUS[i] = m.Histogram("qcache.resolve_us."+size, obs.LatencyBoundsUS)
 	}
@@ -182,7 +183,7 @@ func (c *Cache) SetObs(o *obs.Obs) {
 }
 
 // resolveHist picks the resolve-latency histogram for a constraint set
-// of n elements (nil when the cache is unwired).
+// of n elements.
 func (c *Cache) resolveHist(n int) *obs.Histogram {
 	switch {
 	case n <= 8:
@@ -197,9 +198,8 @@ func (c *Cache) resolveHist(n int) *obs.Histogram {
 }
 
 // hit records one cache-answered query of the given class.
-func (c *Cache) hit(counter *int64, obsCounter *obs.Counter, class string) {
-	atomic.AddInt64(counter, 1)
-	obsCounter.Inc()
+func (c *Cache) hit(counter *obs.Counter, class string) {
+	counter.Inc()
 	if c.tracer != nil {
 		c.tracer.Emit(obs.Event{Ev: obs.EvCacheHit, Class: class})
 	}
@@ -215,22 +215,23 @@ func New(b *smt.Builder, _ Options) *Cache {
 			unsatByMin: map[uint64][]*entry{},
 		}
 	}
+	c.SetObs(nil)
 	return c
 }
 
 // Stats returns a consistent-enough snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Queries:     atomic.LoadInt64(&c.stats.Queries),
-		Hits:        atomic.LoadInt64(&c.stats.Hits),
-		EvalHits:    atomic.LoadInt64(&c.stats.EvalHits),
-		SubsumeHits: atomic.LoadInt64(&c.stats.SubsumeHits),
-		SolverCalls: atomic.LoadInt64(&c.stats.SolverCalls),
-		SliceSolves: atomic.LoadInt64(&c.stats.SliceSolves),
-		Unknowns:    atomic.LoadInt64(&c.stats.Unknowns),
-		Stores:      atomic.LoadInt64(&c.stats.Stores),
-		Loaded:      atomic.LoadInt64(&c.stats.Loaded),
-		Entries:     atomic.LoadInt64(&c.stats.Entries),
+		Queries:     c.obsQueries.Value(),
+		Hits:        c.obsHits.Value(),
+		EvalHits:    c.obsEvalHits.Value(),
+		SubsumeHits: c.obsSubsumeHits.Value(),
+		SolverCalls: c.obsSolverCalls.Value(),
+		SliceSolves: c.obsSliceSolves.Value(),
+		Unknowns:    c.obsUnknowns.Value(),
+		Stores:      c.obsStores.Value(),
+		Loaded:      c.loaded.Load(),
+		Entries:     c.obsEntries.Value(),
 	}
 }
 
@@ -275,19 +276,12 @@ func (c *Cache) Check(solver *smt.Solver, conds []*smt.Expr, hint smt.Assignment
 	if len(live) == 0 {
 		return true, smt.Assignment{}, false
 	}
-	atomic.AddInt64(&c.stats.Queries, 1)
 	c.obsQueries.Inc()
-	var t0 time.Time
-	wired := c.obsResolveUS[0] != nil
-	if wired {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	sat, model, unknown, fromCache := c.resolve(solver, live, hint)
-	if wired {
-		c.resolveHist(len(live)).ObserveDuration(time.Since(t0))
-		if len(live) > largeSetThreshold {
-			c.obsLargeSets.Inc()
-		}
+	c.resolveHist(len(live)).ObserveDuration(time.Since(t0))
+	if len(live) > largeSetThreshold {
+		c.obsLargeSets.Inc()
 	}
 	if c.OnAnswer != nil && !unknown {
 		c.OnAnswer(live, sat, model, fromCache)
@@ -309,11 +303,9 @@ func (c *Cache) resolve(solver *smt.Solver, live []*smt.Expr, hint smt.Assignmen
 	}
 
 	// Full solve.
-	atomic.AddInt64(&c.stats.SolverCalls, 1)
 	c.obsSolverCalls.Inc()
 	sat, model, unknown = solver.Check(live...)
 	if unknown {
-		atomic.AddInt64(&c.stats.Unknowns, 1)
 		c.obsUnknowns.Inc()
 		return false, nil, true, false
 	}
@@ -382,13 +374,10 @@ func (c *Cache) checkSliced(solver *smt.Solver, live []*smt.Expr, hint smt.Assig
 		}
 		subModel = m
 	} else {
-		atomic.AddInt64(&c.stats.SolverCalls, 1)
-		atomic.AddInt64(&c.stats.SliceSolves, 1)
 		c.obsSolverCalls.Inc()
 		c.obsSliceSolves.Inc()
 		st, m, unk := solver.Check(sub...)
 		if unk {
-			atomic.AddInt64(&c.stats.Unknowns, 1)
 			c.obsUnknowns.Inc()
 			return false, nil, true, true
 		}
@@ -422,11 +411,11 @@ func (c *Cache) checkSliced(solver *smt.Solver, live []*smt.Expr, hint smt.Assig
 func (c *Cache) lookupSet(key uint64, elems []uint64, conds []*smt.Expr) (sat bool, model smt.Assignment, ok bool) {
 	if ent := c.getExact(key); ent != nil {
 		if !ent.sat {
-			c.hit(&c.stats.Hits, c.obsHits, "exact")
+			c.hit(c.obsHits, "exact")
 			return false, nil, true
 		}
 		if m := c.hydrate(ent); ValidateModel(conds, m) {
-			c.hit(&c.stats.Hits, c.obsHits, "exact")
+			c.hit(c.obsHits, "exact")
 			return true, m, true
 		}
 		// Key collision or stale persisted model: fall through and let
@@ -434,13 +423,13 @@ func (c *Cache) lookupSet(key uint64, elems []uint64, conds []*smt.Expr) (sat bo
 		// this query will keep re-solving — correct, merely unlucky).
 	}
 	if c.unsatSubset(elems) {
-		c.hit(&c.stats.SubsumeHits, c.obsSubsumeHits, "subsume")
+		c.hit(c.obsSubsumeHits, "subsume")
 		c.store(&entry{key: key, elems: elems, sat: false})
 		return false, nil, true
 	}
 	for _, ent := range c.satCandidates(elems) {
 		if m := c.hydrate(ent); ValidateModel(conds, m) {
-			c.hit(&c.stats.EvalHits, c.obsEvalHits, "eval")
+			c.hit(c.obsEvalHits, "eval")
 			c.storeSat(key, elems, conds, m)
 			return true, m, true
 		}
@@ -521,30 +510,33 @@ func (c *Cache) satCandidates(elems []uint64) []*entry {
 	return out
 }
 
-// store inserts an immutable entry; the first writer of a key wins.
-func (c *Cache) store(ent *entry) { c.insert(ent, &c.stats.Stores) }
+// store inserts an immutable entry found by a lookup.
+func (c *Cache) store(ent *entry) {
+	if c.insert(ent) {
+		c.obsStores.Inc()
+	}
+}
 
-func (c *Cache) insert(ent *entry, counter *int64) {
+// insert adds an immutable entry and reports whether it did: the first
+// writer of a key wins.
+func (c *Cache) insert(ent *entry) bool {
 	s := &c.shards[ent.key%numShards]
 	s.mu.Lock()
 	if _, dup := s.exact[ent.key]; dup {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	// The sequence number is set before the entry is published, so every
 	// reader that finds the entry under a shard lock sees it.
 	c.lmu.Lock()
 	ent.seq = len(c.log)
 	c.log = append(c.log, ent)
+	c.obsEntries.Set(int64(len(c.log)))
 	c.lmu.Unlock()
 	s.exact[ent.key] = ent
 	s.mu.Unlock()
-	atomic.AddInt64(counter, 1)
-	if counter == &c.stats.Stores {
-		c.obsStores.Inc()
-	}
-	c.obsEntries.Set(atomic.AddInt64(&c.stats.Entries, 1))
 	c.index(ent)
+	return true
 }
 
 // index registers ent in the per-element lookup structures.

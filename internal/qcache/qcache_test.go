@@ -39,8 +39,8 @@ func TestExactHit(t *testing.T) {
 	if !ValidateModel(conds, m) {
 		t.Fatalf("hit model invalid: %v", m)
 	}
-	if s2.Stats.Queries != 0 {
-		t.Errorf("exact hit must not touch the solver (ran %d queries)", s2.Stats.Queries)
+	if s2.Stats().Queries != 0 {
+		t.Errorf("exact hit must not touch the solver (ran %d queries)", s2.Stats().Queries)
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Errorf("hits=%d want 1 (%+v)", st.Hits, st)
@@ -58,7 +58,7 @@ func TestExactHitIgnoresOrderAndDuplicates(t *testing.T) {
 	if !sat {
 		t.Fatal("permuted set must stay sat")
 	}
-	if s.Stats.Queries != 0 {
+	if s.Stats().Queries != 0 {
 		t.Errorf("canonicalization must make {p,q} and {q,p,q} the same key")
 	}
 }
@@ -78,8 +78,8 @@ func TestUnsatSubsumption(t *testing.T) {
 	if sat, _, _ := c.Check(s, super, nil); sat {
 		t.Fatal("superset of an unsat core must be unsat")
 	}
-	if s.Stats.Queries != 0 {
-		t.Errorf("subsumed query must not touch the solver (ran %d)", s.Stats.Queries)
+	if s.Stats().Queries != 0 {
+		t.Errorf("subsumed query must not touch the solver (ran %d)", s.Stats().Queries)
 	}
 	if st := c.Stats(); st.SubsumeHits != 1 {
 		t.Errorf("subsumeHits=%d want 1 (%+v)", st.SubsumeHits, st)
@@ -107,8 +107,8 @@ func TestModelReuseFromSuperset(t *testing.T) {
 	if !sat || !ValidateModel([]*smt.Expr{p}, m) {
 		t.Fatalf("subset reuse failed: sat=%v m=%v", sat, m)
 	}
-	if s.Stats.Queries != 0 {
-		t.Errorf("subset of a cached sat set must reuse its model (ran %d queries)", s.Stats.Queries)
+	if s.Stats().Queries != 0 {
+		t.Errorf("subset of a cached sat set must reuse its model (ran %d queries)", s.Stats().Queries)
 	}
 	if st := c.Stats(); st.EvalHits != 1 {
 		t.Errorf("evalHits=%d want 1 (%+v)", st.EvalHits, st)
@@ -147,8 +147,8 @@ func TestIndependenceSlicing(t *testing.T) {
 	if !sat || !ValidateModel(conds2, m) {
 		t.Fatalf("second sliced check failed: sat=%v m=%v", sat, m)
 	}
-	if s2.Stats.Queries != 0 {
-		t.Errorf("flipped group cached per-group must re-serve (ran %d queries)", s2.Stats.Queries)
+	if s2.Stats().Queries != 0 {
+		t.Errorf("flipped group cached per-group must re-serve (ran %d queries)", s2.Stats().Queries)
 	}
 }
 
@@ -196,8 +196,8 @@ func TestSlicedUnsatPropagates(t *testing.T) {
 	if sat {
 		t.Fatal("superset of unsat group must be unsat")
 	}
-	if s.Stats.Queries != 0 {
-		t.Errorf("unsat group must subsume supersets (ran %d queries)", s.Stats.Queries)
+	if s.Stats().Queries != 0 {
+		t.Errorf("unsat group must subsume supersets (ran %d queries)", s.Stats().Queries)
 	}
 }
 
@@ -282,8 +282,8 @@ func TestPersistenceWarmStart(t *testing.T) {
 	if sat, _, _ := c2.Check(s, unsatSet2, nil); sat {
 		t.Fatal("warm unsat check failed")
 	}
-	if s.Stats.Queries != 0 {
-		t.Errorf("warm-start queries must be served from disk entries (ran %d)", s.Stats.Queries)
+	if s.Stats().Queries != 0 {
+		t.Errorf("warm-start queries must be served from disk entries (ran %d)", s.Stats().Queries)
 	}
 }
 
@@ -482,7 +482,7 @@ func TestHydrateResolvesLateNames(t *testing.T) {
 	if !sat || m[int(x2.Val)] != 2 {
 		t.Fatalf("full query after minting b: sat=%v model=%v", sat, m)
 	}
-	if s.Stats.Queries != 0 {
-		t.Errorf("the imported entry must answer both queries; the solver ran %d", s.Stats.Queries)
+	if s.Stats().Queries != 0 {
+		t.Errorf("the imported entry must answer both queries; the solver ran %d", s.Stats().Queries)
 	}
 }

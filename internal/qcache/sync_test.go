@@ -49,8 +49,8 @@ func TestExportImportSync(t *testing.T) {
 	if !sat || m == nil {
 		t.Fatalf("peer miss on synced entry: sat=%v m=%v", sat, m)
 	}
-	if s.Stats.Queries != 0 {
-		t.Errorf("synced entry must be served without solving (ran %d queries)", s.Stats.Queries)
+	if s.Stats().Queries != 0 {
+		t.Errorf("synced entry must be served without solving (ran %d queries)", s.Stats().Queries)
 	}
 	// Malformed wire entries (a crashed peer, a truncated merge) are
 	// skipped, never inserted.

@@ -6,14 +6,11 @@ import (
 	"rvcte/internal/obs"
 )
 
-// Stats accumulates query statistics, mirroring the "stime" and "#queries"
-// columns of the paper's Table 1 and Table 2.
+// Stats is a snapshot of a solver's query statistics, the "stime" and
+// "#queries" columns of the paper's Table 1 and Table 2.
 type Stats struct {
 	Queries    int           // number of Check calls
 	SolverTime time.Duration // total wall time spent inside Check
-	Conflicts  int           // SAT conflicts across all queries
-	SatVars    int           // SAT variables allocated
-	SatProps   int64         // unit propagations
 }
 
 // Solver answers satisfiability queries over expressions from one Builder.
@@ -25,14 +22,13 @@ type Solver struct {
 	sat    *Sat
 	bl     *blaster
 	assume []Lit // Check's assumption buffer
-	Stats  Stats
 
 	// MaxConflictsPerQuery bounds each query; 0 means unlimited. When a
 	// query exceeds the budget Check returns unknown=true.
 	MaxConflictsPerQuery int
 
-	// Observability handles (SetObs). All are nil-safe: an unwired
-	// solver pays one nil test per query.
+	// Observability handles (SetObs) on a child of the wired registry:
+	// the child is the only store of the run counters Stats reads.
 	obsQueries  *obs.Counter
 	obsSat      *obs.Counter
 	obsUnsat    *obs.Counter
@@ -54,12 +50,10 @@ type Solver struct {
 // counters under "smt.*" (time split into blasting and CDCL search), a
 // query-latency histogram (microseconds), gauges of the CNF size summed
 // over every solver on the bundle, and per-query trace events when o
-// carries a tracer. Safe with a nil o.
+// carries a tracer. The counters restart at zero; a nil o keeps them in
+// a registry of their own.
 func (s *Solver) SetObs(o *obs.Obs) {
-	if o == nil {
-		return
-	}
-	m := o.Registry()
+	m := o.Registry().Child()
 	s.obsQueries = m.Counter("smt.queries")
 	s.obsSat = m.Counter("smt.sat")
 	s.obsUnsat = m.Counter("smt.unsat")
@@ -71,21 +65,26 @@ func (s *Solver) SetObs(o *obs.Obs) {
 	s.obsVars = m.Gauge("smt.cnf_vars")
 	s.obsClauses = m.Gauge("smt.cnf_clauses")
 	s.obsLearnts = m.Gauge("smt.learnts")
+	s.gaugedVars, s.gaugedClauses, s.gaugedLearnts = 0, 0, 0 // the next query gauges the whole CNF
 	s.tracer = o.Trace()
 }
 
 // NewSolver creates a solver bound to the builder b.
 func NewSolver(b *Builder) *Solver {
 	sat := NewSat()
-	return &Solver{bld: b, sat: sat, bl: newBlaster(b, sat)}
+	s := &Solver{bld: b, sat: sat, bl: newBlaster(b, sat)}
+	s.SetObs(nil)
+	return s
+}
+
+// Stats returns the query count and solver time since the last SetObs.
+func (s *Solver) Stats() Stats {
+	return Stats{Queries: int(s.obsQueries.Value()), SolverTime: time.Duration(s.obsTimeNS.Value())}
 }
 
 // gaugeSize adds the growth of the CNF since the last call to the size
 // gauges.
 func (s *Solver) gaugeSize() {
-	if s.obsVars == nil {
-		return
-	}
 	vars, clauses, learnts := s.sat.NumVars(), s.sat.clauses, s.sat.learnts
 	s.obsVars.Add(int64(vars - s.gaugedVars))
 	s.obsClauses.Add(int64(clauses - s.gaugedClauses))
@@ -102,11 +101,6 @@ func (s *Solver) Check(conds ...*Expr) (sat bool, model Assignment, unknown bool
 	var blastDur, searchDur time.Duration
 	defer func() {
 		dur := time.Since(start)
-		s.Stats.Queries++
-		s.Stats.SolverTime += dur
-		s.Stats.Conflicts = s.sat.Conflict
-		s.Stats.SatVars = s.sat.NumVars()
-		s.Stats.SatProps = s.sat.Props
 		s.obsQueries.Inc()
 		s.obsTimeNS.Add(int64(dur))
 		s.obsBlastNS.Add(int64(blastDur))

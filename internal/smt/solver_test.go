@@ -219,7 +219,7 @@ func TestSolverIncrementalPathCondition(t *testing.T) {
 	if xv >= 1000 || xv < 10 || xv%3 != 0 || xv == 12 {
 		t.Errorf("EPC model wrong: %d", xv)
 	}
-	if s.Stats.Queries == 0 || s.Stats.SolverTime <= 0 {
+	if s.Stats().Queries == 0 || s.Stats().SolverTime <= 0 {
 		t.Error("stats not collected")
 	}
 }
@@ -477,10 +477,10 @@ func TestSolverStatsAccumulate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Check(b.Eq(x, b.Const(32, uint64(i))))
 	}
-	if s.Stats.Queries != 5 {
-		t.Errorf("queries: %d", s.Stats.Queries)
+	if s.Stats().Queries != 5 {
+		t.Errorf("queries: %d", s.Stats().Queries)
 	}
-	if s.Stats.SatVars == 0 {
+	if s.sat.NumVars() == 0 {
 		t.Error("sat vars should be recorded")
 	}
 }
@@ -534,9 +534,9 @@ func TestSolverBudgetNotCumulative(t *testing.T) {
 	q1 := hardFactorQuery(b, "bx", "by", 251, 241)
 	q2 := hardFactorQuery(b, "bz", "bw", 239, 233)
 	checkSat(t, s, q1...)
-	c1 := s.Stats.Conflicts
+	c1 := s.sat.Conflict
 	checkSat(t, s, q2...)
-	c2 := s.Stats.Conflicts - c1
+	c2 := s.sat.Conflict - c1
 	if c1 < 2 || c2 < 2 {
 		t.Fatalf("queries too easy to exercise the budget (c1=%d c2=%d); harden them", c1, c2)
 	}

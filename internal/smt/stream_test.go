@@ -138,8 +138,8 @@ func hashModel(h hash.Hash, m Assignment) {
 
 // solverStreamHash runs n steps of the seeded path stream and hashes
 // every verdict, every model and the final conflict and propagation
-// counts. It also reports the verdict tallies.
-func solverStreamHash(seed int64, n int) (sum string, nSat, nUnsat int, st Stats) {
+// counts. It also reports the verdict tallies and the SAT core.
+func solverStreamHash(seed int64, n int) (sum string, nSat, nUnsat int, st *Sat) {
 	ps := newPathStream(seed)
 	h := sha256.New()
 	for i := 0; i < n; i++ {
@@ -156,9 +156,9 @@ func solverStreamHash(seed int64, n int) (sum string, nSat, nUnsat int, st Stats
 			hashInt(h, 0)
 		}
 	}
-	st = ps.s.Stats
-	hashInt(h, uint64(st.Conflicts))
-	hashInt(h, uint64(st.SatProps))
+	st = ps.s.sat
+	hashInt(h, uint64(st.Conflict))
+	hashInt(h, uint64(st.Props))
 	return hex.EncodeToString(h.Sum(nil)), nSat, nUnsat, st
 }
 
@@ -261,9 +261,9 @@ func TestSolverTracePinned(t *testing.T) {
 		wantSat    = "e0b3271aacd277d886fefe7fbd6812c21e53a44ca86864769ede38ca5422b2e3"
 	)
 	sum, nSat, nUnsat, st := solverStreamHash(1, 2400)
-	t.Logf("stream: sat %d unsat %d conflicts %d props %d vars %d", nSat, nUnsat, st.Conflicts, st.SatProps, st.SatVars)
-	if nSat < 500 || nUnsat < 200 || st.Conflicts < 1000 {
-		t.Fatalf("stream too easy to pin the search: sat %d unsat %d conflicts %d", nSat, nUnsat, st.Conflicts)
+	t.Logf("stream: sat %d unsat %d conflicts %d props %d vars %d", nSat, nUnsat, st.Conflict, st.Props, st.NumVars())
+	if nSat < 500 || nUnsat < 200 || st.Conflict < 1000 {
+		t.Fatalf("stream too easy to pin the search: sat %d unsat %d conflicts %d", nSat, nUnsat, st.Conflict)
 	}
 	if sum != wantStream {
 		t.Errorf("path-stream hash = %s, want %s", sum, wantStream)
