@@ -2,12 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native loc examples clean
+.PHONY: all build fmt vet test bench-test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke bench bench-json bench-compare bench-iss bench-fork bench-qcache bench-smt bench-fuzz fuzz-native loc examples clean
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file must be gofmt-clean; the benchmark's build
+# directory holds copies of the source and is skipped.
+fmt:
+	@out=$$(git ls-files -- '*.go' ':!bench/.bench_build' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -97,10 +103,11 @@ findfix-smoke:
 	$(GO) run ./examples/tcpip-fuzz
 
 # The repo's verification recipe (see README.md and
-# .claude/skills/verify/SKILL.md): build, vet, full tests, the benchmark
-# module's tests, race pass, then the end-to-end fuzzing, tracing,
-# campaign, BMC, stateful and find-fix smokes, and the examples.
-verify: build vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke examples
+# .claude/skills/verify/SKILL.md): build, format check, vet, full
+# tests, the benchmark module's tests, race pass, then the end-to-end
+# fuzzing, tracing, campaign, BMC, stateful and find-fix smokes, and
+# the examples.
+verify: build fmt vet test bench-test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke findfix-smoke examples
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -133,9 +140,12 @@ bench-fork:
 
 # Query-cache model validation (DESIGN.md "Query caching"): validating
 # a 256-condition shared-prefix set directly and as Check's exact hit,
-# and canonicalizing an 800-condition set for an exact hit.
+# and canonicalizing an 800-condition set for an exact hit; then one
+# cache shared by one and by two goroutines (EXPERIMENTS.md "Query
+# cache").
 bench-qcache:
 	$(GO) test -run NONE -bench 'BenchmarkValidateModel|BenchmarkQCacheResolveLarge' -benchmem ./internal/qcache
+	$(GO) test -run NONE -bench BenchmarkQueryCacheParallel -benchmem -cpu 1,2 ./internal/qcache
 
 # CDCL core on the pinned path stream (DESIGN.md "SAT core"): one
 # Check per op, i.e. ns and allocations per query.

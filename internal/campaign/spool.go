@@ -113,10 +113,25 @@ func sortedKeys(m map[string]bool) []string {
 
 // check normalizes and validates a campaign spooled as file name: a
 // corrupt file must fail the load, not name an unknown guest or a file
-// outside the spool for the next persist to write.
+// outside the spool for the next persist to write, ship malformed or
+// duplicate cache entries in its leases, or count paths it has no
+// records of.
 func (sc *spoolCampaign) check(name string) error {
 	if sc.Spec.ID+".json" != name {
 		return fmt.Errorf("campaign id %q", sc.Spec.ID)
+	}
+	keys := make(map[uint64]bool, len(sc.QEntries))
+	for i, q := range sc.QEntries {
+		if !q.Valid() {
+			return fmt.Errorf("malformed cache entry %d", i)
+		}
+		if keys[q.Key] {
+			return fmt.Errorf("duplicate cache entry key %d", q.Key)
+		}
+		keys[q.Key] = true
+	}
+	if sc.Stats.Paths != len(sc.Records) {
+		return fmt.Errorf("stats count %d paths for %d records", sc.Stats.Paths, len(sc.Records))
 	}
 	return sc.Spec.normalize()
 }

@@ -40,6 +40,26 @@ var corruptSpools = []struct {
 		`{"spec":` + strings.Replace(spoolSpec, `"c1"`, `"../c1"`, 1) + `},"state":"running"}`,
 		`campaign id "../c1"`,
 	},
+	{
+		"malformed cache entry",
+		`{"spec":` + spoolSpec + `},"state":"running","qentries":[{"k":1,"e":[5,3],"s":true}]}`,
+		"malformed cache entry 0",
+	},
+	{
+		"duplicate cache entry key",
+		`{"spec":` + spoolSpec + `},"state":"running","qentries":[{"k":1,"e":[7]},{"k":1,"e":[8]}]}`,
+		"duplicate cache entry key 1",
+	},
+	{
+		"entries with no elements",
+		`{"spec":` + spoolSpec + `},"state":"running","qentries":[{"k":1,"e":[7]},{"k":2,"e":[]}]}`,
+		"malformed cache entry 1",
+	},
+	{
+		"paths without records",
+		`{"spec":` + spoolSpec + `},"state":"running","stats":{"paths":9}}`,
+		"stats count 9 paths for 0 records",
+	},
 }
 
 // writeSpool writes data as campaign c1's spool file in a fresh
@@ -65,8 +85,10 @@ func TestLoadSpoolRejectsCorrupt(t *testing.T) {
 
 // FuzzLoadSpool: a coordinator restarted over a spool holding any bytes
 // as a campaign file either refuses the file or resumes a campaign that
-// serves leases; it never panics. The seed corpus is a spool the
-// coordinator wrote with a lease outstanding, plus the corrupt files.
+// serves leases whose cache entries are all valid and whose status
+// counts one path per record; it never panics. The seed corpus is a
+// spool the coordinator wrote with a lease outstanding, the corrupt
+// files, and a sound spool with records and cache entries.
 func FuzzLoadSpool(f *testing.F) {
 	dir := f.TempDir()
 	co, err := NewCoordinator(dir, nil)
@@ -91,14 +113,35 @@ func FuzzLoadSpool(f *testing.F) {
 	for _, tc := range corruptSpools {
 		f.Add([]byte(tc.json))
 	}
+	// A sound spool with a record and cache entries, so the seeds reach
+	// the lease and status checks with entries to ship.
+	sound := `{"spec":` + spoolSpec + `},"state":"running","frontier":[{}],"records":[{"key":"k0","exit":0}],` +
+		`"qentries":[{"k":1,"e":[3,5],"s":true,"m":{"x":1}},{"k":2,"e":[4]}],"stats":{"paths":1}}`
+	if _, err := NewCoordinator(writeSpool(f, []byte(sound)), nil); err != nil {
+		f.Fatalf("a sound spool does not load: %v", err)
+	}
+	f.Add([]byte(sound))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		co, err := NewCoordinator(writeSpool(t, data), nil)
 		if err != nil {
 			return
 		}
 		for _, st := range co.List() {
-			if _, err := co.Lease(st.Spec.ID, LeaseRequest{Worker: "w"}); err != nil {
+			recs, err := co.Records(st.Spec.ID)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if st.Stats.Paths != len(recs) {
+				t.Fatalf("status counts %d paths for %d records", st.Stats.Paths, len(recs))
+			}
+			l, err := co.Lease(st.Spec.ID, LeaseRequest{Worker: "w", Fresh: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range l.QEntries {
+				if !q.Valid() {
+					t.Fatalf("lease ships malformed cache entry %+v", q)
+				}
 			}
 		}
 	})

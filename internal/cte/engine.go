@@ -142,8 +142,8 @@ type Report struct {
 	Pruned       int
 	Exhausted    bool // queue drained (full exploration)
 	// Frontier holds the pending inputs left unexplored when the run
-	// stopped (Explore.ExportFrontier only): the hand-off unit of the
-	// campaign coordinator's sharded frontier.
+	// stopped (Explore.ExportFrontier only): what a campaign lease hands
+	// back to the coordinator's one FIFO frontier per campaign.
 	Frontier []Input
 	// Stopped says why the run ended: "exhausted" | "path-budget" |
 	// "exec-budget" | "timeout" | "stop-on-error" | "canceled" | "dry".

@@ -10,12 +10,13 @@ import (
 )
 
 // Frontier export/import. A campaign coordinator (internal/campaign)
-// shards the pending-input frontier across worker processes, so inputs
-// must cross process boundaries. Variable ids are builder-local (they
-// depend on creation order), so the wire form is keyed by variable
-// *name* and carries the width, letting the importing side mint or
-// resolve the variable with smt.Builder.Var — the same name-anchored
-// scheme qcache persistence uses for cached models.
+// keeps one FIFO frontier of pending inputs per campaign and leases
+// them to worker processes, so inputs must cross process boundaries.
+// Variable ids are builder-local (they depend on creation order), so
+// the wire form is keyed by variable *name* and carries the width,
+// letting the importing side mint or resolve the variable with
+// smt.Builder.Var — the same name-anchored scheme qcache persistence
+// uses for cached models.
 
 // WireVar is one named symbolic assignment in process-portable form.
 type WireVar struct {

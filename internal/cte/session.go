@@ -64,7 +64,8 @@ type ExploreConfig struct {
 	TraceDepth int
 	// Roots seeds the frontier with explicit pending inputs and
 	// ExportFrontier drains the unexplored queue into Report.Frontier —
-	// the campaign coordinator's shard hand-off.
+	// how a campaign lease hands its children back to the coordinator's
+	// frontier.
 	Roots          []Input
 	ExportFrontier bool
 }

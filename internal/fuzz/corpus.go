@@ -17,8 +17,7 @@ type edgeBit struct {
 type Entry struct {
 	ID   int
 	Data []byte
-	Sig  uint64    // signature of the bucketized edge set
-	Cov  []edgeBit // sparse bucketized coverage of one execution
+	Sig  uint64 // signature of the bucketized edge set
 	// NewBits counts the virgin edge-map bits this entry set first —
 	// the basis of its energy.
 	NewBits int

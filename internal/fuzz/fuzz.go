@@ -332,7 +332,7 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, 
 	if newBits == 0 && !q.injected {
 		return
 	}
-	cov, sig := bucketize(edge, touched)
+	_, sig := bucketize(edge, touched)
 	keep := data
 	if c.FuzzPos < len(keep) {
 		// Unconsumed tail bytes cannot influence behaviour — trim them so
@@ -343,7 +343,6 @@ func (f *Fuzzer) mergeLocked(q queued, c *iss.Core, instrs uint64, edge []byte, 
 		ID:       f.nextID,
 		Data:     append([]byte(nil), keep...),
 		Sig:      sig,
-		Cov:      cov,
 		NewBits:  newBits,
 		Exec:     execs,
 		Injected: q.injected,

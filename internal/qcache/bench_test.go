@@ -2,6 +2,8 @@ package qcache
 
 import (
 	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rvcte/internal/smt"
@@ -85,6 +87,71 @@ func BenchmarkQueryCacheEvalReuse(b *testing.B) {
 	b.StopTimer()
 	if st := c.Stats(); st.SolverCalls != 1 {
 		b.Fatalf("reuse benchmark must not re-solve (%+v)", st)
+	}
+}
+
+// BenchmarkQueryCacheParallel drives one shared cache from
+// b.RunParallel goroutines, one solver each: the sharing pattern of the
+// parallel engine's workers. Queries draw one to four conditions from a
+// shared 30-condition pool, as TestConcurrentSharedCache does; the 256
+// pool sets are solved before the timer starts. Three queries in four
+// repeat a pool set, an exact hit. The fourth adds a fresh bound y < k
+// to an unsat pool set: a new key, which the cache answers by unsat
+// subsumption and stores. That mix runs every step the cache's mutex
+// guards (hashing new nodes, exact lookups, subset scans, inserts) and
+// no SAT solve, which runs outside the lock and, at milliseconds a
+// query, would hide what the lock costs. Run it with -cpu 1,2,... to
+// see that cost as goroutines are added.
+func BenchmarkQueryCacheParallel(b *testing.B) {
+	bld := smt.NewBuilder()
+	vars := []*smt.Expr{bld.Var(8, "a"), bld.Var(8, "b"), bld.Var(8, "c")}
+	rng := rand.New(rand.NewSource(11))
+	pool := make([]*smt.Expr, 30)
+	for i := range pool {
+		pool[i] = randCond(rng, bld, vars)
+	}
+	c := New(bld, Options{})
+	solver := smt.NewSolver(bld)
+	var sets, unsat [][]*smt.Expr
+	for len(sets) < 256 {
+		var set []*smt.Expr
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			set = append(set, pool[rng.Intn(len(pool))])
+		}
+		sets = append(sets, set)
+		if sat, _, _ := c.Check(solver, set, nil); !sat {
+			unsat = append(unsat, set[:len(set):len(set)])
+		}
+	}
+	if len(unsat) == 0 {
+		b.Fatal("the pool sets must include an unsat one")
+	}
+	y := bld.Var(32, "y")
+	fresh := make([]*smt.Expr, b.N/4+64)
+	for i := range fresh {
+		fresh[i] = bld.Ult(y, bld.Const(32, uint64(i)+1))
+	}
+	warm := c.Stats().SolverCalls
+	var seed, next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		solver := smt.NewSolver(bld)
+		for i := 0; pb.Next(); i++ {
+			conds := sets[rng.Intn(len(sets))]
+			if i%4 == 0 {
+				f := fresh[int(next.Add(1))%len(fresh)]
+				conds = append(unsat[rng.Intn(len(unsat))], f)
+			}
+			if _, _, unknown := c.Check(solver, conds, nil); unknown {
+				b.Error("unbudgeted query came back unknown")
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := c.Stats(); st.SolverCalls != warm {
+		b.Fatalf("timed queries must not reach the solver (%+v)", st)
 	}
 }
 

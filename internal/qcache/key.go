@@ -42,10 +42,9 @@ func hashString(s string) uint64 {
 
 // hashExpr returns the structural hash of e, memoized per node.
 func (c *Cache) hashExpr(e *smt.Expr) uint64 {
-	c.hmu.Lock()
-	h := c.hashLocked(e)
-	c.hmu.Unlock()
-	return h
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hashLocked(e)
 }
 
 // nodeMemo is the cache's per-node memo, indexed by smt.Expr.ID. The
@@ -59,7 +58,7 @@ type nodeMemo struct {
 }
 
 // node returns the memo slot of id, growing the table as needed; the
-// caller must hold c.hmu. The pointer is valid until the next growth.
+// caller must hold c.mu. The pointer is valid until the next growth.
 func (c *Cache) node(id int) *nodeMemo {
 	if id >= len(c.nodes) {
 		c.nodes = append(c.nodes, make([]nodeMemo, id+1-len(c.nodes))...)
@@ -94,11 +93,11 @@ func (c *Cache) hashLocked(e *smt.Expr) uint64 {
 // element hashes — the canonical representation of the conjunction.
 func (c *Cache) hashSet(conds []*smt.Expr) []uint64 {
 	elems := make([]uint64, 0, len(conds))
-	c.hmu.Lock()
+	c.mu.Lock()
 	for _, e := range conds {
 		elems = append(elems, c.hashLocked(e))
 	}
-	c.hmu.Unlock()
+	c.mu.Unlock()
 	slices.Sort(elems)
 	// Deduplicate: conjunction is idempotent, so {a,a,b} keys as {a,b}.
 	out := elems[:0]
@@ -124,19 +123,19 @@ func setKey(elems []uint64) uint64 {
 // re-checked under ever-longer prefixes), so the memo keeps independence
 // slicing cheap.
 func (c *Cache) varsOf(e *smt.Expr) []int {
-	c.hmu.Lock()
+	c.mu.Lock()
 	if id := e.ID(); id < len(c.nodes) && c.nodes[id].varsOK {
 		v := c.nodes[id].vars
-		c.hmu.Unlock()
+		c.mu.Unlock()
 		return v
 	}
-	c.hmu.Unlock()
+	c.mu.Unlock()
 	// Collect outside the lock: Vars can walk a large DAG.
 	ids := e.Vars(nil, map[*smt.Expr]bool{})
 	sort.Ints(ids)
-	c.hmu.Lock()
+	c.mu.Lock()
 	n := c.node(e.ID())
 	n.vars, n.varsOK = ids, true
-	c.hmu.Unlock()
+	c.mu.Unlock()
 	return ids
 }

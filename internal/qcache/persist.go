@@ -73,10 +73,10 @@ func (c *Cache) ExportEntries() []WireEntry {
 // passes back the returned cursor sees each entry once, at a cost
 // proportional to the new entries only.
 func (c *Cache) ExportSince(cursor int) ([]WireEntry, int) {
-	c.lmu.Lock()
+	c.mu.Lock()
 	n := len(c.log)
 	ents := c.log[min(cursor, n):n]
-	c.lmu.Unlock()
+	c.mu.Unlock()
 	out := make([]WireEntry, len(ents))
 	for i, ent := range ents {
 		out[i] = WireEntry{Key: ent.key, Elems: ent.elems, Sat: ent.sat, Model: c.names(ent)}

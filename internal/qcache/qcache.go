@@ -35,8 +35,10 @@
 //     models merge soundly because groups are variable-disjoint.
 //
 // One Cache may be shared by every worker of a parallel exploration:
-// lookups and stores take fine-grained sharded locks, counters are
-// registry handles, and entries are immutable after insertion.
+// one mutex guards the node memo, the entry index and the insertion log
+// (model validation, DAG walks and solver calls run outside it),
+// counters are registry handles, and entries are immutable after
+// insertion.
 package qcache
 
 import (
@@ -49,7 +51,6 @@ import (
 )
 
 const (
-	numShards   = 16
 	maxElemList = 32 // cap per-element index lists (exact map is unbounded)
 	// largeSetThreshold classifies a constraint set as "large" for the
 	// qcache.large_sets counter — beyond it, canonicalization and the
@@ -108,17 +109,6 @@ type idModel struct {
 	vals []uint64
 }
 
-type shard struct {
-	mu    sync.Mutex
-	exact map[uint64]*entry
-	// satByElem indexes sat entries under each of their element hashes
-	// (bounded lists — the reuse heuristic); unsatByMin indexes unsat
-	// entries under their minimum element hash (exact subset detection:
-	// a superset necessarily contains the minimum).
-	satByElem  map[uint64][]*entry
-	unsatByMin map[uint64][]*entry
-}
-
 // Cache is a concurrency-safe SMT query cache bound to one Builder.
 type Cache struct {
 	b *smt.Builder
@@ -131,14 +121,20 @@ type Cache struct {
 	// the correctness property tests hang off.
 	OnAnswer func(conds []*smt.Expr, sat bool, model smt.Assignment, fromCache bool)
 
-	hmu   sync.Mutex
+	// mu guards nodes, exact, satByElem, unsatByMin and log. It is held
+	// for memo and map work only, never across a DAG walk, a model
+	// validation or a solve.
+	mu    sync.Mutex
 	nodes []nodeMemo // per-node hash and variable memo, by smt.Expr.ID
-
-	shards [numShards]shard
+	exact map[uint64]*entry
+	// satByElem indexes sat entries under each of their element hashes
+	// (bounded lists — the reuse heuristic); unsatByMin indexes unsat
+	// entries under their minimum element hash (exact subset detection:
+	// a superset necessarily contains the minimum).
+	satByElem  map[uint64][]*entry
+	unsatByMin map[uint64][]*entry
 	// log holds every inserted entry in insertion order, so entry.seq is
-	// its index; ExportSince ships a suffix of it. Guarded by lmu, which
-	// insert takes under a shard lock and nothing holds while taking one.
-	lmu    sync.Mutex
+	// its index; ExportSince ships a suffix of it.
 	log    []*entry
 	loaded atomic.Int64 // Stats.Loaded
 
@@ -172,9 +168,9 @@ func (c *Cache) SetObs(o *obs.Obs) {
 	c.obsUnknowns = m.Counter("qcache.unknowns")
 	c.obsStores = m.Counter("qcache.stores")
 	c.obsEntries = m.Gauge("qcache.entries")
-	c.lmu.Lock()
+	c.mu.Lock()
 	c.obsEntries.Set(int64(len(c.log)))
-	c.lmu.Unlock()
+	c.mu.Unlock()
 	for i, size := range [4]string{"le8", "le64", "le256", "gt256"} {
 		c.obsResolveUS[i] = m.Histogram("qcache.resolve_us."+size, obs.LatencyBoundsUS)
 	}
@@ -207,13 +203,11 @@ func (c *Cache) hit(counter *obs.Counter, class string) {
 
 // New creates an empty cache for expressions of b.
 func New(b *smt.Builder, _ Options) *Cache {
-	c := &Cache{b: b}
-	for i := range c.shards {
-		c.shards[i] = shard{
-			exact:      map[uint64]*entry{},
-			satByElem:  map[uint64][]*entry{},
-			unsatByMin: map[uint64][]*entry{},
-		}
+	c := &Cache{
+		b:          b,
+		exact:      map[uint64]*entry{},
+		satByElem:  map[uint64][]*entry{},
+		unsatByMin: map[uint64][]*entry{},
 	}
 	c.SetObs(nil)
 	return c
@@ -438,11 +432,9 @@ func (c *Cache) lookupSet(key uint64, elems []uint64, conds []*smt.Expr) (sat bo
 }
 
 func (c *Cache) getExact(key uint64) *entry {
-	s := &c.shards[key%numShards]
-	s.mu.Lock()
-	ent := s.exact[key]
-	s.mu.Unlock()
-	return ent
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.exact[key]
 }
 
 // unsatSubset reports whether some cached unsat set is a subset of elems.
@@ -450,12 +442,10 @@ func (c *Cache) getExact(key uint64) *entry {
 // under elems[i] is a subset iff its sorted elements occur, in order, in
 // the sorted tail elems[i:].
 func (c *Cache) unsatSubset(elems []uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, e := range elems {
-		s := &c.shards[e%numShards]
-		s.mu.Lock()
-		cands := s.unsatByMin[e]
-		s.mu.Unlock()
-		for _, u := range cands {
+		for _, u := range c.unsatByMin[e] {
 			if sortedSubset(u.elems, elems[i:]) {
 				return true
 			}
@@ -492,16 +482,14 @@ func (c *Cache) satCandidates(elems []uint64) []*entry {
 	var out []*entry
 	seen := getMarks()
 	defer putMarks(seen)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, e := range elems {
-		s := &c.shards[e%numShards]
-		s.mu.Lock()
-		list := s.satByElem[e]
-		for _, ent := range list {
+		for _, ent := range c.satByElem[e] {
 			if seen.add(ent.seq) {
 				out = append(out, ent)
 			}
 		}
-		s.mu.Unlock()
 		if len(out) >= maxCandidates {
 			out = out[:maxCandidates]
 			break
@@ -517,48 +505,28 @@ func (c *Cache) store(ent *entry) {
 	}
 }
 
-// insert adds an immutable entry and reports whether it did: the first
-// writer of a key wins.
+// insert adds an immutable entry and indexes it, and reports whether it
+// did: the first writer of a key wins.
 func (c *Cache) insert(ent *entry) bool {
-	s := &c.shards[ent.key%numShards]
-	s.mu.Lock()
-	if _, dup := s.exact[ent.key]; dup {
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.exact[ent.key]; dup {
 		return false
 	}
-	// The sequence number is set before the entry is published, so every
-	// reader that finds the entry under a shard lock sees it.
-	c.lmu.Lock()
 	ent.seq = len(c.log)
 	c.log = append(c.log, ent)
-	c.obsEntries.Set(int64(len(c.log)))
-	c.lmu.Unlock()
-	s.exact[ent.key] = ent
-	s.mu.Unlock()
-	c.index(ent)
-	return true
-}
-
-// index registers ent in the per-element lookup structures.
-func (c *Cache) index(ent *entry) {
+	c.exact[ent.key] = ent
 	if ent.sat {
 		for _, e := range ent.elems {
-			s := &c.shards[e%numShards]
-			s.mu.Lock()
-			if len(s.satByElem[e]) < maxElemList {
-				s.satByElem[e] = append(s.satByElem[e], ent)
+			if len(c.satByElem[e]) < maxElemList {
+				c.satByElem[e] = append(c.satByElem[e], ent)
 			}
-			s.mu.Unlock()
 		}
-		return
+	} else if min := ent.elems[0]; len(c.unsatByMin[min]) < maxElemList {
+		c.unsatByMin[min] = append(c.unsatByMin[min], ent)
 	}
-	min := ent.elems[0]
-	s := &c.shards[min%numShards]
-	s.mu.Lock()
-	if len(s.unsatByMin[min]) < maxElemList {
-		s.unsatByMin[min] = append(s.unsatByMin[min], ent)
-	}
-	s.mu.Unlock()
+	c.obsEntries.Set(int64(len(c.log)))
+	return true
 }
 
 // storeSat inserts a sat entry whose model is model restricted to the
